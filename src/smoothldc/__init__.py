@@ -12,7 +12,7 @@ from .capacity import (
 from .codespec import DecodingSuperset, LinearCodeSpec, from_document, to_document
 from .construct import build_sldc, decode, encode, enumerate_supersets, load_fixture
 from .entropy import conditional_entropy, distinct_information, same_information
-from .gf2 import BitMatrix, BitVector, mat_vec_mul, rank, restrict_columns
+from .gf2 import BitMatrix, BitVector, mat_vec_mul, rank
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "min_upload_bits",
     "pir_capacity",
     "rank",
-    "restrict_columns",
     "same_information",
     "symbol_and_code_rate",
     "to_document",

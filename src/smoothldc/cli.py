@@ -76,9 +76,10 @@ def cmd_fixture(args) -> int:
 
 def _run_checks(code, names, args) -> list[verify.CheckResult]:
     results = []
+    audit_trees = None  # shared by "tree" and "converse"
     for name in names:
         if name == "correctness":
-            results.append(check_named(verify.check_correctness(code), "correctness"))
+            results.append(verify.check_correctness(code))
         elif name == "smoothness":
             results.append(verify.CheckResult("smoothness", verify.check_smoothness(code)))
         elif name == "universality":
@@ -89,9 +90,11 @@ def _run_checks(code, names, args) -> list[verify.CheckResult]:
                 res = report.results[key]
                 results.append(verify.CheckResult(res.name, res.passed, res.witnesses))
         elif name in ("tree", "converse"):
-            trees, exhaustive = verify.trees_for_audit(
-                code, budget=args.tree_budget, samples=args.samples, seed=args.seed
-            )
+            if audit_trees is None:
+                audit_trees = verify.trees_for_audit(
+                    code, budget=args.tree_budget, samples=args.samples, seed=args.seed
+                )
+            trees, exhaustive = audit_trees
             detail = {"trees": len(trees), "exhaustive": exhaustive}
             if name == "tree":
                 witnesses = []
@@ -158,11 +161,6 @@ def _run_checks(code, names, args) -> list[verify.CheckResult]:
         else:
             raise _UsageError(f"unknown check {name!r}; valid: {', '.join(ALL_CHECKS)}")
     return results
-
-
-def check_named(result: verify.CheckResult, name: str) -> verify.CheckResult:
-    result.name = name
-    return result
 
 
 def render_report(results: list[verify.CheckResult], fmt: str) -> str:

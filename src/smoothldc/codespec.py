@@ -94,7 +94,7 @@ class LinearCodeSpec:
         for m, gen in enumerate(self.symbol_gens):
             if gen.cols != width:
                 raise CodeSpecError(f"symbol {m}: {gen.cols} columns, expected K*Lw = {width}")
-            nonzero = sum(not gen.row_is_zero(r) for r in range(gen.rows))
+            nonzero = sum(1 for row in gen.rows if row)
             if nonzero != p.Lx:
                 raise CodeSpecError(f"symbol {m}: {nonzero} nonzero rows, expected Lx = {p.Lx}")
         if len(self.supersets) != p.K:
@@ -127,11 +127,7 @@ class LinearCodeSpec:
         return f"X{m + 1}"
 
     def zero_row(self, m: int) -> int | None:
-        gen = self.symbol_gens[m]
-        for r in range(gen.rows):
-            if gen.row_is_zero(r):
-                return r
-        return None
+        return next((r for r, row in enumerate(self.symbol_gens[m].rows) if not row), None)
 
     def message_columns(self, k: int) -> range:
         """Column range of source symbol k (1-based) in the message layout."""
@@ -153,7 +149,7 @@ def to_document(code: LinearCodeSpec, databases: Sequence[Sequence[int]] | None 
     """Serialize a code (plus optional per-database answer lists) to a
     hash-stamped JSON-ready dict."""
     p = code.params
-    row_bytes = -(-p.K * p.Lw // 8)
+    width = p.K * p.Lw
     symbols = []
     for m, gen in enumerate(code.symbol_gens):
         symbols.append(
@@ -162,7 +158,7 @@ def to_document(code: LinearCodeSpec, databases: Sequence[Sequence[int]] | None 
                 "group": code.groups[m] if code.groups is not None else None,
                 "label": code.label(m),
                 "zero_row": code.zero_row(m),
-                "rows": [gen.row(r).to_bytes().hex().zfill(row_bytes * 2) for r in range(gen.rows)],
+                "rows": [BitVector(width, row).to_hex() for row in gen.rows],
             }
         )
     doc = {
@@ -192,8 +188,7 @@ def from_document(doc: dict) -> LinearCodeSpec:
         width = params.K * params.Lw
         gens, groups, digits, labels = [], [], [], []
         for sym in doc["symbols"]:
-            rows = [BitVector.from_hex(h, width) for h in sym["rows"]]
-            gens.append(BitMatrix.from_rows(rows) if rows else BitMatrix.zeros(0, width))
+            gens.append(BitMatrix(width, (BitVector.from_hex(h, width).value for h in sym["rows"])))
             groups.append(sym.get("group"))
             digits.append(tuple(sym["digits"]) if sym.get("digits") is not None else None)
             labels.append(sym.get("label"))

@@ -22,8 +22,6 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-import numpy as np
-
 from .capacity import CodeParams
 from .codespec import (
     COLUMN_ORDER_CANONICAL,
@@ -32,7 +30,14 @@ from .codespec import (
     DecodingSuperset,
     LinearCodeSpec,
 )
-from .gf2 import BitMatrix, BitVector, express_unit_vector, mat_vec_mul, row_reduce_augmented
+from .gf2 import (
+    BitMatrix,
+    BitVector,
+    column_mask,
+    express_unit_vector,
+    mat_vec_mul,
+    row_reduce_augmented,
+)
 
 DEFAULT_MAX_SYMBOLS = 4096
 
@@ -96,13 +101,15 @@ def build_sldc(n: int, k: int, max_symbols: int = DEFAULT_MAX_SYMBOLS) -> Linear
 
     gens = []
     for p in all_digits:
-        bits = np.zeros((m, width), dtype=np.uint8)
+        rows = []
         for g_index, g in enumerate(all_digits):
+            columns = []
             for kk in range(k):
                 bit = (p[kk] + g[kk]) % n
                 if bit != 0:
-                    bits[g_index, kk * lw + g_index * (n - 1) + (bit - 1)] ^= 1
-        gens.append(BitMatrix.from_bits(bits))
+                    columns.append(kk * lw + g_index * (n - 1) + (bit - 1))
+            rows.append(column_mask(width, columns))
+        gens.append(BitMatrix(width, rows))
 
     groups = [sum(p) % n for p in all_digits]
     params = CodeParams(N=n, K=k, M=m, Lw=lw, Lx=lx)
@@ -116,18 +123,13 @@ def build_sldc(n: int, k: int, max_symbols: int = DEFAULT_MAX_SYMBOLS) -> Linear
     )
 
 
-def nonzero_rows(code: LinearCodeSpec, m: int) -> list[int]:
-    gen = code.symbol_gens[m]
-    return [r for r in range(gen.rows) if not gen.row_is_zero(r)]
-
-
 def encode_symbol(code: LinearCodeSpec, m: int, msg: BitVector) -> BitVector:
     """The Lx stored bits of coded symbol m for a given message block."""
     p = code.params
     if msg.length != p.K * p.Lw:
         raise ValueError(f"message must have K*Lw = {p.K * p.Lw} bits, got {msg.length}")
-    full = mat_vec_mul(code.symbol_gens[m], msg).to_bits()
-    return BitVector.from_bits(full[nonzero_rows(code, m)])
+    gen = code.symbol_gens[m]
+    return mat_vec_mul(BitMatrix(gen.cols, [row for row in gen.rows if row]), msg)
 
 
 def encode(code: LinearCodeSpec, msg: BitVector) -> list[BitVector]:
@@ -149,16 +151,13 @@ def decode(
     if len(symbol_values) != p.N:
         raise ValueError(f"expected {p.N} symbol values, got {len(symbol_values)}")
     rows = []
-    rhs_bits: list[int] = []
+    rhs = 0
     for m, value in zip(members, symbol_values):
         if value.length != p.Lx:
             raise ValueError(f"symbol value for {code.label(m)} must have Lx = {p.Lx} bits")
-        gen = code.symbol_gens[m]
-        value_bits = value.to_bits()
-        for pos, r in enumerate(nonzero_rows(code, m)):
-            rows.append(gen.row(r))
-            rhs_bits.append(int(value_bits[pos]))
-    reduction = row_reduce_augmented(BitMatrix.from_rows(rows), BitVector.from_bits(rhs_bits))
+        rows.extend(row for row in code.symbol_gens[m].rows if row)
+        rhs = (rhs << p.Lx) | value.value
+    reduction = row_reduce_augmented(BitMatrix(p.K * p.Lw, rows), BitVector(len(rows), rhs))
     if not reduction.consistent:
         raise DecodeFailure("symbol values are not in the code's image")
     out = []
@@ -178,7 +177,8 @@ def random_message(code: LinearCodeSpec, rng: random.Random) -> BitVector:
 # --- transcribed reference codes ------------------------------------------
 #
 # Terms are (source symbol k, bit index within it), both 1-based; a row is
-# the XOR of its terms and an empty row is a constantly-zero sub-symbol.
+# the XOR of its distinct terms and an empty row is a constantly-zero
+# sub-symbol.
 
 
 def _transcribed(
@@ -193,11 +193,8 @@ def _transcribed(
     width = k * lw
     gens = []
     for rows in symbols:
-        bits = np.zeros((len(rows), width), dtype=np.uint8)
-        for r, terms in enumerate(rows):
-            for kk, bit in terms:
-                bits[r, (kk - 1) * lw + (bit - 1)] ^= 1
-        gens.append(BitMatrix.from_bits(bits))
+        columns = [[(kk - 1) * lw + (bit - 1) for kk, bit in terms] for terms in rows]
+        gens.append(BitMatrix(width, [column_mask(width, cols) for cols in columns]))
     params = CodeParams(N=n, K=k, M=len(symbols), Lw=lw, Lx=lx)
     return LinearCodeSpec(
         params=params,

@@ -15,31 +15,33 @@ from __future__ import annotations
 import weakref
 from typing import Iterable
 
-import numpy as np
-
-from ._kernels import rank_words
 from .codespec import LinearCodeSpec
-from .gf2 import column_mask
+from .gf2 import column_mask, rank_words
 
 
 class RankOracle:
-    """Caching rank-based entropy oracle bound to one code."""
+    """Caching rank-based entropy oracle for one code.
+
+    It keeps only the code's int generator rows and shape, not the code
+    itself, so an oracle never keeps its code alive.
+    """
 
     def __init__(self, code: LinearCodeSpec):
-        self.code = code
         p = code.params
+        self.K, self.Lw, self.M = p.K, p.Lw, p.M
         self.width = p.K * p.Lw
-        self._symbol_words = [gen.words() for gen in code.symbol_gens]
-        self._masks: dict[frozenset[int], np.ndarray] = {}
+        self._symbol_rows = [gen.rows for gen in code.symbol_gens]
+        self._message_columns = [code.message_columns(k) for k in range(1, p.K + 1)]
+        self._masks: dict[frozenset[int], int] = {}
         self._cache: dict[tuple, int] = {}
 
-    def _mask_without(self, conditioned: frozenset[int]) -> np.ndarray:
+    def _mask_without(self, conditioned: frozenset[int]) -> int:
         mask = self._masks.get(conditioned)
         if mask is None:
             keep = []
-            for k in range(1, self.code.params.K + 1):
+            for k, columns in enumerate(self._message_columns, start=1):
                 if k not in conditioned:
-                    keep.extend(self.code.message_columns(k))
+                    keep.extend(columns)
             mask = column_mask(self.width, keep)
             self._masks[conditioned] = mask
         return mask
@@ -48,11 +50,10 @@ class RankOracle:
         """H(X_A | W_J) in bits."""
         a = tuple(sorted(set(symbols)))
         j = frozenset(given_messages)
-        p = self.code.params
-        if a and (a[0] < 0 or a[-1] >= p.M):
-            raise IndexError(f"symbol index out of range [0, {p.M})")
-        if any(not 1 <= k <= p.K for k in j):
-            raise IndexError(f"source symbol index out of range [1, {p.K}]")
+        if a and (a[0] < 0 or a[-1] >= self.M):
+            raise IndexError(f"symbol index out of range [0, {self.M})")
+        if any(not 1 <= k <= self.K for k in j):
+            raise IndexError(f"source symbol index out of range [1, {self.K}]")
         key = (a, tuple(sorted(j)))
         cached = self._cache.get(key)
         if cached is not None:
@@ -60,9 +61,8 @@ class RankOracle:
         if not a:
             value = 0
         else:
-            stacked = np.vstack([self._symbol_words[i] for i in a])
-            stacked &= self._mask_without(j)[np.newaxis, :]
-            value = int(rank_words(stacked))
+            mask = self._mask_without(j)
+            value = rank_words([row & mask for i in a for row in self._symbol_rows[i]])
         self._cache[key] = value
         return value
 
@@ -71,8 +71,7 @@ class RankOracle:
         j = frozenset(given_messages)
         if k in j:
             return 0
-        lw = self.code.params.Lw
-        return lw + self.entropy(symbols, j | {k}) - self.entropy(symbols, j)
+        return self.Lw + self.entropy(symbols, j | {k}) - self.entropy(symbols, j)
 
 
 _oracles: "weakref.WeakKeyDictionary[LinearCodeSpec, RankOracle]" = weakref.WeakKeyDictionary()

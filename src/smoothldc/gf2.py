@@ -1,110 +1,71 @@
-"""Bit-packed linear algebra over GF(2).
+"""Linear algebra over GF(2) on Python-int rows.
 
-``BitVector`` and ``BitMatrix`` store bits in uint64 words, MSB-first: bit 0
-of a vector is the most significant bit of the first byte of its serialized
-form. All values are immutable after construction, so they can be shared
-freely across threads; every operation here is a pure function.
+A row of width W is an int below 2**W, MSB-first: column j is int bit
+W-1-j. Serialized, a row is ceil(W/8) big-endian bytes with the columns in
+the leading bits and zero pad bits after them, so column 0 is the most
+significant bit of the first byte. ``BitVector`` and ``BitMatrix`` are
+immutable after construction and every operation here is a pure function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
-
-from ._kernels import MASKS, matvec_parity, rank_words
+from typing import Iterable
 
 
-def _n_words(bits: int) -> int:
-    return max(1, -(-bits // 64))
+def _n_bytes(bits: int) -> int:
+    return -(-bits // 8)
 
 
-def _pad_mask(bits: int, n_words: int) -> np.ndarray:
-    """Word mask with ones at the first *bits* columns, zeros at pad bits."""
-    mask = np.zeros(n_words, dtype=np.uint64)
-    full, rem = divmod(bits, 64)
-    mask[:full] = np.uint64(0xFFFFFFFFFFFFFFFF)
-    if rem:
-        mask[full] = np.bitwise_or.reduce(MASKS[:rem])
-    return mask
-
-
-def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a 2-D array of 0/1 into uint64 words, MSB-first."""
-    rows, cols = bits.shape
-    words = np.zeros((rows, _n_words(cols)), dtype=np.uint64)
-    for j in range(cols):
-        words[:, j // 64] |= bits[:, j].astype(np.uint64) << np.uint64(63 - (j % 64))
-    return words
-
-
-def _unpack_bits(words: np.ndarray, cols: int) -> np.ndarray:
-    rows = words.shape[0]
-    out = np.zeros((rows, cols), dtype=np.uint8)
-    for j in range(cols):
-        out[:, j] = (words[:, j // 64] >> np.uint64(63 - (j % 64))).astype(np.uint8) & 1
-    return out
-
-
-def _words_to_bytes(words: np.ndarray, bits: int) -> bytes:
-    return words.astype(">u8").tobytes()[: -(-bits // 8)] if bits else b""
-
-
-def _bytes_to_words(data: bytes, bits: int) -> np.ndarray:
-    nw = _n_words(bits)
-    buf = data + b"\x00" * (nw * 8 - len(data))
-    return np.frombuffer(buf, dtype=">u8").astype(np.uint64)
+def _row_from_bits(bits: Iterable[int]) -> tuple[int, int]:
+    """(width, int row) of a sequence of 0/1 values, first value leftmost."""
+    value = width = 0
+    for b in bits:
+        value = (value << 1) | (1 if b else 0)
+        width += 1
+    return width, value
 
 
 class BitVector:
-    """Immutable sequence of bits."""
+    """Immutable sequence of bits: ``length`` and an int ``value``."""
 
-    __slots__ = ("length", "_words")
+    __slots__ = ("length", "value")
 
-    def __init__(self, length: int, words: np.ndarray):
+    def __init__(self, length: int, value: int = 0):
         if length < 0:
             raise ValueError("length must be >= 0")
-        words = np.ascontiguousarray(words, dtype=np.uint64)
-        if words.shape != (_n_words(length),):
-            raise ValueError("word buffer has wrong size")
-        words = words & _pad_mask(length, words.shape[0])
-        words.setflags(write=False)
         self.length = length
-        self._words = words
+        self.value = value & ((1 << length) - 1)
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitVector":
-        arr = np.asarray(list(bits), dtype=np.uint8).reshape(1, -1)
-        if arr.size == 0:
-            return cls.zeros(0)
-        return cls(arr.shape[1], _pack_bits(arr)[0])
+        return cls(*_row_from_bits(bits))
 
     @classmethod
     def zeros(cls, length: int) -> "BitVector":
-        return cls(length, np.zeros(_n_words(length), dtype=np.uint64))
+        return cls(length)
 
     @classmethod
     def from_bytes(cls, data: bytes, length: int) -> "BitVector":
-        if len(data) < -(-length // 8):
-            raise ValueError(f"need {-(-length // 8)} bytes for {length} bits, got {len(data)}")
-        return cls(length, _bytes_to_words(data, length))
+        """Parse exactly ceil(length/8) bytes; pad bits are ignored."""
+        need = _n_bytes(length)
+        if len(data) != need:
+            raise ValueError(f"need exactly {need} bytes for {length} bits, got {len(data)}")
+        return cls(length, int.from_bytes(data, "big") >> (8 * need - length))
 
     @classmethod
     def from_hex(cls, text: str, length: int) -> "BitVector":
         return cls.from_bytes(bytes.fromhex(text), length)
 
-    def to_bits(self) -> np.ndarray:
-        return _unpack_bits(self._words.reshape(1, -1), self.length)[0]
+    def to_bits(self) -> list[int]:
+        return [(self.value >> (self.length - 1 - j)) & 1 for j in range(self.length)]
 
     def to_bytes(self) -> bytes:
-        return _words_to_bytes(self._words, self.length)
+        need = _n_bytes(self.length)
+        return (self.value << (8 * need - self.length)).to_bytes(need, "big")
 
     def to_hex(self) -> str:
         return self.to_bytes().hex()
-
-    def words(self) -> np.ndarray:
-        return self._words
 
     def __len__(self) -> int:
         return self.length
@@ -112,25 +73,25 @@ class BitVector:
     def __getitem__(self, j: int) -> int:
         if not 0 <= j < self.length:
             raise IndexError(j)
-        return int((self._words[j // 64] >> np.uint64(63 - (j % 64))) & np.uint64(1))
+        return (self.value >> (self.length - 1 - j)) & 1
 
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.length != other.length:
             raise ValueError("length mismatch")
-        return BitVector(self.length, self._words ^ other._words)
+        return BitVector(self.length, self.value ^ other.value)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BitVector)
             and self.length == other.length
-            and np.array_equal(self._words, other._words)
+            and self.value == other.value
         )
 
     def __hash__(self) -> int:
-        return hash((self.length, self._words.tobytes()))
+        return hash((self.length, self.value))
 
     def any(self) -> bool:
-        return bool(self._words.any())
+        return self.value != 0
 
     def __repr__(self) -> str:
         shown = "".join(str(b) for b in self.to_bits()[:64])
@@ -138,184 +99,133 @@ class BitVector:
 
 
 class BitMatrix:
-    """Immutable GF(2) matrix; rows of equal width. Empty shapes are legal."""
+    """Immutable GF(2) matrix: ``cols`` columns and a tuple of int ``rows``.
+    Empty shapes are legal."""
 
-    __slots__ = ("rows", "cols", "_words")
+    __slots__ = ("cols", "rows")
 
-    def __init__(self, rows: int, cols: int, words: np.ndarray):
-        if rows < 0 or cols < 0:
+    def __init__(self, cols: int, rows: Iterable[int] = ()):
+        if cols < 0:
             raise ValueError("shape must be non-negative")
-        words = np.ascontiguousarray(words, dtype=np.uint64)
-        if words.shape != (rows, _n_words(cols)):
-            raise ValueError("word buffer has wrong shape")
-        words = words & _pad_mask(cols, words.shape[1])[np.newaxis, :]
-        words.setflags(write=False)
-        self.rows = rows
+        mask = (1 << cols) - 1
         self.cols = cols
-        self._words = words
+        self.rows = tuple(row & mask for row in rows)
 
     @classmethod
-    def from_bits(cls, bits) -> "BitMatrix":
-        arr = np.asarray(bits, dtype=np.uint8)
-        if arr.ndim != 2:
-            raise ValueError("expected a 2-D bit array")
-        if arr.shape[1] == 0 or arr.shape[0] == 0:
-            return cls.zeros(arr.shape[0], arr.shape[1])
-        return cls(arr.shape[0], arr.shape[1], _pack_bits(arr))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[BitVector]) -> "BitMatrix":
-        if not rows:
-            return cls.zeros(0, 0)
-        cols = rows[0].length
-        if any(r.length != cols for r in rows):
+    def from_bits(cls, bits: Iterable[Iterable[int]]) -> "BitMatrix":
+        parsed = [_row_from_bits(row) for row in bits]
+        cols = parsed[0][0] if parsed else 0
+        if any(width != cols for width, _ in parsed):
             raise ValueError("rows have unequal widths")
-        return cls(len(rows), cols, np.vstack([r.words() for r in rows]))
+        return cls(cols, (row for _, row in parsed))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, np.zeros((rows, _n_words(cols)), dtype=np.uint64))
+        if rows < 0:
+            raise ValueError("shape must be non-negative")
+        return cls(cols, (0,) * rows)
 
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls.from_bits(np.eye(n, dtype=np.uint8))
-
-    def to_bits(self) -> np.ndarray:
-        return _unpack_bits(self._words, self.cols)
-
-    def words(self) -> np.ndarray:
-        return self._words
-
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self._words[i])
-
-    def row_is_zero(self, i: int) -> bool:
-        return not self._words[i].any()
+    def to_bits(self) -> list[list[int]]:
+        return [BitVector(self.cols, row).to_bits() for row in self.rows]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitMatrix)
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and np.array_equal(self._words, other._words)
-        )
+        return isinstance(other, BitMatrix) and (self.cols, self.rows) == (other.cols, other.rows)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._words.tobytes()))
+        return hash((self.cols, self.rows))
 
     def __repr__(self) -> str:
-        return f"BitMatrix({self.rows}x{self.cols})"
+        return f"BitMatrix({len(self.rows)}x{self.cols})"
+
+
+def rank_words(rows: Iterable[int]) -> int:
+    """GF(2) rank of int rows: each row is reduced against an XOR basis
+    keyed by leading bit (``int.bit_length``) until it is zero or brings a
+    new leading bit."""
+    basis: dict[int, int] = {}
+    for row in rows:
+        while row:
+            lead = row.bit_length()
+            pivot = basis.get(lead)
+            if pivot is None:
+                basis[lead] = row
+                break
+            row ^= pivot
+    return len(basis)
 
 
 def rank(m: BitMatrix) -> int:
     """GF(2) row rank."""
-    return int(rank_words(m.words().copy()))
-
-
-def stack(*matrices: BitMatrix) -> BitMatrix:
-    """Vertically concatenate matrices of equal column count."""
-    if not matrices:
-        raise ValueError("nothing to stack")
-    cols = matrices[0].cols
-    if any(m.cols != cols for m in matrices):
-        raise ValueError("column counts differ")
-    words = np.vstack([m.words() for m in matrices])
-    return BitMatrix(sum(m.rows for m in matrices), cols, words)
-
-
-def restrict_columns(m: BitMatrix, keep: Iterable[int]) -> BitMatrix:
-    """Delete the columns outside *keep*, preserving column order."""
-    keep = sorted(set(keep))
-    if keep and (keep[0] < 0 or keep[-1] >= m.cols):
-        raise IndexError(f"column index out of range [0, {m.cols})")
-    if len(keep) == m.cols:
-        return m
-    if not keep:
-        return BitMatrix.zeros(m.rows, 0)
-    return BitMatrix.from_bits(m.to_bits()[:, keep])
+    return rank_words(m.rows)
 
 
 def mat_vec_mul(m: BitMatrix, v: BitVector) -> BitVector:
     """GF(2) matrix-vector product: output bit i = <row i, v>."""
     if v.length != m.cols:
-        raise ValueError(f"dimension mismatch: {m.rows}x{m.cols} with vector of {v.length}")
-    bits = matvec_parity(m.words(), v.words())
-    if m.rows == 0:
-        return BitVector.zeros(0)
-    return BitVector.from_bits(bits)
+        raise ValueError(f"dimension mismatch: {len(m.rows)}x{m.cols} with vector of {v.length}")
+    out = 0
+    for row in m.rows:
+        out = (out << 1) | ((row & v.value).bit_count() & 1)
+    return BitVector(len(m.rows), out)
 
 
-def column_mask(cols: int, keep: Iterable[int]) -> np.ndarray:
-    """Word mask keeping only the given columns; AND-ing rows with it zeroes
-    the rest, which leaves ranks equal to those of the physically restricted
+def column_mask(cols: int, keep: Iterable[int]) -> int:
+    """Mask keeping only the given columns; AND-ing rows with it zeroes the
+    rest, which leaves ranks equal to those of the physically restricted
     matrix."""
-    keep = set(keep)
-    mask = np.zeros(_n_words(cols), dtype=np.uint64)
-    for j in keep:
+    mask = 0
+    for j in set(keep):
         if not 0 <= j < cols:
             raise IndexError(f"column index {j} out of range [0, {cols})")
-        mask[j // 64] |= MASKS[j % 64]
+        mask |= 1 << (cols - 1 - j)
     return mask
 
 
 @dataclass(frozen=True)
 class RowReduction:
-    """Reduced row-echelon form of an augmented system [A | b]."""
+    """Echelon basis of an augmented system [A | b].
 
-    matrix: np.ndarray  # packed words, read-only
+    Each basis row is ``(a << 1) | b``: the equation's columns followed by
+    its right-hand-side bit as an extra low bit. Rows are keyed by bit
+    length, so no two share a leading column. Read-only.
+    """
+
     cols: int
-    pivots: tuple[int, ...]
-    rhs: np.ndarray  # uint8 per row
+    basis: dict[int, int]
     consistent: bool
 
 
 def row_reduce_augmented(m: BitMatrix, rhs: BitVector | None = None) -> RowReduction:
-    """Full RREF of m with an optional right-hand side carried along.
-
-    Cold path (used by the decoder); plain numpy is plenty.
-    """
-    words = m.words().copy()
-    b = np.zeros(m.rows, dtype=np.uint8) if rhs is None else rhs.to_bits().copy()
-    if rhs is not None and rhs.length != m.rows:
+    """Eliminate the rows of m with an optional right-hand side carried
+    along; the system is inconsistent when some row reduces to 0 = 1."""
+    if rhs is not None and rhs.length != len(m.rows):
         raise ValueError("rhs length must equal row count")
-    rows = m.rows
-    pivots: list[int] = []
-    rank_ = 0
-    for j in range(m.cols):
-        w, jj = j // 64, j % 64
-        mask = MASKS[jj]
-        hits = np.nonzero(words[rank_:, w] & mask)[0]
-        if hits.size == 0:
-            continue
-        p = rank_ + int(hits[0])
-        if p != rank_:
-            words[[rank_, p]] = words[[p, rank_]]
-            b[[rank_, p]] = b[[p, rank_]]
-        others = np.nonzero(words[:, w] & mask)[0]
-        others = others[others != rank_]
-        if others.size:
-            words[others] ^= words[rank_]
-            b[others] ^= b[rank_]
-        pivots.append(j)
-        rank_ += 1
-        if rank_ == rows:
-            break
-    consistent = not any(b[i] and not words[i].any() for i in range(rank_, rows))
-    words.setflags(write=False)
-    b.setflags(write=False)
-    return RowReduction(words, m.cols, tuple(pivots), b, consistent)
+    n = len(m.rows)
+    rhs_value = 0 if rhs is None else rhs.value
+    basis: dict[int, int] = {}
+    consistent = True
+    for i, row in enumerate(m.rows):
+        row = (row << 1) | ((rhs_value >> (n - 1 - i)) & 1)
+        while row > 1:
+            lead = row.bit_length()
+            pivot = basis.get(lead)
+            if pivot is None:
+                basis[lead] = row
+                break
+            row ^= pivot
+        else:
+            consistent = consistent and not row
+    return RowReduction(m.cols, basis, consistent)
 
 
 def express_unit_vector(red: RowReduction, column: int) -> int | None:
     """If the standard basis row e_column lies in the row space of the reduced
     system, return the corresponding combination of right-hand-side bits;
     otherwise None."""
-    residual = np.zeros(red.matrix.shape[1], dtype=np.uint64)
-    residual[column // 64] = MASKS[column % 64]
-    value = 0
-    for i, p in enumerate(red.pivots):
-        if residual[p // 64] & MASKS[p % 64]:
-            residual ^= red.matrix[i]
-            value ^= int(red.rhs[i])
-    if residual.any():
-        return None
-    return value
+    residual = 1 << (red.cols - column)
+    while residual > 1:
+        pivot = red.basis.get(residual.bit_length())
+        if pivot is None:
+            return None
+        residual ^= pivot
+    return residual

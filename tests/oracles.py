@@ -1,16 +1,19 @@
 """Independent reference oracles used by the tests.
 
-The conditional-entropy oracle here never touches rank computations or the
-packed-word kernels: it enumerates the full joint distribution of symbol
-values over every message realization and computes Shannon entropy from the
-histogram. Only feasible for codes with few total message bits, which is
-exactly what it is for.
+The conditional-entropy oracle here never touches rank computations: it
+enumerates the full joint distribution of symbol values over every message
+realization and computes Shannon entropy from the histogram. Only feasible
+for codes with few total message bits, which is exactly what it is for.
+The column restriction deletes columns from the bit table, the reference
+for the package's column masks.
 """
 
 from collections import Counter
 from math import log2
 
 import numpy as np
+
+from smoothldc.gf2 import BitMatrix, BitVector
 
 MAX_MESSAGE_BITS = 16
 
@@ -60,3 +63,13 @@ def message_slice(code, msg, k):
     """The bits of source symbol k inside a message block."""
     lw = code.params.Lw
     return list(msg.to_bits()[(k - 1) * lw : k * lw])
+
+
+def restrict_columns(m, keep):
+    """Delete the columns of BitMatrix m outside *keep*, preserving column
+    order."""
+    keep = sorted(set(keep))
+    if keep and (keep[0] < 0 or keep[-1] >= m.cols):
+        raise IndexError(f"column index out of range [0, {m.cols})")
+    rows = (BitVector.from_bits(bits[j] for j in keep).value for bits in m.to_bits())
+    return BitMatrix(len(keep), rows)

@@ -1,13 +1,24 @@
 import json
+import os
 import random
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
-from smoothldc import cli
+import smoothldc
+from smoothldc import cli, verify
 from smoothldc.construct import random_message
 from smoothldc.gf2 import BitVector
+
+
+def package_env():
+    """Environment for a child interpreter that imports this smoothldc."""
+    src = str(Path(smoothldc.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +106,22 @@ class TestBuildVerify:
         _, out2, _ = run_cli(capsys, "verify", str(f2))
         assert out1 == out2
 
+    def test_tree_and_converse_share_one_tree_enumeration(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        enumerate_once = verify.trees_for_audit
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return enumerate_once(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "trees_for_audit", counting)
+        out_file = tmp_path / "eq28.json"
+        run_cli(capsys, "fixture", "--name", "eq28", "--out", str(out_file))
+        code, out, _ = run_cli(capsys, "verify", str(out_file))
+        assert code == 0
+        assert "tree-leaf-distinctness: PASS" in out and "converse-tightness: PASS" in out
+        assert len(calls) == 1
+
 
 class TestPirAudit:
     def test_built_scheme_passes(self, capsys, tmp_path):
@@ -115,6 +142,21 @@ class TestPirAudit:
 
 
 class TestServeRetrieve:
+    @pytest.mark.parametrize("size", [20, 22, 25])
+    def test_messages_file_of_wrong_size_is_usage_error(self, capsys, tmp_path, size):
+        spec = tmp_path / "c33.json"
+        messages = tmp_path / "messages.bin"
+        run_cli(capsys, "build", "--n", "3", "--k", "3", "--out", str(spec))
+        messages.write_bytes(b"\x5a" * size)  # K*Lw = 162 bits need 21 bytes
+        # a subprocess, so a server that wrongly starts fails by timeout
+        result = subprocess.run(
+            [sys.executable, "-m", "smoothldc", "serve", str(spec), "--db", "1",
+             "--messages", str(messages)],
+            capture_output=True, text=True, timeout=60, env=package_env(),
+        )
+        assert result.returncode == 2
+        assert "21 bytes" in result.stderr and f"got {size}" in result.stderr
+
     def test_end_to_end_subprocesses(self, tmp_path):
         spec = tmp_path / "c22.json"
         messages = tmp_path / "messages.bin"
@@ -171,3 +213,34 @@ class TestServeRetrieve:
         )
         assert code == 1
         assert "retrieval failed" in err
+
+
+class TestWithoutNumpy:
+    def test_verify_and_round_trip_without_numpy(self, capsys, tmp_path):
+        doc = tmp_path / "eq28.json"  # passes every default check
+        run_cli(capsys, "fixture", "--name", "eq28", "--out", str(doc))
+        script = textwrap.dedent(
+            f"""
+            import random, sys
+            sys.modules["numpy"] = None  # any numpy import now raises ImportError
+            from smoothldc import cli
+            from smoothldc.construct import build_sldc, decode, encode, random_message
+
+            assert cli.main(["verify", {str(doc)!r}]) == 0
+            code = build_sldc(2, 3)
+            msg = random_message(code, random.Random(3))
+            values = encode(code, msg)
+            bits, lw = msg.to_bits(), code.params.Lw
+            for k, sup in enumerate(code.supersets, start=1):
+                for i, members in enumerate(sup.sets):
+                    got = decode(code, k, i, [values[m] for m in members])
+                    assert got.to_bits() == bits[(k - 1) * lw : k * lw]
+            print("round trip ok")
+            """
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env=package_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        assert "round trip ok" in result.stdout

@@ -66,7 +66,7 @@ class TestBuild:
             code = codes[(n, k)]
             for m in range(code.params.M):
                 gen = code.symbol_gens[m]
-                zero_rows = [r for r in range(gen.rows) if gen.row_is_zero(r)]
+                zero_rows = [r for r, row in enumerate(gen.rows) if not row]
                 assert len(zero_rows) == 1
                 # the zero row sits where every digit of gamma cancels p
                 p_digits = code.digits[m]
@@ -126,7 +126,7 @@ class TestEncode:
         # first source symbol = 1000..., second all zero
         code = codes["eq28"]
         msg = BitVector.from_bits([1, 0, 0, 0, 0, 0, 0, 0])
-        values = [v.to_bits().tolist() for v in encode(code, msg)]
+        values = [v.to_bits() for v in encode(code, msg)]
         assert values == [[0, 0, 0], [1, 0, 0], [1, 0, 0], [0, 0, 0]]
 
     def test_message_length_checked(self, codes):

@@ -1,8 +1,11 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from oracles import brute_force_conditional_entropy
+from smoothldc import build_sldc, entropy
 from smoothldc.entropy import (
     conditional_entropy,
     distinct_information,
@@ -54,6 +57,21 @@ class TestConditionalEntropy:
                 a = rng.sample(range(p.M), rng.randint(1, p.M))
                 total = sum(conditional_entropy(code, [i]) for i in a)
                 assert conditional_entropy(code, a) <= total
+
+
+class TestOracleLifetime:
+    def test_deleted_codes_free_their_oracles(self):
+        gc.collect()
+        before = len(entropy._oracles)
+        codes = [build_sldc(2, k) for k in (1, 2, 3)]
+        for code in codes:
+            assert conditional_entropy(code, [0, 1]) > 0
+        assert len(entropy._oracles) == before + 3
+        refs = [weakref.ref(code) for code in codes]
+        del code, codes
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert len(entropy._oracles) == before
 
 
 class TestBruteForceEquivalence:

@@ -116,8 +116,8 @@ class TestAnswer:
         scheme = scheme_from_sldc(codes["eq28"])
         msg = BitVector.from_bits([1, 0, 0, 0, 0, 0, 0, 0])
         assert scheme.databases == ((0, 2), (1, 3))
-        assert answer(scheme, 1, 1, msg).to_bits().tolist() == [1, 0, 0]  # X3
-        assert answer(scheme, 2, 0, msg).to_bits().tolist() == [1, 0, 0]  # X2
+        assert answer(scheme, 1, 1, msg).to_bits() == [1, 0, 0]  # X3
+        assert answer(scheme, 2, 0, msg).to_bits() == [1, 0, 0]  # X2
 
     def test_out_of_range_query(self, codes):
         scheme = scheme_from_sldc(codes[(2, 2)])
