@@ -218,7 +218,7 @@ def cmd_serve(args) -> int:
     server = netsim.serve_database(scheme, args.db, messages, args.listen)
     print(f"database {args.db} listening on {server.endpoint}", flush=True)
     try:
-        server._thread.join()
+        server.wait()
     except KeyboardInterrupt:
         server.close()
     return EXIT_OK

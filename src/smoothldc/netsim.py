@@ -14,21 +14,31 @@ Wire protocol v1, bit-exact:
 Frames larger than 1 MiB are rejected as malformed. Servers are stateless
 across queries; answers are a pure function of (code, messages, q), so two
 servers with the same inputs emit byte-identical ANSWER frames.
+
+Each database server is one thread running one ``selectors`` loop over
+non-blocking sockets. Every ANSWER frame is framed once at start-up, and a
+connection is not read while it still has replies to send, so a peer that
+never reads holds at most one ``recv`` worth of them.
+
+The client drives all N databases from the calling thread, in phases:
+connect to each, send every HELLO, then read each HELLO-ACK and only then
+send that database its QUERY, then read every ANSWER. A server that
+rejects the hash never sees a query index.
 """
 
 from __future__ import annotations
 
+import selectors
 import socket
-import socketserver
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass
 from math import ceil, log2
 from typing import Sequence
 
 from . import pir
-from .codespec import content_hash, to_document
 from .gf2 import BitVector
 
 FRAME_HELLO = 0x10
@@ -43,6 +53,9 @@ ERR_MALFORMED = 0x02
 
 MAX_FRAME = 1 << 20
 
+CLIENT_TIMEOUT_S = 10  # per connect, and per read or write on each connection
+RECV_BYTES = 1 << 16
+
 
 class ProtocolError(RuntimeError):
     pass
@@ -52,10 +65,14 @@ class RetrievalError(RuntimeError):
     pass
 
 
-def send_frame(sock: socket.socket, frame_type: int, payload: bytes = b"") -> None:
+def _frame(frame_type: int, payload: bytes = b"") -> bytes:
     if len(payload) + 1 > MAX_FRAME:
         raise ProtocolError("frame too large")
-    sock.sendall(struct.pack(">I", len(payload) + 1) + bytes([frame_type]) + payload)
+    return struct.pack(">I", len(payload) + 1) + bytes([frame_type]) + payload
+
+
+def send_frame(sock: socket.socket, frame_type: int, payload: bytes = b"") -> None:
+    sock.sendall(_frame(frame_type, payload))
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
@@ -87,96 +104,186 @@ def recv_frame(sock: socket.socket) -> tuple[int, bytes] | None:
 
 def scheme_hash(scheme: pir.PirScheme) -> bytes:
     """32-byte digest negotiated in HELLO; binds client and servers to the
-    same code and database layout."""
-    doc = to_document(scheme.code, databases=scheme.databases)
-    return bytes.fromhex(content_hash(doc))
+    same code and database layout. Computed once per scheme."""
+    return scheme.digest
 
 
 def parse_endpoint(endpoint: str) -> tuple[str, int]:
     host, _, port = endpoint.rpartition(":")
     if not host or not port.isdigit():
         raise ValueError(f"endpoint must be host:port, got {endpoint!r}")
+    if int(port) > 0xFFFF:
+        raise ValueError(f"port must be in [0, 65535], got {endpoint!r}")
     return host, int(port)
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    def handle(self):
-        server: "_TCPServer" = self.server  # type: ignore[assignment]
-        sock = self.request
-        try:
-            frame = recv_frame(sock)
-            if frame is None:
-                return
-            ftype, payload = frame
-            if ftype != FRAME_HELLO or len(payload) != 32:
-                send_frame(sock, FRAME_ERROR, bytes([ERR_MALFORMED]))
-                return
-            if payload != server.expected_hash:
-                send_frame(sock, FRAME_HASH_MISMATCH)
-                return
-            send_frame(sock, FRAME_HELLO_ACK)
-            while True:
-                frame = recv_frame(sock)
-                if frame is None:
-                    return
-                ftype, payload = frame
-                if ftype != FRAME_QUERY or len(payload) != 4:
-                    send_frame(sock, FRAME_ERROR, bytes([ERR_MALFORMED]))
-                    return
-                (q,) = struct.unpack(">I", payload)
-                if q >= len(server.answers):
-                    send_frame(sock, FRAME_ERROR, bytes([ERR_QUERY_RANGE]))
-                    continue
-                send_frame(sock, FRAME_ANSWER, server.answers[q])
-        except ProtocolError:
-            try:
-                send_frame(sock, FRAME_ERROR, bytes([ERR_MALFORMED]))
-            except OSError:
-                pass
-        except OSError:
-            pass
+_HELLO_ACK = _frame(FRAME_HELLO_ACK)
+_HASH_MISMATCH = _frame(FRAME_HASH_MISMATCH)
+_ERROR_RANGE = _frame(FRAME_ERROR, bytes([ERR_QUERY_RANGE]))
+_ERROR_MALFORMED = _frame(FRAME_ERROR, bytes([ERR_MALFORMED]))
 
 
-class _TCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
+class _Connection:
+    """One accepted socket, its unparsed input and unsent output."""
 
-    def __init__(self, address, answers: list[bytes], expected_hash: bytes):
-        self.answers = answers
-        self.expected_hash = expected_hash
-        super().__init__(address, _Handler)
+    __slots__ = ("sock", "inbuf", "outbuf", "greeted", "closing")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.inbuf = bytearray()
+        self.outbuf = bytearray()
+        self.greeted = False  # HELLO accepted: QUERY frames are answered
+        self.closing = False  # close once outbuf is sent; read nothing more
 
 
 class DatabaseServer:
-    """A running database; context manager closing the socket on exit."""
+    """A running database: one thread, one selectors loop over the listening
+    socket and every connection. A context manager closing it on exit."""
 
     def __init__(self, scheme: pir.PirScheme, n: int, messages: BitVector, listen: str = "127.0.0.1:0"):
         if not 1 <= n <= scheme.n_databases:
             raise IndexError(f"database index must be in [1, {scheme.n_databases}]")
+        address = parse_endpoint(listen)
         # All answers precomputed: the store is immutable for the server's life.
-        answers = [
-            pir.answer(scheme, n, q, messages).to_bytes()
+        self._answers = [
+            _frame(FRAME_ANSWER, pir.answer(scheme, n, q, messages).to_bytes())
             for q in range(scheme.query_space(n))
         ]
+        self._hash = scheme_hash(scheme)
         self.database = n
-        self._server = _TCPServer(parse_endpoint(listen), answers, scheme_hash(scheme))
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._listener = socket.create_server(address)
+        host, port = self._listener.getsockname()[:2]
+        self.endpoint = f"{host}:{port}"
+        self._listener.setblocking(False)
+        # close() shuts the write end; EOF on the read end stops the loop.
+        self._wake, self._wake_writer = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._selector.register(self._wake, selectors.EVENT_READ)
+        self._thread = threading.Thread(target=self._serve, name=f"database-{n}", daemon=True)
         self._thread.start()
 
-    @property
-    def endpoint(self) -> str:
-        host, port = self._server.server_address[:2]
-        return f"{host}:{port}"
+    def wait(self, timeout: float | None = None) -> bool:
+        """Block until the server has closed, or timeout seconds have
+        passed; True if it has closed."""
+        self._thread.join(timeout)
+        return not self._thread.is_alive()
 
     def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        """Stop serving, close every socket, and return once the loop has
+        exited. Safe to call more than once."""
+        self._wake_writer.close()
+        self._thread.join()
 
     def __enter__(self) -> "DatabaseServer":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    def _serve(self) -> None:
+        try:
+            while True:
+                for key, _ in self._selector.select():
+                    if key.fileobj is self._wake:
+                        return
+                    if key.fileobj is self._listener:
+                        self._accept()
+                    elif key.data.outbuf:
+                        self._send(key.data)
+                    else:
+                        self._receive(key.data)
+        finally:
+            for key in list(self._selector.get_map().values()):
+                key.fileobj.close()
+            self._selector.close()
+
+    def _accept(self) -> None:
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:  # the peer gave up before accept, or no descriptors left
+            return
+        sock.setblocking(False)
+        self._selector.register(sock, selectors.EVENT_READ, _Connection(sock))
+
+    def _receive(self, conn: _Connection) -> None:
+        try:
+            data = conn.sock.recv(RECV_BYTES)
+        except BlockingIOError:
+            return
+        except OSError:
+            self._drop(conn)
+            return
+        if data:
+            conn.inbuf += data
+            self._reply(conn)
+        else:
+            # EOF between frames or inside a header closes quietly; inside
+            # a frame body it is a truncated, so malformed, frame.
+            if len(conn.inbuf) >= 4:
+                conn.outbuf += _ERROR_MALFORMED
+            conn.closing = True
+        self._send(conn)
+
+    def _reply(self, conn: _Connection) -> None:
+        """Answer every complete frame in conn.inbuf, in order."""
+        buf, pos = conn.inbuf, 0
+        while not conn.closing and len(buf) - pos >= 4:
+            (length,) = struct.unpack_from(">I", buf, pos)
+            if not 1 <= length <= MAX_FRAME:
+                conn.outbuf += _ERROR_MALFORMED
+                conn.closing = True
+                break
+            end = pos + 4 + length
+            if len(buf) < end:
+                break
+            ftype, payload = buf[pos + 4], bytes(buf[pos + 5 : end])
+            pos = end
+            if not conn.greeted:
+                if ftype != FRAME_HELLO or len(payload) != 32:
+                    conn.outbuf += _ERROR_MALFORMED
+                    conn.closing = True
+                elif payload != self._hash:
+                    conn.outbuf += _HASH_MISMATCH
+                    conn.closing = True
+                else:
+                    conn.outbuf += _HELLO_ACK
+                    conn.greeted = True
+            elif ftype != FRAME_QUERY or len(payload) != 4:
+                conn.outbuf += _ERROR_MALFORMED
+                conn.closing = True
+            else:
+                (q,) = struct.unpack(">I", payload)
+                conn.outbuf += self._answers[q] if q < len(self._answers) else _ERROR_RANGE
+        del buf[:pos]
+
+    def _send(self, conn: _Connection) -> None:
+        """Send what the socket takes; wait to write the rest, or go back
+        to reading once all is sent."""
+        try:
+            if conn.outbuf:
+                del conn.outbuf[: conn.sock.send(conn.outbuf)]
+        except BlockingIOError:
+            pass
+        except OSError:
+            self._drop(conn)
+            return
+        if conn.outbuf:
+            self._selector.modify(conn.sock, selectors.EVENT_WRITE, conn)
+        elif conn.closing:
+            self._drop(conn)
+        else:
+            self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
+
+    def _drop(self, conn: _Connection) -> None:
+        self._selector.unregister(conn.sock)
+        # FIN before close, so unread input does not turn into a reset that
+        # could discard the last reply before the peer reads it.
+        try:
+            conn.sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass
+        conn.sock.close()
 
 
 def serve_database(
@@ -208,23 +315,28 @@ class RetrievalTranscript:
         return sum(r.download_bits for r in self.records)
 
 
-def _fetch_answer(endpoint: str, expected_hash: bytes, q: int, answer_bytes: int) -> bytes:
-    with socket.create_connection(parse_endpoint(endpoint), timeout=10) as sock:
-        send_frame(sock, FRAME_HELLO, expected_hash)
-        frame = recv_frame(sock)
-        if frame is None or frame[0] != FRAME_HELLO_ACK:
-            got = "EOF" if frame is None else f"frame 0x{frame[0]:02x}"
-            raise ProtocolError(f"handshake rejected ({got})")
-        send_frame(sock, FRAME_QUERY, struct.pack(">I", q))
-        frame = recv_frame(sock)
-        if frame is None:
-            raise ProtocolError("connection closed before answer")
-        ftype, payload = frame
-        if ftype == FRAME_ERROR:
-            raise ProtocolError(f"server error 0x{payload[0]:02x}" if payload else "server error")
-        if ftype != FRAME_ANSWER or len(payload) != answer_bytes:
-            raise ProtocolError(f"unexpected frame 0x{ftype:02x}")
-        return payload
+def _send_query(sock: socket.socket, q: int) -> None:
+    """Wait for HELLO-ACK, then send the query: a server that did not accept
+    the hash never receives a query index."""
+    reply = recv_frame(sock)
+    if reply is None or reply[0] != FRAME_HELLO_ACK:
+        got = "EOF" if reply is None else f"frame 0x{reply[0]:02x}"
+        raise ProtocolError(f"handshake rejected ({got})")
+    sock.sendall(_frame(FRAME_QUERY, struct.pack(">I", q)))
+
+
+def _recv_answer(sock: socket.socket, answer_bytes: int) -> bytes:
+    reply = recv_frame(sock)
+    if reply is None:
+        raise ProtocolError("connection closed before answer")
+    ftype, payload = reply
+    if ftype == FRAME_ERROR:
+        raise ProtocolError(f"server error 0x{payload[0]:02x}" if payload else "server error")
+    if ftype != FRAME_ANSWER:
+        raise ProtocolError(f"unexpected frame 0x{ftype:02x}")
+    if len(payload) != answer_bytes:
+        raise ProtocolError(f"answer of {len(payload)} bytes, expected {answer_bytes}")
+    return payload
 
 
 def retrieve(
@@ -233,35 +345,40 @@ def retrieve(
     endpoints: Sequence[str],
     rng=None,
 ) -> tuple[BitVector, RetrievalTranscript]:
-    """Privately retrieve W_theta from live servers, one query per database,
-    issued concurrently. Raises RetrievalError naming the database on any
-    failure; no partial-answer decode is attempted."""
+    """Privately retrieve W_theta from live servers, one query per database.
+
+    Every endpoint is parsed (ValueError if one is malformed) before any
+    connection opens. All databases are driven from the calling thread in
+    phases, so their round trips overlap. Raises RetrievalError naming the
+    database on any failure; no partial-answer decode is attempted."""
     if len(endpoints) != scheme.n_databases:
         raise ValueError(f"expected {scheme.n_databases} endpoints")
+    addresses = [parse_endpoint(e) for e in endpoints]
     bundle = pir.gen_query(scheme, theta, rng)
-    expected = scheme_hash(scheme)
+    hello = _frame(FRAME_HELLO, scheme_hash(scheme))
     lx = scheme.code.params.Lx
     answer_bytes = ceil(lx / 8)
 
-    def fetch(n: int) -> bytes:
-        return _fetch_answer(endpoints[n - 1], expected, bundle.queries[n - 1], answer_bytes)
-
-    ns = list(range(1, scheme.n_databases + 1))
-    with ThreadPoolExecutor(max_workers=scheme.n_databases) as pool:
-        futures = {n: pool.submit(fetch, n) for n in ns}
-        raw: dict[int, bytes] = {}
-        failure: tuple[int, Exception] | None = None
-        for n in ns:
+    def phase(step) -> list:
+        """step(i) for each database in turn; a failure names the database."""
+        out = []
+        for i, endpoint in enumerate(endpoints):
             try:
-                raw[n] = futures[n].result()
-            except Exception as exc:  # noqa: BLE001 - reported with database id
-                if failure is None:
-                    failure = (n, exc)
-    if failure is not None:
-        n, exc = failure
-        raise RetrievalError(f"database {n} at {endpoints[n - 1]}: {exc}") from exc
+                out.append(step(i))
+            except (OSError, ProtocolError) as exc:
+                raise RetrievalError(f"database {i + 1} at {endpoint}: {exc}") from exc
+        return out
 
-    answers = [BitVector.from_bytes(raw[n], lx) for n in ns]
+    with ExitStack() as sockets:
+        socks = phase(
+            lambda i: sockets.enter_context(socket.create_connection(addresses[i], timeout=CLIENT_TIMEOUT_S))
+        )
+        phase(lambda i: socks[i].sendall(hello))
+        phase(lambda i: _send_query(socks[i], bundle.queries[i]))
+        raw = phase(lambda i: _recv_answer(socks[i], answer_bytes))
+
+    ns = range(1, scheme.n_databases + 1)
+    answers = [BitVector.from_bytes(data, lx) for data in raw]
     value = pir.reconstruct(scheme, bundle, answers)
     records = tuple(
         WireRecord(
@@ -331,17 +448,18 @@ def transcript_audit(
         dists = {}
         for t, qs in queries_by_theta.items():
             total = max(1, len(qs))
-            dists[t] = [qs.count(q) / total for q in range(space)]
+            counts = Counter(qs)
+            dists[t] = [counts[q] / total for q in range(space)]
         max_tv = 0.0
         for a in thetas:
             for b in thetas:
                 if a < b:
                     tv = sum(abs(x - y) for x, y in zip(dists[a], dists[b])) / 2
                     max_tv = max(max_tv, tv)
-        pooled = [q for qs in queries_by_theta.values() for q in qs]
-        total = max(1, len(pooled))
+        pooled = Counter(q for qs in queries_by_theta.values() for q in qs)
+        total = max(1, pooled.total())
         uniform = 1.0 / space
-        deviation = max(abs(pooled.count(q) / total - uniform) for q in range(space))
+        deviation = max(abs(pooled[q] / total - uniform) for q in range(space))
         threshold = bias_sigmas * (uniform * (1 - uniform) / total) ** 0.5
         per_db.append(
             DatabaseAudit(

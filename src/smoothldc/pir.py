@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import construct
-from .codespec import LinearCodeSpec
+from .codespec import LinearCodeSpec, content_hash, to_document
 from .gf2 import BitVector
 
 
@@ -75,6 +75,12 @@ class PirScheme:
 
     def decoding_set_index(self, theta: int, members: Sequence[int]) -> int:
         return self._set_index[theta - 1][tuple(sorted(members))]
+
+    @cached_property
+    def digest(self) -> bytes:
+        """SHA-256 of the scheme document (code plus database layout), the
+        32 bytes a client and its servers agree on before any query."""
+        return bytes.fromhex(content_hash(to_document(self.code, databases=self.databases)))
 
 
 def scheme_from_sldc(code: LinearCodeSpec) -> PirScheme:

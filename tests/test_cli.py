@@ -197,6 +197,7 @@ class TestServeRetrieve:
             for proc in servers:
                 proc.terminate()
                 proc.wait(timeout=10)
+                proc.stdout.close()
 
     def test_retrieve_unreachable_database(self, capsys, tmp_path):
         spec = tmp_path / "c22.json"
@@ -213,6 +214,27 @@ class TestServeRetrieve:
         )
         assert code == 1
         assert "retrieval failed" in err
+
+    def test_port_out_of_range_is_usage_error(self, capsys, tmp_path):
+        spec = tmp_path / "c22.json"
+        messages = tmp_path / "messages.bin"
+        run_cli(capsys, "build", "--n", "2", "--k", "2", "--out", str(spec))
+        messages.write_bytes(b"\0")  # K*Lw = 4 bits
+        code, _, err = run_cli(
+            capsys, "serve", str(spec), "--db", "1", "--messages", str(messages),
+            "--listen", "127.0.0.1:99999",
+        )
+        assert code == 2
+        assert "99999" in err
+
+    def test_malformed_endpoint_is_usage_error(self, capsys, tmp_path):
+        spec = tmp_path / "c22.json"
+        run_cli(capsys, "build", "--n", "2", "--k", "2", "--out", str(spec))
+        code, _, err = run_cli(
+            capsys, "retrieve", str(spec), "--theta", "1", "--endpoints", "nope,127.0.0.1:1",
+        )
+        assert code == 2
+        assert "nope" in err and "retrieval failed" not in err
 
 
 class TestWithoutNumpy:
