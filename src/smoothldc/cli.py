@@ -90,10 +90,18 @@ def _run_checks(code, names, args) -> list[verify.CheckResult]:
                 res = report.results[key]
                 results.append(verify.CheckResult(res.name, res.passed, res.witnesses))
         elif name in ("tree", "converse"):
+            check_name = "tree-leaf-distinctness" if name == "tree" else "converse-tightness"
             if audit_trees is None:
-                audit_trees = verify.trees_for_audit(
-                    code, budget=args.tree_budget, samples=args.samples, seed=args.seed
-                )
+                try:
+                    audit_trees = verify.trees_for_audit(
+                        code, budget=args.tree_budget, samples=args.samples, seed=args.seed
+                    )
+                except verify.TreeConstructionError as exc:
+                    audit_trees = exc
+            if isinstance(audit_trees, verify.TreeConstructionError):
+                # a non-universal code has no tree to audit
+                results.append(verify.CheckResult(check_name, False, [{"error": str(audit_trees)}]))
+                continue
             trees, exhaustive = audit_trees
             detail = {"trees": len(trees), "exhaustive": exhaustive}
             if name == "tree":
@@ -105,9 +113,7 @@ def _run_checks(code, names, args) -> list[verify.CheckResult]:
                             {"permutation": list(tree.permutation), "root": code.label(tree.root),
                              "duplicate": code.label(dup)}
                         )
-                results.append(
-                    verify.CheckResult("tree-leaf-distinctness", not witnesses, witnesses, detail)
-                )
+                results.append(verify.CheckResult(check_name, not witnesses, witnesses, detail))
             else:
                 witnesses = []
                 for tree in trees:
@@ -117,9 +123,7 @@ def _run_checks(code, names, args) -> list[verify.CheckResult]:
                             {"permutation": list(tree.permutation), "root": code.label(tree.root),
                              "total_slack_bits": audit.total_slack}
                         )
-                results.append(
-                    verify.CheckResult("converse-tightness", not witnesses, witnesses, detail)
-                )
+                results.append(verify.CheckResult(check_name, not witnesses, witnesses, detail))
         elif name == "min-distance":
             try:
                 result = verify.min_distance(code)

@@ -174,8 +174,45 @@ def to_document(code: LinearCodeSpec, databases: Sequence[Sequence[int]] | None 
     return doc
 
 
+def _need(ok: bool, message: str) -> None:
+    if not ok:
+        raise CodeSpecError(message)
+
+
+def _int(value, what: str) -> int:
+    _need(type(value) is int, f"{what} must be an integer, not {type(value).__name__}")
+    return value
+
+
+def _seq(value, what: str) -> list | tuple:
+    _need(isinstance(value, (list, tuple)), f"{what} must be a list, not {type(value).__name__}")
+    return value
+
+
+def _ints(value, what: str) -> tuple[int, ...]:
+    return tuple(_int(x, f"{what} entry") for x in _seq(value, what))
+
+
+def _optional(value, kind: type, what: str):
+    _need(value is None or type(value) is kind, f"{what} must be {kind.__name__} or null")
+    return value
+
+
+def _rows(texts, width: int, what: str) -> list[int]:
+    texts = _seq(texts, what)
+    try:
+        return [BitVector.from_hex(text, width).value for text in texts]
+    except (TypeError, ValueError) as exc:  # not a str, bad hex, or the wrong length
+        raise CodeSpecError(f"{what}: {exc}") from exc
+
+
 def from_document(doc: dict) -> LinearCodeSpec:
-    """Reconstruct a code from a document, verifying its content hash."""
+    """Reconstruct a code from a document, verifying its content hash.
+
+    A document of the wrong shape or with values of the wrong type raises
+    CodeSpecError; the checks are linear in the document's size.
+    """
+    _need(isinstance(doc, dict), f"document must be a JSON object, not {type(doc).__name__}")
     try:
         version = doc["version"]
         if version != DOCUMENT_VERSION:
@@ -184,18 +221,35 @@ def from_document(doc: dict) -> LinearCodeSpec:
         if stated is not None and stated != content_hash(doc):
             raise CodeSpecError("content_hash does not match document body")
         pd = doc["params"]
-        params = CodeParams(N=pd["N"], K=pd["K"], M=pd["M"], Lw=pd["Lw"], Lx=pd["Lx"])
+        _need(isinstance(pd, dict), "params must be an object")
+        values = {name: _int(pd[name], f"params.{name}") for name in ("N", "K", "M", "Lw", "Lx")}
+        try:
+            params = CodeParams(**values)
+        except ValueError as exc:
+            raise CodeSpecError(f"params: {exc}") from exc
         width = params.K * params.Lw
-        gens, groups, digits, labels = [], [], [], []
-        for sym in doc["symbols"]:
-            gens.append(BitMatrix(width, (BitVector.from_hex(h, width).value for h in sym["rows"])))
-            groups.append(sym.get("group"))
-            digits.append(tuple(sym["digits"]) if sym.get("digits") is not None else None)
-            labels.append(sym.get("label"))
+        rows, groups, digits, labels = [], [], [], []
+        for m, sym in enumerate(_seq(doc["symbols"], "symbols")):
+            _need(isinstance(sym, dict), f"symbol {m} must be an object")
+            rows.append(_rows(sym["rows"], width, f"symbol {m} rows"))
+            groups.append(_optional(sym.get("group"), int, f"symbol {m} group"))
+            d = sym.get("digits")
+            digits.append(None if d is None else _ints(d, f"symbol {m} digits"))
+            labels.append(_optional(sym.get("label"), str, f"symbol {m} label"))
+        # every row was checked against the width, so no matrix is wider than
+        # the document; with no rows at all nothing would bound it
+        _need(any(rows), "document has no generator rows")
         supersets = tuple(
-            DecodingSuperset(k=i + 1, sets=tuple(tuple(sorted(s)) for s in sets))
-            for i, sets in enumerate(doc["supersets"])
+            DecodingSuperset(
+                k=i + 1,
+                sets=tuple(
+                    tuple(sorted(_ints(s, f"superset {i + 1} set")))
+                    for s in _seq(sets, f"superset {i + 1}")
+                ),
+            )
+            for i, sets in enumerate(_seq(doc["supersets"], "supersets"))
         )
+        column_order = _optional(doc.get("column_order", COLUMN_ORDER_TRANSCRIBED), str, "column_order")
     except KeyError as exc:
         raise CodeSpecError(f"document is missing field {exc}") from exc
     has_groups = all(g is not None for g in groups)
@@ -203,12 +257,12 @@ def from_document(doc: dict) -> LinearCodeSpec:
     has_labels = all(lb is not None for lb in labels)
     return LinearCodeSpec(
         params=params,
-        symbol_gens=gens,
+        symbol_gens=[BitMatrix(width, r) for r in rows],
         supersets=supersets,
         groups=groups if has_groups else None,
         digits=digits if has_digits else None,
         labels=labels if has_labels else None,
-        column_order=doc.get("column_order", COLUMN_ORDER_TRANSCRIBED),
+        column_order=column_order,
     )
 
 
@@ -219,4 +273,7 @@ def dump_document(doc: dict) -> bytes:
 
 
 def load_document(data: bytes) -> dict:
-    return json.loads(data.decode("utf-8"))
+    try:
+        return json.loads(data.decode("utf-8"))
+    except RecursionError as exc:
+        raise CodeSpecError("document nests too deeply to parse") from exc

@@ -19,6 +19,10 @@ from .codespec import LinearCodeSpec
 from .gf2 import column_mask, rank_words
 
 
+# Source-set types the raw-key cache accepts: hashable and fixed once made.
+_RAW_SOURCE_TYPES = (tuple, frozenset)
+
+
 class RankOracle:
     """Caching rank-based entropy oracle for one code.
 
@@ -33,7 +37,8 @@ class RankOracle:
         self._symbol_rows = [gen.rows for gen in code.symbol_gens]
         self._message_columns = [code.message_columns(k) for k in range(1, p.K + 1)]
         self._masks: dict[frozenset[int], int] = {}
-        self._cache: dict[tuple, int] = {}
+        self._cache: dict[tuple, int] = {}  # (sorted symbols, sorted sources) -> bits
+        self._raw: dict[tuple, int] = {}  # (symbols, sources) as passed -> bits
 
     def _mask_without(self, conditioned: frozenset[int]) -> int:
         mask = self._masks.get(conditioned)
@@ -47,7 +52,21 @@ class RankOracle:
         return mask
 
     def entropy(self, symbols: Iterable[int], given_messages: Iterable[int] = ()) -> int:
-        """H(X_A | W_J) in bits."""
+        """H(X_A | W_J) in bits.
+
+        A tuple of symbols with a tuple or frozenset of sources is first
+        looked up exactly as passed; only a query never seen in that form
+        is validated and normalised. Other iterables are always normalised.
+        """
+        if type(symbols) is tuple and type(given_messages) in _RAW_SOURCE_TYPES:
+            key = (symbols, given_messages)
+            value = self._raw.get(key)
+            if value is None:
+                value = self._raw[key] = self._normalized_entropy(symbols, given_messages)
+            return value
+        return self._normalized_entropy(symbols, given_messages)
+
+    def _normalized_entropy(self, symbols: Iterable[int], given_messages: Iterable[int]) -> int:
         a = tuple(sorted(set(symbols)))
         j = frozenset(given_messages)
         if a and (a[0] < 0 or a[-1] >= self.M):
@@ -90,6 +109,17 @@ def conditional_entropy(code: LinearCodeSpec, symbols: Iterable[int], given_mess
     return oracle_for(code).entropy(symbols, given_messages)
 
 
+def _same(ora: RankOracle, i1: int, i2: int, j: frozenset[int]) -> bool:
+    """same_information with the oracle and the conditioning set given."""
+    h_pair = ora.entropy((i1, i2), j)
+    return h_pair == ora.entropy((i1,), j) == ora.entropy((i2,), j)
+
+
+def _distinct(ora: RankOracle, i1: int, i2: int, j: frozenset[int]) -> bool:
+    """distinct_information with the oracle and the conditioning set given."""
+    return ora.entropy((i1, i2), j) - ora.entropy((i2,), j) == ora.entropy((i1,), j)
+
+
 def _complement(code: LinearCodeSpec, kset: Iterable[int]) -> frozenset[int]:
     return frozenset(range(1, code.params.K + 1)) - frozenset(kset)
 
@@ -97,15 +127,10 @@ def _complement(code: LinearCodeSpec, kset: Iterable[int]) -> frozenset[int]:
 def same_information(code: LinearCodeSpec, i1: int, i2: int, kset: Iterable[int]) -> bool:
     """Whether symbols i1 and i2 carry the same information about W_kset:
     each determines the other once all sources outside kset are known."""
-    ora = oracle_for(code)
-    j = _complement(code, kset)
-    h_pair = ora.entropy((i1, i2), j)
-    return h_pair == ora.entropy((i1,), j) == ora.entropy((i2,), j)
+    return _same(oracle_for(code), i1, i2, _complement(code, kset))
 
 
 def distinct_information(code: LinearCodeSpec, i1: int, i2: int, k: int) -> bool:
     """Whether conditioning i1 on i2 leaves its residual entropy about source
     symbol k unchanged."""
-    ora = oracle_for(code)
-    j = _complement(code, (k,))
-    return ora.entropy((i1, i2), j) - ora.entropy((i2,), j) == ora.entropy((i1,), j)
+    return _distinct(oracle_for(code), i1, i2, _complement(code, (k,)))

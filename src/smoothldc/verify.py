@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .codespec import LinearCodeSpec
-from .entropy import distinct_information, oracle_for, same_information
+from .entropy import _distinct, _same, oracle_for
 
 DEFAULT_DISTANCE_BUDGET = 24
 DEFAULT_TREE_BUDGET = 512
@@ -118,12 +118,13 @@ def check_capacity_properties(code: LinearCodeSpec) -> PropertyReport:
     p = code.params
     all_k = range(1, p.K + 1)
     universal = check_universality(code)
+    # others[k]: every source symbol but k, the conditioning set of p1-p3
+    others = {k: frozenset(all_k) - {k} for k in all_k}
 
     p1 = CheckResult("p1-nonzero-entropy", True)
     for i in range(p.M):
         for k in all_k:
-            others = frozenset(all_k) - {k}
-            if ora.entropy((i,), others) == 0:
+            if ora.entropy((i,), others[k]) == 0:
                 p1.witnesses.append({"i": code.label(i), "k": k})
     p1.passed = not p1.witnesses
 
@@ -137,9 +138,9 @@ def check_capacity_properties(code: LinearCodeSpec) -> PropertyReport:
                 for k_prime in all_k:
                     if k_prime == k:
                         continue
-                    if not same_information(code, i1, i2, (k_prime,)):
-                        others = frozenset(all_k) - {k_prime}
-                        h12 = ora.entropy((i1, i2), others)
+                    j = others[k_prime]
+                    if not _same(ora, i1, i2, j):
+                        h12 = ora.entropy((i1, i2), j)
                         p2a.witnesses.append(
                             {
                                 "k": k,
@@ -147,14 +148,11 @@ def check_capacity_properties(code: LinearCodeSpec) -> PropertyReport:
                                 "i1": code.label(i1),
                                 "i2": code.label(i2),
                                 "k_prime": k_prime,
-                                "h_i1_given_i2": h12 - ora.entropy((i2,), others),
-                                "h_i2_given_i1": h12 - ora.entropy((i1,), others),
+                                "h_i1_given_i2": h12 - ora.entropy((i2,), j),
+                                "h_i2_given_i1": h12 - ora.entropy((i1,), j),
                             }
                         )
-                if not (
-                    distinct_information(code, i1, i2, k)
-                    and distinct_information(code, i2, i1, k)
-                ):
+                if not (_distinct(ora, i1, i2, others[k]) and _distinct(ora, i2, i1, others[k])):
                     p2b.witnesses.append(
                         {"k": k, "set_index": set_index, "i1": code.label(i1), "i2": code.label(i2)}
                     )
@@ -178,9 +176,10 @@ def check_capacity_properties(code: LinearCodeSpec) -> PropertyReport:
 
     p3 = CheckResult("p3-incompatibility", True)
     for k in all_k:
+        j = others[k]
         for i1 in range(p.M):
             for i2 in range(p.M):
-                if same_information(code, i1, i2, (k,)) and distinct_information(code, i1, i2, k):
+                if _same(ora, i1, i2, j) and _distinct(ora, i1, i2, j):
                     p3.witnesses.append({"i1": code.label(i1), "i2": code.label(i2), "k": k})
     p3.passed = not p3.witnesses
 
@@ -248,6 +247,37 @@ def _normalize_chooser(chooser):
     raise TypeError("chooser must be 'first', an explicit index list, or a seed/Random")
 
 
+def _validate_tree_start(code: LinearCodeSpec, permutation: tuple[int, ...], root: int) -> None:
+    p = code.params
+    if sorted(permutation) != list(range(1, p.K + 1)):
+        raise ValueError(f"permutation must rearrange [1..{p.K}]")
+    if not 0 <= root < p.M:
+        raise IndexError(f"root symbol {root} out of range")
+
+
+def _sets_containing(code: LinearCodeSpec) -> list[dict[int, dict[int, tuple[int, ...]]]]:
+    """Per source symbol k: each symbol's decoding sets of k, as set id ->
+    members with that symbol first and the rest ascending, in set id order."""
+    index = []
+    for sup in code.supersets:
+        by_node: dict[int, dict[int, tuple[int, ...]]] = {}
+        for set_id, members in enumerate(sup.sets):
+            for node in members:
+                ordered = (node,) + tuple(m for m in members if m != node)
+                by_node.setdefault(node, {})[set_id] = ordered
+        index.append(by_node)
+    return index
+
+
+def _options(code: LinearCodeSpec, index, k: int, node: int) -> dict[int, tuple[int, ...]]:
+    options = index[k - 1].get(node)
+    if not options:
+        raise TreeConstructionError(
+            f"no decoding set of source symbol {k} contains {code.label(node)}"
+        )
+    return options
+
+
 def build_nary_tree(
     code: LinearCodeSpec,
     permutation: Sequence[int],
@@ -259,33 +289,21 @@ def build_nary_tree(
     Nodes are processed breadth-first; within a set the parent label comes
     first, remaining members in ascending index order.
     """
-    p = code.params
     permutation = tuple(permutation)
-    if sorted(permutation) != list(range(1, p.K + 1)):
-        raise ValueError(f"permutation must rearrange [1..{p.K}]")
-    if not 0 <= root < p.M:
-        raise IndexError(f"root symbol {root} out of range")
+    _validate_tree_start(code, permutation, root)
     choose = _normalize_chooser(chooser)
+    index = _sets_containing(code)
 
     sets_by_depth = []
     frontier = [root]
     for k in permutation:
-        sup = code.supersets[k - 1]
         level = []
-        next_frontier = []
         for node in frontier:
-            qualifying = [i for i, s in enumerate(sup.sets) if node in s]
-            if not qualifying:
-                raise TreeConstructionError(
-                    f"no decoding set of source symbol {k} contains {code.label(node)}"
-                )
-            set_id = choose(node, k, qualifying)
-            members = sup.sets[set_id]
-            ordered = (node,) + tuple(m for m in members if m != node)
-            level.append((set_id, ordered))
-            next_frontier.extend(ordered)
+            options = _options(code, index, k, node)
+            set_id = choose(node, k, list(options))
+            level.append((set_id, options[set_id]))
         sets_by_depth.append(tuple(level))
-        frontier = next_frontier
+        frontier = [m for _, ordered in level for m in ordered]
     return NaryTree(permutation=permutation, root=root, sets_by_depth=tuple(sets_by_depth))
 
 
@@ -296,38 +314,33 @@ def enumerate_trees(
 ) -> Iterator[NaryTree]:
     """All tree realizations: every permutation, root, and qualifying-set
     choice, in lexicographic order. May be combinatorially large; slice it
-    or fall back to sample_trees."""
+    or fall back to sample_trees.
+
+    Each tree equals build_nary_tree(code, perm, root, list(tree.choices)).
+    """
     p = code.params
     if permutations is None:
         permutations = itertools.permutations(range(1, p.K + 1))
     if roots is None:
         roots = range(p.M)
     roots = list(roots)
+    index = _sets_containing(code)
 
-    def expand(perm, root, depth, frontier, chosen):
+    def expand(perm, root, depth, frontier, levels):
         if depth == p.K:
-            yield build_nary_tree(code, perm, root, list(chosen))
+            yield NaryTree(permutation=perm, root=root, sets_by_depth=levels)
             return
         k = perm[depth]
-        sup = code.supersets[k - 1]
-        options = []
-        for node in frontier:
-            qualifying = [i for i, s in enumerate(sup.sets) if node in s]
-            if not qualifying:
-                raise TreeConstructionError(
-                    f"no decoding set of source symbol {k} contains {code.label(node)}"
-                )
-            options.append(qualifying)
-        for combo in itertools.product(*options):
-            next_frontier = []
-            for node, set_id in zip(frontier, combo):
-                members = sup.sets[set_id]
-                next_frontier.extend((node,) + tuple(m for m in members if m != node))
-            yield from expand(perm, root, depth + 1, next_frontier, chosen + list(combo))
+        options = [_options(code, index, k, node).items() for node in frontier]
+        for level in itertools.product(*options):
+            next_frontier = [m for _, ordered in level for m in ordered]
+            yield from expand(perm, root, depth + 1, next_frontier, levels + (level,))
 
     for perm in permutations:
+        perm = tuple(perm)
         for root in roots:
-            yield from expand(tuple(perm), root, 0, [root], [])
+            _validate_tree_start(code, perm, root)
+            yield from expand(perm, root, 0, [root], ())
 
 
 def sample_trees(code: LinearCodeSpec, count: int, seed: int = 0) -> list[NaryTree]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import smoothldc
-from smoothldc import cli, verify
+from smoothldc import cli, entropy, verify
 from smoothldc.construct import random_message
 from smoothldc.gf2 import BitVector
 
@@ -121,6 +122,121 @@ class TestBuildVerify:
         assert code == 0
         assert "tree-leaf-distinctness: PASS" in out and "converse-tightness: PASS" in out
         assert len(calls) == 1
+
+
+ALL_CHECKS = ",".join(cli.ALL_CHECKS)
+# SHA-256 of the stdout of `verify DOC --checks ... --format json`, recorded
+# before the rank oracle gained its raw-key cache. (3,3) leaves corruption
+# out: its exact mode refuses M = 27 > 24 and prints no report.
+REPORT_DIGESTS = {
+    ("build", "2", "3"): (ALL_CHECKS, 0, "a4b627a4d2895ed3cc7f53eba0bc9210db98cbf6183efafda611744330f1f11d"),
+    ("build", "3", "3"): (
+        ALL_CHECKS.replace(",corruption", ""), 1,
+        "d177dae6489fd411e4cc4738dbe802217f2b8dbd6420d925096875bab3eb224f",
+    ),
+    ("fixture", "fig1"): (ALL_CHECKS, 1, "907d1e7eed4876fec76743924a94f543bd00085f41665db9ffe4a2c1e5e7c42e"),
+    ("fixture", "fig2"): (ALL_CHECKS, 1, "5569314f4a017ff2f5632c168edc25bda8d5cf9cd410337c2146a3a2c0af74a3"),
+    ("fixture", "intro_nonsmooth"): (
+        ALL_CHECKS, 1, "ce5e21349ba22b829dcfef174ca6b1414e106fadeb5dc57496dfcf0cbc249d04",
+    ),
+    ("fixture", "eq28"): (ALL_CHECKS, 0, "1f079a51eeb9128301703275dade3aed8a06c8cb09187a7051ac8549013c1114"),
+    ("fixture", "fig4"): (ALL_CHECKS, 0, "88cd210f4705032864d52c43e87d6316d97993834aa2e3bbd6e11348065b3e5d"),
+}
+
+
+def write_code(capsys, tmp_path, source) -> Path:
+    out_file = tmp_path / "code.json"
+    if source[0] == "build":
+        argv = ["build", "--n", source[1], "--k", source[2], "--out", str(out_file)]
+    else:
+        argv = ["fixture", "--name", source[1], "--out", str(out_file)]
+    assert run_cli(capsys, *argv)[0] == 0
+    return out_file
+
+
+class TestVerifyReports:
+    @pytest.mark.parametrize("source", list(REPORT_DIGESTS), ids="-".join)
+    def test_json_report_pinned(self, capsys, tmp_path, source):
+        checks, exit_code, digest = REPORT_DIGESTS[source]
+        doc = write_code(capsys, tmp_path, source)
+        code, out, _ = run_cli(capsys, "verify", str(doc), "--checks", checks, "--format", "json")
+        assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_call_pattern_of_a_2_3_battery(self, capsys, tmp_path, monkeypatch):
+        # the traced benchmark pins these counts; tier-1 sees a drift first
+        counts = {"entropy": 0, "rank_words": 0, "trees_for_audit": 0}
+
+        def counting(owner, name, key):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        doc = write_code(capsys, tmp_path, ("build", "2", "3"))
+        counting(entropy.RankOracle, "entropy", "entropy")
+        counting(entropy, "rank_words", "rank_words")
+        counting(verify, "trees_for_audit", "trees_for_audit")
+        assert run_cli(capsys, "verify", str(doc))[0] == 0
+        assert counts == {"entropy": 1716, "rank_words": 172, "trees_for_audit": 1}
+
+    def test_non_universal_code_reports_tree_failures(self, capsys, tmp_path):
+        doc = write_code(capsys, tmp_path, ("fixture", "fig1"))
+        body = json.loads(doc.read_text())
+        for symbol in body["symbols"]:
+            symbol["group"] = None
+        body["supersets"][1] = [[0, 3], [0, 4], [3, 4]]  # X2 is in no set of W_2
+        del body["content_hash"]
+        doc.write_text(json.dumps(body))
+        code, out, err = run_cli(capsys, "verify", str(doc))
+        assert code == 1 and err == ""
+        lines = out.splitlines()
+        assert len(lines) == 10 and lines[2] == "universality: FAIL"
+        stuck = '  witness: {"error": "no decoding set of source symbol 2 contains X2"}'
+        assert lines[-2:] == ["tree-leaf-distinctness: FAIL" + stuck, "converse-tightness: FAIL" + stuck]
+        code, out, _ = run_cli(capsys, "verify", str(doc), "--checks", "converse", "--format", "json")
+        assert code == 1
+        check = json.loads(out)["checks"][0]
+        assert check["passed"] is False and check["witnesses"][0]["error"].startswith("no decoding set")
+
+
+class TestMalformedDocuments:
+    @staticmethod
+    def mutated(capsys, tmp_path, mutate):
+        doc = write_code(capsys, tmp_path, ("fixture", "fig1"))
+        body = json.loads(doc.read_text())
+        del body["content_hash"]
+        doc.write_text(json.dumps(mutate(body)))
+        return doc
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: {**d, "params": {**d["params"], "N": "2"}}, "params.N"),
+            (lambda d: {**d, "supersets": [[["0", 3]]] + d["supersets"][1:]}, "superset 1"),
+            (lambda d: {**d, "supersets": [[[0.0, 3]]] + d["supersets"][1:]}, "superset 1"),
+            (lambda d: [d], "JSON object"),
+            (lambda d: {**d, "symbols": [{**d["symbols"][0], "rows": "80"}] + d["symbols"][1:]}, "rows"),
+            (lambda d: {**d, "symbols": [{**d["symbols"][0], "rows": ["zz"]}] + d["symbols"][1:]}, "row"),
+            (lambda d: {**d, "symbols": [{**d["symbols"][0], "rows": [128]}] + d["symbols"][1:]}, "row"),
+            (lambda d: {**d, "params": {**d["params"], "M": 1}}, "params"),
+            (lambda d: {**d, "symbols": [{**s, "rows": []} for s in d["symbols"]]}, "no generator rows"),
+        ],
+    )
+    def test_exit_2_without_traceback(self, capsys, tmp_path, mutate, message):
+        doc = self.mutated(capsys, tmp_path, mutate)
+        code, out, err = run_cli(capsys, "verify", str(doc))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        doc = tmp_path / "deep.json"
+        doc.write_text("[" * 100_000 + "]" * 100_000)
+        code, _, err = run_cli(capsys, "verify", str(doc))
+        assert code == 2 and "nests too deeply" in err
 
 
 class TestPirAudit:

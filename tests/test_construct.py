@@ -1,6 +1,10 @@
+import copy
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import message_slice
 from smoothldc import capacity
@@ -244,3 +248,67 @@ class TestDocuments:
 
     def test_rebuild_gives_identical_document(self):
         assert to_document(build_sldc(3, 2)) == to_document(build_sldc(3, 2))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def json_paths(value, prefix=()):
+    """Every path of keys and indices into a JSON value, the root included."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from json_paths(item, prefix + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from json_paths(item, prefix + (index,))
+
+
+class TestMalformedDocuments:
+    """Any mutation of a valid document loads or raises CodeSpecError."""
+
+    BASE = {name: to_document(load_fixture(name)) for name in ("fig1", "eq28")}
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_mutated_document_loads_or_raises_code_spec_error(self, data):
+        doc = copy.deepcopy(self.BASE[data.draw(st.sampled_from(sorted(self.BASE)))])
+        paths = list(json_paths(doc))
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(paths))
+            action = data.draw(st.sampled_from(["replace", "delete", "duplicate"]))
+            if not path:
+                doc = data.draw(JSON_VALUES) if action == "replace" else doc
+                continue
+            try:
+                parent = doc
+                for step in path[:-1]:
+                    parent = parent[step]
+                if action == "replace":
+                    parent[path[-1]] = data.draw(JSON_VALUES)
+                elif action == "delete":
+                    del parent[path[-1]]
+                elif isinstance(parent, list):
+                    parent.insert(path[-1], copy.deepcopy(parent[path[-1]]))
+            except (KeyError, IndexError, TypeError):
+                pass  # an earlier mutation removed or replaced this path
+        if isinstance(doc, dict) and data.draw(st.booleans()):
+            doc["content_hash"] = content_hash(doc)  # reach the checks past the hash
+        doc = json.loads(json.dumps(doc))
+        try:
+            code = from_document(doc)
+        except CodeSpecError:
+            return
+        assert code.params.M == len(code.symbol_gens)
+
+    def test_overlong_and_bad_hex(self, codes):
+        for bad_row in ("zz", "8000", "8"):
+            doc = to_document(codes["fig1"])
+            doc["symbols"][0]["rows"][0] = bad_row
+            doc["content_hash"] = content_hash(doc)
+            with pytest.raises(CodeSpecError, match="symbol 0 row"):
+                from_document(doc)

@@ -154,3 +154,80 @@ class TestDistinctInformation:
                 i1, i2 = members
                 assert distinct_information(code, i1, i2, sup.k)
                 assert distinct_information(code, i2, i1, sup.k)
+
+
+class TestRawKeyPath:
+    """Tuples and frozensets are cached as passed; every form of the same
+    query gives the brute-force answer, and a bad query always raises."""
+
+    @staticmethod
+    def forms(a, j):
+        rng = random.Random(len(a) * 31 + len(j))
+        shuffled_a, shuffled_j = list(a), list(j)
+        rng.shuffle(shuffled_a)
+        rng.shuffle(shuffled_j)
+        return [
+            (tuple(a), tuple(j)),
+            (tuple(shuffled_a), tuple(shuffled_j)),
+            (tuple(shuffled_a), frozenset(j)),
+            (tuple(shuffled_a + shuffled_a[:1]), frozenset(j)),
+            (list(shuffled_a), list(shuffled_j)),
+            ((i for i in shuffled_a), (k for k in shuffled_j)),
+            (tuple(a), (k for k in shuffled_j)),
+            (list(a), frozenset(j)),
+        ]
+
+    @pytest.mark.parametrize("name", SMALL_FIXTURES + ((2, 2),))
+    def test_every_argument_form_matches_brute_force(self, codes, name):
+        code = codes[name]
+        p = code.params
+        ora = oracle_for(code)
+        rng = random.Random(str(name))
+        for _ in range(40):
+            a = rng.sample(range(p.M), rng.randint(0, p.M))
+            j = rng.sample(range(1, p.K + 1), rng.randint(0, p.K))
+            expected = round(brute_force_conditional_entropy(code, a, j))
+            for symbols, given in self.forms(a, j):
+                assert ora.entropy(symbols, given) == expected
+            assert ora.message_entropy_given(1, tuple(a), frozenset(j)) == ora.message_entropy_given(
+                1, list(a), list(j)
+            )
+
+    def test_bad_queries_raise_after_valid_ones_are_cached(self):
+        code = build_sldc(2, 2)
+        ora = oracle_for(code)
+        for symbols, given in [((0, 1), (1,)), ((3,), frozenset({2})), ((), ())]:
+            ora.entropy(symbols, given)
+        bad = [
+            ((4,), ()),
+            ((-1,), ()),
+            ((0, 4), (1,)),
+            ((0,), (0,)),
+            ((0,), (3,)),
+            ((0,), frozenset({1, 3})),
+            ((), (3,)),
+            ([4], []),
+            ((0,), [3]),
+        ]
+        for _ in range(3):
+            for symbols, given in bad:
+                with pytest.raises(IndexError):
+                    ora.entropy(symbols, given)
+        for _ in range(3):
+            with pytest.raises(TypeError):
+                ora.entropy(([0],), ())
+            with pytest.raises(TypeError):
+                ora.entropy((0,), ([1],))
+            with pytest.raises(TypeError):
+                ora.entropy((0, "a"), ())
+
+    def test_one_rank_per_distinct_query(self, monkeypatch):
+        code = build_sldc(2, 2)
+        ranks = []
+        real = entropy.rank_words
+        monkeypatch.setattr(entropy, "rank_words", lambda rows: ranks.append(rows) or real(rows))
+        ora = entropy.RankOracle(code)
+        for symbols, given in [((0, 1), (1,)), ((1, 0), frozenset({1})), ([1, 0, 1], [1]),
+                               ((1, 0), (1,)), ((2,), ()), ((2,), frozenset())]:
+            ora.entropy(symbols, given)
+        assert len(ranks) == 2

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -182,6 +183,67 @@ class TestTreeConstruction:
         trees, exhaustive = trees_for_audit(codes["intro_nonsmooth"], budget=10, samples=17)
         assert not exhaustive
         assert len(trees) == 17
+
+
+# SHA-256 of repr([(permutation, root, sets_by_depth), ...]) over
+# enumerate_trees, recorded before enumerate_trees stopped calling
+# build_nary_tree for every tree
+TREE_SEQUENCE_DIGESTS = {
+    (2, 3): (48, "754a8ccbcce216a63e141dbc4ad221371878b9d6059f66cd63665161390b3b21"),
+    (3, 2): (18, "13b5f6610e2c44e4a1ad8166ca3724ae32cd4bb6474d6537b6303e63580f4cd0"),
+    "fig1": (36, "a408096f94a6b2187c1557e23da8b43b64fb6c33289505338f09ba22bc68fc5b"),
+    "fig2": (24, "6c11f08fb77f01381771a137dd0163a3b0f7b0986165435eb2e9162898dfb4cb"),
+    "intro_nonsmooth": (248, "6e5729b1ecff9b7721a5f727f9057e0d8b5d4f415040322f001a3dbb7d32e0b1"),
+    "eq28": (8, "2f60f8f6da77a53c98f22791ff7193f811c5e233c0af73a99ea7435441f245c1"),
+    "fig4": (48, "316ef6d379494924a7f9f9841c029733fd2ad338ed8a5b5b2252fd7e890a2dc9"),
+}
+
+
+class TestEnumerationEquivalence:
+    @pytest.mark.parametrize("name", list(TREE_SEQUENCE_DIGESTS), ids=str)
+    def test_each_tree_equals_build_nary_tree(self, codes, name):
+        code = codes[name]
+        for tree in enumerate_trees(code):
+            rebuilt = build_nary_tree(code, tree.permutation, tree.root, list(tree.choices))
+            assert tree == rebuilt
+
+    @pytest.mark.parametrize("name", list(TREE_SEQUENCE_DIGESTS), ids=str)
+    def test_sequence_unchanged(self, codes, name):
+        trees = list(enumerate_trees(codes[name]))
+        body = repr([(t.permutation, t.root, t.sets_by_depth) for t in trees])
+        assert (len(trees), hashlib.sha256(body.encode()).hexdigest()) == TREE_SEQUENCE_DIGESTS[name]
+
+    def test_subsets_of_permutations_and_roots(self, codes):
+        code = codes[(2, 3)]
+        trees = list(enumerate_trees(code, [[3, 1, 2], (2, 1, 3)], iter([5, 0])))
+        starts = [(t.permutation, t.root) for t in trees]
+        assert sorted(set(starts), key=starts.index) == [
+            ((3, 1, 2), 5), ((3, 1, 2), 0), ((2, 1, 3), 5), ((2, 1, 3), 0)
+        ]
+        assert all(t == build_nary_tree(code, t.permutation, t.root, list(t.choices)) for t in trees)
+
+    @pytest.mark.parametrize("root", [8, 100])
+    def test_out_of_range_root_is_index_error(self, codes, root):
+        with pytest.raises(IndexError):
+            list(enumerate_trees(codes[(2, 3)], roots=[root]))
+        with pytest.raises(IndexError):
+            build_nary_tree(codes[(2, 3)], (1, 2, 3), root)
+
+    @pytest.mark.parametrize("perm", [(1, 1, 2), (0, 1, 2), (1, 2, 3, 1), (1, 2, 4), (1, 2)])
+    def test_bad_permutation_is_value_error(self, codes, perm):
+        with pytest.raises(ValueError, match="permutation"):
+            list(enumerate_trees(codes[(2, 3)], permutations=[perm]))
+        with pytest.raises(ValueError, match="permutation"):
+            build_nary_tree(codes[(2, 3)], perm, 0)
+
+    def test_stuck_node_raises_during_enumeration(self, codes):
+        code = codes["intro_nonsmooth"]
+        bad = with_supersets(
+            code,
+            [code.supersets[0], DecodingSuperset(k=2, sets=((1, 2), (2, 3))), code.supersets[2]],
+        )
+        with pytest.raises(TreeConstructionError, match="X1"):
+            list(enumerate_trees(bad, permutations=[(2, 1, 3)]))
 
 
 class TestLeafDistinctness:
