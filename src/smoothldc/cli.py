@@ -150,7 +150,11 @@ def _run_checks(code, names, args) -> list[verify.CheckResult]:
                 # largest corruption budget below 1/N with an integral count
                 t = -(-code.params.M // code.params.N) - 1
                 delta = Fraction(max(t, 0), code.params.M)
-            report = verify.corruption_trial(code, delta)
+            try:
+                report = verify.corruption_trial(code, delta)
+            except verify.BudgetError as exc:
+                results.append(verify.CheckResult("corruption", False, [{"error": str(exc)}]))
+                continue
             target = 1 - delta * code.params.N
             passed = report.every_pattern_leaves_clean_set and report.min_success >= target
             results.append(
@@ -162,8 +166,6 @@ def _run_checks(code, names, args) -> list[verify.CheckResult]:
                      "min_success": str(report.min_success)},
                 )
             )
-        else:
-            raise _UsageError(f"unknown check {name!r}; valid: {', '.join(ALL_CHECKS)}")
     return results
 
 
@@ -179,21 +181,22 @@ def render_report(results: list[verify.CheckResult], fmt: str) -> str:
                 suffix = f"  {json.dumps(r.details, sort_keys=True)}"
             lines.append(f"{r.name}: {status}{suffix}")
         return "\n".join(lines)
-    if fmt == "json":
-        doc = {
-            "version": 1,
-            "passed": all(r.passed for r in results),
-            "checks": [r.as_dict() for r in results],
-        }
-        return json.dumps(doc, sort_keys=True, indent=2)
-    raise _UsageError(f"unknown format {fmt!r}; valid: text, json")
+    doc = {
+        "version": 1,
+        "passed": all(r.passed for r in results),
+        "checks": [r.as_dict() for r in results],
+    }
+    return json.dumps(doc, sort_keys=True, indent=2)
 
 
 def cmd_verify(args) -> int:
-    code = _load_code(args.file)
     names = [c.strip() for c in args.checks.split(",") if c.strip()]
     if not names:
         raise _UsageError("no checks requested")
+    for name in names:
+        if name not in ALL_CHECKS:
+            raise _UsageError(f"unknown check {name!r}; valid: {', '.join(ALL_CHECKS)}")
+    code = _load_code(args.file)
     results = _run_checks(code, names, args)
     print(render_report(results, args.format))
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
@@ -275,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--checks", default=",".join(DEFAULT_CHECKS),
                    help=f"comma-separated subset of: {', '.join(ALL_CHECKS)}")
-    p.add_argument("--format", default="text")
+    p.add_argument("--format", default="text", help="text or json")
     p.add_argument("--tree-budget", type=int, default=verify.DEFAULT_TREE_BUDGET)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -286,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pir-audit", help="privacy/deniability audits and cost metrics")
     p.add_argument("file")
-    p.add_argument("--format", default="text")
+    p.add_argument("--format", default="text", help="text or json")
     p.set_defaults(func=cmd_pir_audit)
 
     p = sub.add_parser("serve", help="serve one database of a scheme over TCP")
@@ -311,6 +314,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "format", "text") not in ("text", "json"):  # verify and pir-audit
+            raise _UsageError(f"unknown format {args.format!r}; valid: text, json")
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ leaving exactly Lx = N^K - 1 bits per symbol.
 from __future__ import annotations
 
 import random
+import weakref
 from typing import Sequence
 
 from .capacity import CodeParams
@@ -30,14 +31,7 @@ from .codespec import (
     DecodingSuperset,
     LinearCodeSpec,
 )
-from .gf2 import (
-    BitMatrix,
-    BitVector,
-    column_mask,
-    express_unit_vector,
-    mat_vec_mul,
-    row_reduce_augmented,
-)
+from .gf2 import BitMatrix, BitVector, column_mask, mat_vec_mul, solve_columns
 
 DEFAULT_MAX_SYMBOLS = 4096
 
@@ -137,6 +131,27 @@ def encode(code: LinearCodeSpec, msg: BitVector) -> list[BitVector]:
     return [encode_symbol(code, m, msg) for m in range(code.params.M)]
 
 
+# code -> {(k, set_index): (checks, recovery)}; no value refers to its code.
+_decoders: "weakref.WeakKeyDictionary[LinearCodeSpec, dict]" = weakref.WeakKeyDictionary()
+
+
+def _decoder(code: LinearCodeSpec, k: int, set_index: int) -> tuple[BitMatrix, BitMatrix | None]:
+    """The fixed linear map of one decoding set over its N*Lx stacked answer
+    bits y, worked out on first use: y is in the code's image iff
+    checks·y = 0, and then W_k = recovery·y. recovery is None when the set
+    does not determine W_k."""
+    per_code = _decoders.setdefault(code, {})
+    dec = per_code.get((k, set_index))
+    if dec is None:
+        members = code.supersets[k - 1].sets[set_index]
+        rows = [row for m in members for row in code.symbol_gens[m].rows if row]
+        width = code.params.K * code.params.Lw
+        checks, solutions = solve_columns(BitMatrix(width, rows), code.message_columns(k))
+        recovery = None if None in solutions else BitMatrix(len(rows), solutions)
+        dec = per_code[(k, set_index)] = (BitMatrix(len(rows), checks), recovery)
+    return dec
+
+
 def decode(
     code: LinearCodeSpec, k: int, set_index: int, symbol_values: Sequence[BitVector]
 ) -> BitVector:
@@ -150,23 +165,18 @@ def decode(
     members = code.supersets[k - 1].sets[set_index]
     if len(symbol_values) != p.N:
         raise ValueError(f"expected {p.N} symbol values, got {len(symbol_values)}")
-    rows = []
-    rhs = 0
+    y = 0
     for m, value in zip(members, symbol_values):
         if value.length != p.Lx:
             raise ValueError(f"symbol value for {code.label(m)} must have Lx = {p.Lx} bits")
-        rows.extend(row for row in code.symbol_gens[m].rows if row)
-        rhs = (rhs << p.Lx) | value.value
-    reduction = row_reduce_augmented(BitMatrix(p.K * p.Lw, rows), BitVector(len(rows), rhs))
-    if not reduction.consistent:
+        y = (y << p.Lx) | value.value
+    checks, recovery = _decoder(code, k, set_index)
+    answers = BitVector(p.N * p.Lx, y)
+    if mat_vec_mul(checks, answers).any():
         raise DecodeFailure("symbol values are not in the code's image")
-    out = []
-    for col in code.message_columns(k):
-        bit = express_unit_vector(reduction, col)
-        if bit is None:
-            raise DecodeFailure(f"decoding set {members} does not determine source symbol {k}")
-        out.append(bit)
-    return BitVector.from_bits(out)
+    if recovery is None:
+        raise DecodeFailure(f"decoding set {members} does not determine source symbol {k}")
+    return mat_vec_mul(recovery, answers)
 
 
 def random_message(code: LinearCodeSpec, rng: random.Random) -> BitVector:

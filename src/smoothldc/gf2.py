@@ -9,7 +9,6 @@ immutable after construction and every operation here is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 
@@ -181,32 +180,21 @@ def column_mask(cols: int, keep: Iterable[int]) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class RowReduction:
-    """Echelon basis of an augmented system [A | b].
+def solve_columns(m: BitMatrix, columns: Iterable[int]) -> tuple[list[int], list[int | None]]:
+    """Eliminate the rows of m once and return ``(checks, solutions)``.
 
-    Each basis row is ``(a << 1) | b``: the equation's columns followed by
-    its right-hand-side bit as an extra low bit. Rows are keyed by bit
-    length, so no two share a leading column. Read-only.
+    Row combinations are n-bit masks over m's n rows, row i being bit
+    n-1-i. Each row carries its own mask as n extra low bits, so a row that
+    reduces to zero leaves a parity check c with c·m = 0; the checks span
+    every such combination. ``solutions[t]`` is a mask r with
+    r·m = e_{columns[t]}, or None when that unit row is not in m's row space.
     """
-
-    cols: int
-    basis: dict[int, int]
-    consistent: bool
-
-
-def row_reduce_augmented(m: BitMatrix, rhs: BitVector | None = None) -> RowReduction:
-    """Eliminate the rows of m with an optional right-hand side carried
-    along; the system is inconsistent when some row reduces to 0 = 1."""
-    if rhs is not None and rhs.length != len(m.rows):
-        raise ValueError("rhs length must equal row count")
     n = len(m.rows)
-    rhs_value = 0 if rhs is None else rhs.value
     basis: dict[int, int] = {}
-    consistent = True
+    checks = []
     for i, row in enumerate(m.rows):
-        row = (row << 1) | ((rhs_value >> (n - 1 - i)) & 1)
-        while row > 1:
+        row = (row << n) | (1 << (n - 1 - i))
+        while row >> n:
             lead = row.bit_length()
             pivot = basis.get(lead)
             if pivot is None:
@@ -214,18 +202,11 @@ def row_reduce_augmented(m: BitMatrix, rhs: BitVector | None = None) -> RowReduc
                 break
             row ^= pivot
         else:
-            consistent = consistent and not row
-    return RowReduction(m.cols, basis, consistent)
-
-
-def express_unit_vector(red: RowReduction, column: int) -> int | None:
-    """If the standard basis row e_column lies in the row space of the reduced
-    system, return the corresponding combination of right-hand-side bits;
-    otherwise None."""
-    residual = 1 << (red.cols - column)
-    while residual > 1:
-        pivot = red.basis.get(residual.bit_length())
-        if pivot is None:
-            return None
-        residual ^= pivot
-    return residual
+            checks.append(row)
+    solutions: list[int | None] = []
+    for j in columns:
+        residual = 1 << (m.cols - 1 - j + n)
+        while residual >> n and (pivot := basis.get(residual.bit_length())) is not None:
+            residual ^= pivot
+        solutions.append(None if residual >> n else residual)
+    return checks, solutions

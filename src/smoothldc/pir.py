@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import construct
-from .codespec import LinearCodeSpec, content_hash, to_document
+from .codespec import LinearCodeSpec, to_document
 from .gf2 import BitVector
 
 
@@ -80,7 +80,7 @@ class PirScheme:
     def digest(self) -> bytes:
         """SHA-256 of the scheme document (code plus database layout), the
         32 bytes a client and its servers agree on before any query."""
-        return bytes.fromhex(content_hash(to_document(self.code, databases=self.databases)))
+        return bytes.fromhex(to_document(self.code, databases=self.databases)["content_hash"])
 
 
 def scheme_from_sldc(code: LinearCodeSpec) -> PirScheme:

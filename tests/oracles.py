@@ -5,7 +5,8 @@ enumerates the full joint distribution of symbol values over every message
 realization and computes Shannon entropy from the histogram. Only feasible
 for codes with few total message bits, which is exactly what it is for.
 The column restriction deletes columns from the bit table, the reference
-for the package's column masks.
+for the package's column masks, and the exhaustive decoder is the reference
+for ``construct.decode``.
 """
 
 from collections import Counter
@@ -73,3 +74,24 @@ def restrict_columns(m, keep):
         raise IndexError(f"column index out of range [0, {m.cols})")
     rows = (BitVector.from_bits(bits[j] for j in keep).value for bits in m.to_bits())
     return BitMatrix(len(keep), rows)
+
+
+def brute_force_decode(code, k, set_index, values):
+    """W_k as a list of bits when the values of decoding set *set_index* of
+    source symbol k fix it, found by encoding every message: "inconsistent"
+    when no message gives these values, "undetermined" when messages that
+    do give them disagree on W_k."""
+    p = code.params
+    msgs = all_messages(p.K * p.Lw)
+    members = code.supersets[k - 1].sets[set_index]
+    stored = np.array(
+        [row for m in members for row in code.symbol_gens[m].to_bits() if any(row)], dtype=np.uint32
+    )
+    target = np.array([bit for value in values for bit in value.to_bits()], dtype=np.uint32)
+    matching = msgs[((msgs @ stored.T) % 2 == target).all(axis=1)]
+    if not len(matching):
+        return "inconsistent"
+    slices = {tuple(row) for row in matching[:, (k - 1) * p.Lw : k * p.Lw].tolist()}
+    if len(slices) > 1:
+        return "undetermined"
+    return list(slices.pop())

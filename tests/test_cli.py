@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import smoothldc
-from smoothldc import cli, entropy, verify
+from smoothldc import cli, entropy, pir, verify
 from smoothldc.construct import random_message
 from smoothldc.gf2 import BitVector
 
@@ -89,6 +89,24 @@ class TestBuildVerify:
         out_file = tmp_path / "c22.json"
         run_cli(capsys, "build", "--n", "2", "--k", "2", "--out", str(out_file))
         assert run_cli(capsys, "verify", str(out_file), "--format", "xml")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("verify", "--format", "yaml"), "unknown format 'yaml'"),
+            (("verify", "--checks", "properties,tree,converse,bogus"), "unknown check 'bogus'"),
+            (("pir-audit", "--format", "yaml"), "unknown format 'yaml'"),
+        ],
+    )
+    def test_usage_errors_come_before_any_work(self, capsys, tmp_path, monkeypatch, argv, message):
+        out_file = tmp_path / "c22.json"
+        run_cli(capsys, "build", "--n", "2", "--k", "2", "--out", str(out_file))
+        ran = []
+        for owner, name in ((cli, "_run_checks"), (cli, "_load_code"), (pir, "privacy_audit")):
+            monkeypatch.setattr(owner, name, lambda *args, name=name: ran.append(name))
+        code, out, err = run_cli(capsys, argv[0], str(out_file), *argv[1:])
+        assert (code, out, ran) == (2, "", [])
+        assert err.startswith(f"error: {message}")
 
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         assert run_cli(capsys, "verify", str(tmp_path / "absent.json"))[0] == 2
@@ -201,6 +219,18 @@ class TestVerifyReports:
         assert code == 1
         check = json.loads(out)["checks"][0]
         assert check["passed"] is False and check["witnesses"][0]["error"].startswith("no decoding set")
+
+
+    def test_corruption_over_budget_keeps_the_report(self, capsys, tmp_path):
+        doc = write_code(capsys, tmp_path, ("build", "3", "3"))
+        code, out, err = run_cli(capsys, "verify", str(doc), "--checks", ALL_CHECKS)
+        assert code == 1 and err == ""
+        lines = out.splitlines()
+        assert len(lines) == 12 and all(": PASS" in line for line in lines[:10])
+        assert lines[10].startswith("min-distance: FAIL  witness: {\"error\": ")
+        assert lines[11] == (
+            'corruption: FAIL  witness: {"error": "exact corruption enumeration needs M <= 24, got 27"}'
+        )
 
 
 class TestMalformedDocuments:

@@ -1,15 +1,19 @@
 import copy
+import gc
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import message_slice
-from smoothldc import capacity
+from oracles import brute_force_decode, message_slice
+from smoothldc import capacity, construct
 from smoothldc.codespec import (
     CodeSpecError,
+    DecodingSuperset,
+    LinearCodeSpec,
     content_hash,
     dump_document,
     from_document,
@@ -178,6 +182,94 @@ class TestDecode:
         values[1] = values[1] ^ flip
         with pytest.raises(DecodeFailure):
             decode(code, 1, 0, values)
+
+
+def _undetermined_variant(code):
+    """intro_nonsmooth with W_1's sets replaced: X2 = w2 with X3 = w3, or
+    with X4 = w2 + w3, leaves w1 free; X1 with X2 still decodes."""
+    sets = DecodingSuperset(k=1, sets=((1, 2), (1, 3), (0, 1)))
+    return LinearCodeSpec(code.params, code.symbol_gens, (sets,) + code.supersets[1:], labels=code.labels)
+
+
+def _decode_outcome(code, k, set_index, values):
+    """construct.decode in the oracle's terms; each failure message is pinned."""
+    try:
+        return decode(code, k, set_index, values).to_bits()
+    except DecodeFailure as exc:
+        members = code.supersets[k - 1].sets[set_index]
+        if str(exc) == "symbol values are not in the code's image":
+            return "inconsistent"
+        assert str(exc) == f"decoding set {members} does not determine source symbol {k}"
+        return "undetermined"
+
+
+class TestDecodeOracle:
+    @pytest.mark.parametrize("name", [(2, 2), "fig1", "intro_nonsmooth", "eq28", "fig2", "undetermined"])
+    def test_agrees_with_exhaustive_decoder(self, codes, name):
+        if name == "undetermined":
+            code = _undetermined_variant(codes["intro_nonsmooth"])
+        else:
+            code = codes[name]
+        p = code.params
+        rng = random.Random(str(name))
+        outcomes = set()
+        for k in range(1, p.K + 1):
+            for set_index, members in enumerate(code.supersets[k - 1].sets):
+                cases = []
+                for _ in range(3):
+                    coded = encode(code, random_message(code, rng))
+                    values = [coded[m] for m in members]
+                    cases.append(values)
+                    for i in range(p.N):
+                        for bit in range(p.Lx):
+                            flipped = list(values)
+                            flipped[i] = values[i] ^ BitVector(p.Lx, 1 << bit)
+                            cases.append(flipped)
+                cases += [[BitVector(p.Lx, rng.getrandbits(p.Lx)) for _ in members] for _ in range(20)]
+                for values in cases:
+                    expected = brute_force_decode(code, k, set_index, values)
+                    assert _decode_outcome(code, k, set_index, values) == expected
+                    outcomes.add(expected if isinstance(expected, str) else "decoded")
+        assert "decoded" in outcomes
+        if name == "fig2":  # the only one whose sets repeat a stored bit
+            assert "inconsistent" in outcomes
+        if name == "undetermined":
+            assert "undetermined" in outcomes
+
+
+class TestDecoderCache:
+    def test_one_elimination_per_set(self, monkeypatch):
+        calls = []
+        real = construct.solve_columns
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(construct, "solve_columns", counting)
+        code = build_sldc(2, 2)
+        coded = encode(code, random_message(code, random.Random(3)))
+        members = code.supersets[0].sets[1]
+        for _ in range(100):
+            decode(code, 1, 1, [coded[m] for m in members])
+        assert len(calls) == 1
+        members = code.supersets[1].sets[0]
+        decode(code, 2, 0, [coded[m] for m in members])
+        assert len(calls) == 2
+
+    def test_deleted_codes_free_their_decoders(self):
+        gc.collect()
+        before = len(construct._decoders)
+        codes = [build_sldc(2, k) for k in (1, 2, 3)]
+        for code in codes:
+            coded = encode(code, BitVector.zeros(code.params.K * code.params.Lw))
+            decode(code, 1, 0, [coded[m] for m in code.supersets[0].sets[0]])
+        assert len(construct._decoders) == before + 3
+        refs = [weakref.ref(code) for code in codes]
+        del code, codes
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert len(construct._decoders) == before
 
 
 class TestFixtures:

@@ -6,10 +6,9 @@ from smoothldc.gf2 import (
     BitMatrix,
     BitVector,
     column_mask,
-    express_unit_vector,
     mat_vec_mul,
     rank,
-    row_reduce_augmented,
+    solve_columns,
 )
 from oracles import restrict_columns
 
@@ -170,23 +169,29 @@ class TestBitPacking:
             v[3]
 
 
-class TestRowReduce:
+def _consistent(m, rhs):
+    """Whether m·x = rhs has a solution: every parity check of m's rows
+    annihilates rhs."""
+    checks, _ = solve_columns(m, ())
+    return not mat_vec_mul(BitMatrix(len(m.rows), checks), rhs).any()
+
+
+class TestSolveColumns:
     def test_consistent_solve(self):
         m = BitMatrix.from_bits([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
         rhs = BitVector.from_bits([1, 1, 0])
-        red = row_reduce_augmented(m, rhs)
-        assert red.consistent
+        assert _consistent(m, rhs)
 
     def test_inconsistent_detected(self):
         m = BitMatrix.from_bits([[1, 1, 0], [1, 1, 0]])
         rhs = BitVector.from_bits([1, 0])
-        assert not row_reduce_augmented(m, rhs).consistent
+        assert not _consistent(m, rhs)
 
-    def test_express_unit_vector(self):
+    def test_unit_row_solutions(self):
         # rows span e0 and e1 but not e2
         m = BitMatrix.from_bits([[1, 1, 0], [0, 1, 0]])
         rhs = BitVector.from_bits([1, 1])
-        red = row_reduce_augmented(m, rhs)
-        assert express_unit_vector(red, 0) == 0  # e0 = row0 + row1, value 1^1
-        assert express_unit_vector(red, 1) == 1
-        assert express_unit_vector(red, 2) is None
+        _, solutions = solve_columns(m, range(3))
+        assert solutions == [0b11, 0b01, None]  # e0 = row0 + row1, e1 = row1
+        bits = [None if r is None else (r & rhs.value).bit_count() & 1 for r in solutions]
+        assert bits == [0, 1, None]  # e0 value 1^1, e1 value 1
