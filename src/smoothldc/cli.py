@@ -196,6 +196,11 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in ALL_CHECKS:
             raise _UsageError(f"unknown check {name!r}; valid: {', '.join(ALL_CHECKS)}")
+    # an audit of no trees would pass without looking at one
+    if args.samples < 1:
+        raise _UsageError(f"--samples must be at least 1, got {args.samples}")
+    if args.tree_budget < 0:
+        raise _UsageError(f"--tree-budget must be at least 0, got {args.tree_budget}")
     code = _load_code(args.file)
     results = _run_checks(code, names, args)
     print(render_report(results, args.format))

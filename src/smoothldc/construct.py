@@ -158,11 +158,17 @@ def decode(
     """Recover source symbol k from the values of one of its decoding sets.
 
     symbol_values follow the set's canonical order (ascending symbol index).
-    Raises DecodeFailure when the values are not consistent with the code's
-    image or leave some bit of W_k undetermined.
+    Raises IndexError when k or set_index names no decoding set, and
+    DecodeFailure when the values are not consistent with the code's image
+    or leave some bit of W_k undetermined.
     """
     p = code.params
-    members = code.supersets[k - 1].sets[set_index]
+    if not 1 <= k <= p.K:
+        raise IndexError(f"source symbol {k} out of range [1, {p.K}]")
+    sets = code.supersets[k - 1].sets
+    if not 0 <= set_index < len(sets):
+        raise IndexError(f"decoding set {set_index} of source symbol {k} out of range [0, {len(sets)})")
+    members = sets[set_index]
     if len(symbol_values) != p.N:
         raise ValueError(f"expected {p.N} symbol values, got {len(symbol_values)}")
     y = 0

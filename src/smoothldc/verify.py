@@ -14,6 +14,7 @@ deterministic (the lexicographically smallest witness is reported first).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -122,10 +123,13 @@ def check_capacity_properties(code: LinearCodeSpec) -> PropertyReport:
     others = {k: frozenset(all_k) - {k} for k in all_k}
 
     p1 = CheckResult("p1-nonzero-entropy", True)
+    # zeros[k]: symbols with H(X_i | W_-k) = 0, ascending
+    zeros: dict[int, list[int]] = {k: [] for k in all_k}
     for i in range(p.M):
         for k in all_k:
             if ora.entropy((i,), others[k]) == 0:
                 p1.witnesses.append({"i": code.label(i), "k": k})
+                zeros[k].append(i)
     p1.passed = not p1.witnesses
 
     p2a = CheckResult("p2a-same-interference", True)
@@ -152,7 +156,8 @@ def check_capacity_properties(code: LinearCodeSpec) -> PropertyReport:
                                 "h_i2_given_i1": h12 - ora.entropy((i1,), j),
                             }
                         )
-                if not (_distinct(ora, i1, i2, others[k]) and _distinct(ora, i2, i1, others[k])):
+                # _distinct is symmetric: both directions test H12 = H1 + H2
+                if not _distinct(ora, i1, i2, others[k]):
                     p2b.witnesses.append(
                         {"k": k, "set_index": set_index, "i1": code.label(i1), "i2": code.label(i2)}
                     )
@@ -174,13 +179,14 @@ def check_capacity_properties(code: LinearCodeSpec) -> PropertyReport:
     p2b.passed = not p2b.witnesses
     p2c.passed = not p2c.witnesses
 
+    # A pair is both "same" (H12 = H1 = H2) and "distinct" (H12 = H1 + H2)
+    # given W_-k exactly when H1 = H2 = 0, so p3's witnesses are the ordered
+    # pairs, diagonal included, of each k's zero-entropy symbols from p1.
     p3 = CheckResult("p3-incompatibility", True)
     for k in all_k:
-        j = others[k]
-        for i1 in range(p.M):
-            for i2 in range(p.M):
-                if _same(ora, i1, i2, j) and _distinct(ora, i1, i2, j):
-                    p3.witnesses.append({"i1": code.label(i1), "i2": code.label(i2), "k": k})
+        for i1 in zeros[k]:
+            for i2 in zeros[k]:
+                p3.witnesses.append({"i1": code.label(i1), "i2": code.label(i2), "k": k})
     p3.passed = not p3.witnesses
 
     return PropertyReport(
@@ -291,9 +297,13 @@ def build_nary_tree(
     """
     permutation = tuple(permutation)
     _validate_tree_start(code, permutation, root)
-    choose = _normalize_chooser(chooser)
-    index = _sets_containing(code)
+    return _build_tree(code, _sets_containing(code), permutation, root, _normalize_chooser(chooser))
 
+
+def _build_tree(code: LinearCodeSpec, index, permutation: tuple[int, ...], root: int, choose) -> NaryTree:
+    """build_nary_tree from a valid start, with the _sets_containing index
+    and the normalised chooser given, so callers that build many trees
+    index the code once."""
     sets_by_depth = []
     frontier = [root]
     for k in permutation:
@@ -346,24 +356,52 @@ def enumerate_trees(
 def sample_trees(code: LinearCodeSpec, count: int, seed: int = 0) -> list[NaryTree]:
     """Seeded random tree realizations (permutation, root, and choices)."""
     rng = random.Random(seed)
+    choose = _normalize_chooser(rng)
     p = code.params
+    index = _sets_containing(code)
     out = []
     for _ in range(count):
         perm = list(range(1, p.K + 1))
         rng.shuffle(perm)
         root = rng.randrange(p.M)
-        out.append(build_nary_tree(code, perm, root, chooser=rng))
+        out.append(_build_tree(code, index, tuple(perm), root, choose))
     return out
+
+
+def _trees_per_permutation(code: LinearCodeSpec) -> Iterator[int]:
+    """How many trees enumerate_trees yields for each permutation, in its
+    order, counted without building one. A node x at the depth of source
+    symbol k has T(x) = sum over the sets S of k holding x of the product of
+    T(m) one depth down over m in S, and every leaf has T = 1. A symbol in
+    no set of k gets T = 0 here, where enumerate_trees raises instead."""
+    p = code.params
+    for perm in itertools.permutations(range(1, p.K + 1)):
+        below = [1] * p.M
+        for k in reversed(perm):
+            here = [0] * p.M
+            for members in code.supersets[k - 1].sets:
+                ways = math.prod(below[m] for m in members)
+                for x in members:
+                    here[x] += ways
+            below = here
+        yield sum(below)
 
 
 def trees_for_audit(
     code: LinearCodeSpec, budget: int = DEFAULT_TREE_BUDGET, samples: int = 100, seed: int = 0
 ) -> tuple[list[NaryTree], bool]:
     """All realizations when there are at most *budget* of them, otherwise
-    *samples* seeded draws. Returns (trees, exhaustive)."""
-    trees = list(itertools.islice(enumerate_trees(code), budget + 1))
-    if len(trees) <= budget:
-        return trees, True
+    *samples* seeded draws. Returns (trees, exhaustive).
+
+    A universal code's trees are counted first and built only within the
+    budget. A non-universal code is enumerated up to the budget, so it
+    raises TreeConstructionError wherever enumerate_trees first meets a
+    symbol with no qualifying set."""
+    running = itertools.accumulate(_trees_per_permutation(code))
+    if not check_universality(code) or all(total <= budget for total in running):
+        trees = list(itertools.islice(enumerate_trees(code), budget + 1))
+        if len(trees) <= budget:
+            return trees, True
     return sample_trees(code, samples, seed), False
 
 

@@ -6,15 +6,19 @@ realization and computes Shannon entropy from the histogram. Only feasible
 for codes with few total message bits, which is exactly what it is for.
 The column restriction deletes columns from the bit table, the reference
 for the package's column masks, and the exhaustive decoder is the reference
-for ``construct.decode``.
+for ``construct.decode``. The pair-loop property battery is the reference
+for ``verify.check_capacity_properties``.
 """
 
+import itertools
 from collections import Counter
 from math import log2
 
 import numpy as np
 
+from smoothldc.entropy import _distinct, _same, oracle_for
 from smoothldc.gf2 import BitMatrix, BitVector
+from smoothldc.verify import CheckResult, PropertyReport, check_universality
 
 MAX_MESSAGE_BITS = 16
 
@@ -95,3 +99,83 @@ def brute_force_decode(code, k, set_index, values):
     if len(slices) > 1:
         return "undetermined"
     return list(slices.pop())
+
+
+def reference_properties(code):
+    """The property battery as a plain double loop: p3 over all K*M^2
+    ordered symbol pairs through _same and _distinct, and p2b testing
+    _distinct in both directions. The reference for
+    verify.check_capacity_properties."""
+    ora = oracle_for(code)
+    p = code.params
+    all_k = range(1, p.K + 1)
+    universal = check_universality(code)
+    # others[k]: every source symbol but k, the conditioning set of p1-p3
+    others = {k: frozenset(all_k) - {k} for k in all_k}
+
+    p1 = CheckResult("p1-nonzero-entropy", True)
+    for i in range(p.M):
+        for k in all_k:
+            if ora.entropy((i,), others[k]) == 0:
+                p1.witnesses.append({"i": code.label(i), "k": k})
+    p1.passed = not p1.witnesses
+
+    p2a = CheckResult("p2a-same-interference", True)
+    p2b = CheckResult("p2b-distinct-desired", True)
+    p2c = CheckResult("p2c-independence", True)
+    for sup in code.supersets:
+        k = sup.k
+        for set_index, members in enumerate(sup.sets):
+            for i1, i2 in itertools.combinations(members, 2):
+                for k_prime in all_k:
+                    if k_prime == k:
+                        continue
+                    j = others[k_prime]
+                    if not _same(ora, i1, i2, j):
+                        h12 = ora.entropy((i1, i2), j)
+                        p2a.witnesses.append(
+                            {
+                                "k": k,
+                                "set_index": set_index,
+                                "i1": code.label(i1),
+                                "i2": code.label(i2),
+                                "k_prime": k_prime,
+                                "h_i1_given_i2": h12 - ora.entropy((i2,), j),
+                                "h_i2_given_i1": h12 - ora.entropy((i1,), j),
+                            }
+                        )
+                if not (_distinct(ora, i1, i2, others[k]) and _distinct(ora, i2, i1, others[k])):
+                    p2b.witnesses.append(
+                        {"k": k, "set_index": set_index, "i1": code.label(i1), "i2": code.label(i2)}
+                    )
+                h1 = ora.entropy((i1,))
+                h2 = ora.entropy((i2,))
+                h12 = ora.entropy((i1, i2))
+                if h12 != h1 + h2:
+                    p2c.witnesses.append(
+                        {
+                            "k": k,
+                            "set_index": set_index,
+                            "i1": code.label(i1),
+                            "i2": code.label(i2),
+                            "joint": h12,
+                            "sum": h1 + h2,
+                        }
+                    )
+    p2a.passed = not p2a.witnesses
+    p2b.passed = not p2b.witnesses
+    p2c.passed = not p2c.witnesses
+
+    p3 = CheckResult("p3-incompatibility", True)
+    for k in all_k:
+        j = others[k]
+        for i1 in range(p.M):
+            for i2 in range(p.M):
+                if _same(ora, i1, i2, j) and _distinct(ora, i1, i2, j):
+                    p3.witnesses.append({"i1": code.label(i1), "i2": code.label(i2), "k": k})
+    p3.passed = not p3.witnesses
+
+    return PropertyReport(
+        results={"p1": p1, "p2a": p2a, "p2b": p2b, "p2c": p2c, "p3": p3},
+        universal=universal,
+    )

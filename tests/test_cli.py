@@ -96,6 +96,10 @@ class TestBuildVerify:
             (("verify", "--format", "yaml"), "unknown format 'yaml'"),
             (("verify", "--checks", "properties,tree,converse,bogus"), "unknown check 'bogus'"),
             (("pir-audit", "--format", "yaml"), "unknown format 'yaml'"),
+            # an audit of no trees would pass vacuously
+            (("verify", "--tree-budget", "0", "--samples", "0"), "--samples must be at least 1, got 0"),
+            (("verify", "--samples", "-5"), "--samples must be at least 1, got -5"),
+            (("verify", "--tree-budget", "-1"), "--tree-budget must be at least 0, got -1"),
         ],
     )
     def test_usage_errors_come_before_any_work(self, capsys, tmp_path, monkeypatch, argv, message):
@@ -145,7 +149,9 @@ class TestBuildVerify:
 ALL_CHECKS = ",".join(cli.ALL_CHECKS)
 # SHA-256 of the stdout of `verify DOC --checks ... --format json`, recorded
 # before the rank oracle gained its raw-key cache. (3,3) leaves corruption
-# out: its exact mode refuses M = 27 > 24 and prints no report.
+# out, as it did when an over-budget corruption check printed no report;
+# that check now fails with an error witness (see
+# test_corruption_over_budget_keeps_the_report).
 REPORT_DIGESTS = {
     ("build", "2", "3"): (ALL_CHECKS, 0, "a4b627a4d2895ed3cc7f53eba0bc9210db98cbf6183efafda611744330f1f11d"),
     ("build", "3", "3"): (
@@ -181,8 +187,9 @@ class TestVerifyReports:
         assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_call_pattern_of_a_2_3_battery(self, capsys, tmp_path, monkeypatch):
-        # the traced benchmark pins these counts; tier-1 sees a drift first
+    @staticmethod
+    def battery_calls(capsys, tmp_path, monkeypatch, n, k) -> dict:
+        """Calls a default verify of the built (n,k) code makes."""
         counts = {"entropy": 0, "rank_words": 0, "trees_for_audit": 0}
 
         def counting(owner, name, key):
@@ -194,12 +201,22 @@ class TestVerifyReports:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        doc = write_code(capsys, tmp_path, ("build", "2", "3"))
+        doc = write_code(capsys, tmp_path, ("build", n, k))
         counting(entropy.RankOracle, "entropy", "entropy")
         counting(entropy, "rank_words", "rank_words")
         counting(verify, "trees_for_audit", "trees_for_audit")
         assert run_cli(capsys, "verify", str(doc))[0] == 0
-        assert counts == {"entropy": 1716, "rank_words": 172, "trees_for_audit": 1}
+        return counts
+
+    # the traced benchmark pins the (2,3) counts in smoke mode and times
+    # (3,3); tier-1 sees a drift at either size first
+    def test_call_pattern_of_a_2_3_battery(self, capsys, tmp_path, monkeypatch):
+        counts = self.battery_calls(capsys, tmp_path, monkeypatch, "2", "3")
+        assert counts == {"entropy": 912, "rank_words": 124, "trees_for_audit": 1}
+
+    def test_call_pattern_of_a_3_3_battery(self, capsys, tmp_path, monkeypatch):
+        counts = self.battery_calls(capsys, tmp_path, monkeypatch, "3", "3")
+        assert counts == {"entropy": 7587, "rank_words": 594, "trees_for_audit": 1}
 
     def test_non_universal_code_reports_tree_failures(self, capsys, tmp_path):
         doc = write_code(capsys, tmp_path, ("fixture", "fig1"))

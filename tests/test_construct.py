@@ -271,6 +271,15 @@ class TestDecoderCache:
         assert all(ref() is None for ref in refs)
         assert len(construct._decoders) == before
 
+    @pytest.mark.parametrize("k, set_index", [(1, -1), (1, 2), (0, 0), (3, 0), (-1, 0)])
+    def test_out_of_range_index_is_index_error(self, k, set_index):
+        code = build_sldc(2, 2)  # two source symbols, two decoding sets each
+        coded = encode(code, random_message(code, random.Random(5)))
+        values = [coded[m] for m in code.supersets[0].sets[1]]
+        with pytest.raises(IndexError, match="out of range"):
+            decode(code, k, set_index, values)
+        assert code not in construct._decoders
+
 
 class TestFixtures:
     def test_unknown_name_lists_valid_ones(self):

@@ -3,9 +3,16 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import reference_properties
+from smoothldc import verify
 from smoothldc.codespec import DecodingSuperset, LinearCodeSpec
+from smoothldc.construct import build_sldc, load_fixture
+from smoothldc.gf2 import BitMatrix
 from smoothldc.verify import (
+    PROPERTY_NAMES,
     BudgetError,
     TreeConstructionError,
     audit_converse_chain,
@@ -22,10 +29,26 @@ from smoothldc.verify import (
     trees_for_audit,
 )
 
+FIXTURE_NAMES = ("fig1", "fig2", "intro_nonsmooth", "eq28", "fig4")
+
 # the published tree walkthrough on the non-smooth length-4 code:
 # identity permutation, root X1, and these qualifying-set picks per node
 WALKTHROUGH_CHOICES = [0, 0, 1, 0, 1, 2, 1]
 WALKTHROUGH_LEAVES = (0, 2, 1, 2, 1, 3, 2, 1)  # X1 X3 X2 X3 X2 X4 X3 X2
+
+
+def with_rows(code, rows):
+    """code with symbol m's generator rows replaced by rows[m]."""
+    gens = [BitMatrix(gen.cols, new) for gen, new in zip(code.symbol_gens, rows)]
+    return LinearCodeSpec(
+        params=code.params,
+        symbol_gens=gens,
+        supersets=code.supersets,
+        groups=code.groups,
+        digits=code.digits,
+        labels=code.labels,
+        column_order=code.column_order,
+    )
 
 
 def with_supersets(code, supersets):
@@ -119,6 +142,55 @@ class TestCapacityProperties:
         assert report.results["p3"].passed
 
 
+def same_battery(code):
+    """check_capacity_properties agrees with the pair-loop reference on
+    every flag and every witness list."""
+    got, want = check_capacity_properties(code), reference_properties(code)
+    assert got.universal == want.universal
+    for key in PROPERTY_NAMES:
+        assert got.results[key].name == want.results[key].name
+        assert got.results[key].passed == want.results[key].passed, key
+        assert got.results[key].witnesses == want.results[key].witnesses, key
+    return got
+
+
+# random generator rows on two transcribed codes' decoding sets
+TEMPLATES = {name: load_fixture(name) for name in ("fig1", "eq28")}
+
+
+@st.composite
+def random_linear_codes(draw):
+    template = TEMPLATES[draw(st.sampled_from(sorted(TEMPLATES)))]
+    top = (1 << template.params.K * template.params.Lw) - 1
+    # a zero row of the template stays zero, so each symbol keeps Lx stored bits
+    rows = [[draw(st.integers(1, top)) if row else 0 for row in gen.rows] for gen in template.symbol_gens]
+    return with_rows(template, rows)
+
+
+# every fig1 symbol stores W_1: p2b fails on W_1's sets, p3 on W_2's and W_3's
+ALL_W1 = with_rows(TEMPLATES["fig1"], [[0b100]] * 6)
+
+
+class TestPropertiesMatchReference:
+    @pytest.mark.parametrize("name", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), *FIXTURE_NAMES], ids=str)
+    def test_built_codes_and_fixtures(self, codes, name):
+        same_battery(codes[name] if name in codes else build_sldc(*name))
+
+    @pytest.mark.parametrize("name, count", [("fig1", 27), ("intro_nonsmooth", 17)])
+    def test_p3_witnesses_include_diagonal_pairs(self, codes, name, count):
+        p3 = same_battery(codes[name]).results["p3"]
+        assert len(p3.witnesses) == count
+        assert any(w["i1"] == w["i2"] for w in p3.witnesses)
+
+    @given(random_linear_codes())
+    def test_random_linear_codes(self, code):
+        same_battery(code)
+
+    def test_p2b_and_p3_failures(self):
+        report = same_battery(ALL_W1)
+        assert report.failed() == ["p1", "p2b", "p2c", "p3"]
+
+
 class TestTreeConstruction:
     def test_walkthrough_leaves(self, codes):
         tree = build_nary_tree(codes["intro_nonsmooth"], (1, 2, 3), 0, WALKTHROUGH_CHOICES)
@@ -183,6 +255,51 @@ class TestTreeConstruction:
         trees, exhaustive = trees_for_audit(codes["intro_nonsmooth"], budget=10, samples=17)
         assert not exhaustive
         assert len(trees) == 17
+
+
+def tree_digest(trees):
+    body = repr([(t.permutation, t.root, t.sets_by_depth) for t in trees])
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+# tree_digest of trees_for_audit(code, budget, samples, seed), all sampled,
+# recorded while trees_for_audit still built budget + 1 trees first
+SAMPLED_TREE_DIGESTS = {
+    ((5, 3), 512, 100, 0): "58d46437cfaa0c402e04e6479a35746c4b7a86657f263456b38f6f02be91fb3c",
+    ((5, 3), 5, 40, 9): "4a5492e6daa0aa4694793019d7edfa31e992031f819d29408ed426b35215d2e5",
+    ((3, 3), 5, 40, 9): "c89dde64ca7ccd92aa386ef23ab815ce8498d6b7cccf72ab172f49265011b5a9",
+    ((2, 3), 5, 40, 9): "daa03469ed51bcfe8fddc67158c22912037de72238c9b1b4fbe9b59393466382",
+    ("intro_nonsmooth", 5, 40, 9): "dccb9cf52f5a53790f3dc04cf2e340ec2cc1186098fcbe243ad355051d95afaf",
+}
+
+
+class TestTreeCounting:
+    @pytest.mark.parametrize("name", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), *FIXTURE_NAMES], ids=str)
+    def test_count_equals_enumeration(self, codes, name):
+        code = codes[name] if name in codes else build_sldc(*name)
+        assert sum(verify._trees_per_permutation(code)) == len(list(enumerate_trees(code)))
+
+    @pytest.mark.parametrize("key", list(SAMPLED_TREE_DIGESTS), ids=str)
+    def test_sampled_trees_unchanged(self, key):
+        name, budget, samples, seed = key
+        code = load_fixture(name) if isinstance(name, str) else build_sldc(*name)
+        trees, exhaustive = trees_for_audit(code, budget=budget, samples=samples, seed=seed)
+        assert (len(trees), exhaustive) == (samples, False)
+        assert tree_digest(trees) == SAMPLED_TREE_DIGESTS[key]
+
+    def test_over_budget_builds_no_tree_to_count(self, monkeypatch):
+        code = build_sldc(5, 3)  # 750 trees
+        monkeypatch.setattr(verify, "enumerate_trees", None)  # any call raises TypeError
+        trees, exhaustive = trees_for_audit(code)
+        assert (len(trees), exhaustive) == (100, False)
+        with pytest.raises(TypeError):
+            trees_for_audit(code, budget=750)
+
+    def test_within_budget_is_exhaustive(self, codes):
+        code = codes[(3, 3)]  # 162 trees
+        trees, exhaustive = trees_for_audit(code, budget=162)
+        assert exhaustive and trees == list(enumerate_trees(code))
+        assert not trees_for_audit(code, budget=161)[1]
 
 
 # SHA-256 of repr([(permutation, root, sets_by_depth), ...]) over
