@@ -115,14 +115,7 @@ def _run_checks(code, names, args) -> list[verify.CheckResult]:
                         )
                 results.append(verify.CheckResult(check_name, not witnesses, witnesses, detail))
             else:
-                witnesses = []
-                for tree in trees:
-                    audit = verify.audit_converse_chain(code, tree)
-                    if not audit.tight:
-                        witnesses.append(
-                            {"permutation": list(tree.permutation), "root": code.label(tree.root),
-                             "total_slack_bits": audit.total_slack}
-                        )
+                witnesses = verify.converse_witnesses(code, trees, exhaustive)
                 results.append(verify.CheckResult(check_name, not witnesses, witnesses, detail))
         elif name == "min-distance":
             try:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+from .capacity import CodeParams
 from .codespec import LinearCodeSpec
 from .entropy import _distinct, _same, oracle_for
 
@@ -355,6 +356,8 @@ def enumerate_trees(
 
 def sample_trees(code: LinearCodeSpec, count: int, seed: int = 0) -> list[NaryTree]:
     """Seeded random tree realizations (permutation, root, and choices)."""
+    if count < 0:
+        raise ValueError(f"tree count must be at least 0, got {count}")
     rng = random.Random(seed)
     choose = _normalize_chooser(rng)
     p = code.params
@@ -396,7 +399,14 @@ def trees_for_audit(
     A universal code's trees are counted first and built only within the
     budget. A non-universal code is enumerated up to the budget, so it
     raises TreeConstructionError wherever enumerate_trees first meets a
-    symbol with no qualifying set."""
+    symbol with no qualifying set.
+
+    An audit of no trees would pass without looking at one, so *samples*
+    must be at least 1 and *budget* at least 0."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if budget < 0:
+        raise ValueError(f"tree budget must be at least 0, got {budget}")
     running = itertools.accumulate(_trees_per_permutation(code))
     if not check_universality(code) or all(total <= budget for total in running):
         trees = list(itertools.islice(enumerate_trees(code), budget + 1))
@@ -453,23 +463,105 @@ class ConverseAudit:
 
 
 def audit_converse_chain(code: LinearCodeSpec, tree: NaryTree) -> ConverseAudit:
-    ora = oracle_for(code)
     p = code.params
-    perm = tree.permutation
-
-    def level_total(depth: int) -> int:
-        conditioned = perm[depth:]
-        return sum(ora.entropy((label,), conditioned) for label in tree.labels_at_depth(depth))
-
-    totals = [level_total(d) for d in range(p.K + 1)]
-    levels = []
-    for depth in range(1, p.K + 1):
-        rhs = p.N ** (depth - 1) * p.Lw + totals[depth - 1]
-        levels.append(
-            LevelAudit(depth=depth, message=perm[depth - 1], lhs_bits=totals[depth], rhs_bits=rhs)
-        )
+    totals = _level_totals(_EntropyRows(oracle_for(code)), tree)
+    levels = tuple(
+        LevelAudit(depth=depth, message=tree.permutation[depth - 1], lhs_bits=totals[depth],
+                   rhs_bits=totals[depth] - slack)
+        for depth, slack in enumerate(_level_slacks(p, totals), start=1)
+    )
     bound = sum(p.N**d for d in range(p.K)) * p.Lw + totals[0]
-    return ConverseAudit(levels=tuple(levels), total_bits=totals[p.K], bound_bits=bound)
+    return ConverseAudit(levels=levels, total_bits=totals[p.K], bound_bits=bound)
+
+
+class _EntropyRow(dict):
+    """H(X_m | W_J) for one conditioning set J, each symbol m asked of the
+    oracle on its first lookup."""
+
+    def __init__(self, ora, given: frozenset[int]):
+        super().__init__()
+        self.ora = ora
+        self.given = given
+
+    def __missing__(self, m: int) -> int:
+        value = self[m] = self.ora.entropy((m,), self.given)
+        return value
+
+
+class _EntropyRows(dict):
+    """One _EntropyRow per conditioning set (a frozenset of sources), made on
+    its first lookup; one audit shares them across all its trees."""
+
+    def __init__(self, ora):
+        super().__init__()
+        self.ora = ora
+
+    def __missing__(self, given: frozenset[int]) -> _EntropyRow:
+        row = self[given] = _EntropyRow(self.ora, given)
+        return row
+
+
+def _level_totals(rows: _EntropyRows, tree: NaryTree) -> list[int]:
+    """Per depth d = 0..K, the sum of H(X_label | W_perm[d:]) over the
+    tree's depth-d labels."""
+    perm = tree.permutation
+    return [
+        sum(map(rows[frozenset(perm[depth:])].__getitem__, tree.labels_at_depth(depth)))
+        for depth in range(len(perm) + 1)
+    ]
+
+
+def _level_slacks(p: CodeParams, totals: list[int]) -> list[int]:
+    """Slack of the chain at depths 1..K: the depth-d total less
+    N^(d-1)*Lw and the depth-(d-1) total. They sum to the total slack."""
+    return [
+        totals[depth] - p.N ** (depth - 1) * p.Lw - totals[depth - 1] for depth in range(1, p.K + 1)
+    ]
+
+
+def _every_sigma_zero(code: LinearCodeSpec, rows: _EntropyRows) -> bool:
+    """Whether sigma(k, J, S, x) = sum over m in S of H(X_m | W_J), less Lw
+    and H(X_x | W_{J+k}), is 0 for every source k, every J of the other
+    sources, every decoding set S of k and every x in S."""
+    p = code.params
+    for sup in code.supersets:
+        rest = [j for j in range(1, p.K + 1) if j != sup.k]
+        for size in range(len(rest) + 1):
+            for given in itertools.combinations(rest, size):
+                row = rows[frozenset(given)]
+                row_k = rows[frozenset(given + (sup.k,))]
+                for members in sup.sets:
+                    target = sum(map(row.__getitem__, members)) - p.Lw
+                    if any(row_k[x] != target for x in members):
+                        return False
+    return True
+
+
+def converse_witnesses(code: LinearCodeSpec, trees: Sequence[NaryTree], exhaustive: bool) -> list[dict]:
+    """The trees, in order, whose converse chain has slack at some level,
+    each with its total slack: the converse-tightness check's witnesses.
+
+    A tree's level-d slack is the sum of sigma (see _every_sigma_zero) over
+    its depth-d sets, with k = perm[d-1] and J = perm[d:]: the level totals
+    telescope into one sigma per set and its parent node. So when every
+    sigma is 0 every tree is tight. That check reads H(X_m | W_J) for all M
+    symbols and all 2^K sets J, which an exhaustive audit of a universal
+    code reads anyway, so only an exhaustive audit tries it first; a
+    sampled one reads fewer and sums each tree's levels directly.
+    """
+    rows = _EntropyRows(oracle_for(code))
+    if exhaustive and _every_sigma_zero(code, rows):
+        return []
+    p = code.params
+    witnesses = []
+    for tree in trees:
+        slacks = _level_slacks(p, _level_totals(rows, tree))
+        if any(slacks):
+            witnesses.append(
+                {"permutation": list(tree.permutation), "root": code.label(tree.root),
+                 "total_slack_bits": sum(slacks)}
+            )
+    return witnesses
 
 
 # --- erasures and corruption ------------------------------------------------
@@ -544,6 +636,9 @@ def corruption_trial(
             raise BudgetError(f"exact corruption enumeration needs M <= {budget}, got {p.M}")
         patterns: Iterable[tuple[int, ...]] = itertools.combinations(range(p.M), corrupted)
     elif mode == "sampled":
+        # a trial of no patterns would report every message safe
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
         rng = random.Random(seed)
         patterns = (tuple(sorted(rng.sample(range(p.M), corrupted))) for _ in range(samples))
     else:

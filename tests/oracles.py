@@ -7,7 +7,8 @@ for codes with few total message bits, which is exactly what it is for.
 The column restriction deletes columns from the bit table, the reference
 for the package's column masks, and the exhaustive decoder is the reference
 for ``construct.decode``. The pair-loop property battery is the reference
-for ``verify.check_capacity_properties``.
+for ``verify.check_capacity_properties``, and the label-by-label converse
+chain the reference for ``verify.converse_witnesses``.
 """
 
 import itertools
@@ -179,3 +180,26 @@ def reference_properties(code):
         results={"p1": p1, "p2a": p2a, "p2b": p2b, "p2c": p2c, "p3": p3},
         universal=universal,
     )
+
+
+def reference_converse(code, trees):
+    """The converse-tightness witnesses as a loop over every tree, summing
+    H(X_label | W_perm[d:]) label by label at every depth: each tree with
+    slack at some level, in order, with its total slack. The reference for
+    verify.converse_witnesses."""
+    ora = oracle_for(code)
+    p = code.params
+    witnesses = []
+    for tree in trees:
+        perm = tree.permutation
+        totals = [
+            sum(ora.entropy((label,), perm[depth:]) for label in tree.labels_at_depth(depth))
+            for depth in range(p.K + 1)
+        ]
+        rhs = [p.N ** (depth - 1) * p.Lw + totals[depth - 1] for depth in range(1, p.K + 1)]
+        if totals[1:] != rhs:
+            bound = sum(p.N**d for d in range(p.K)) * p.Lw + totals[0]
+            witnesses.append(
+                {"permutation": list(perm), "root": code.label(tree.root), "total_slack_bits": totals[p.K] - bound}
+            )
+    return witnesses

@@ -212,11 +212,17 @@ class TestVerifyReports:
     # (3,3); tier-1 sees a drift at either size first
     def test_call_pattern_of_a_2_3_battery(self, capsys, tmp_path, monkeypatch):
         counts = self.battery_calls(capsys, tmp_path, monkeypatch, "2", "3")
-        assert counts == {"entropy": 912, "rank_words": 124, "trees_for_audit": 1}
+        assert counts == {"entropy": 256, "rank_words": 124, "trees_for_audit": 1}
 
     def test_call_pattern_of_a_3_3_battery(self, capsys, tmp_path, monkeypatch):
         counts = self.battery_calls(capsys, tmp_path, monkeypatch, "3", "3")
-        assert counts == {"entropy": 7587, "rank_words": 594, "trees_for_audit": 1}
+        assert counts == {"entropy": 1323, "rank_words": 594, "trees_for_audit": 1}
+
+    # a sampled audit: the converse check sums the 100 sampled trees and
+    # asks for no more ranks than the trees need
+    def test_call_pattern_of_a_3_4_battery(self, capsys, tmp_path, monkeypatch):
+        counts = self.battery_calls(capsys, tmp_path, monkeypatch, "3", "4")
+        assert counts == {"entropy": 6490, "rank_words": 3046, "trees_for_audit": 1}
 
     def test_non_universal_code_reports_tree_failures(self, capsys, tmp_path):
         doc = write_code(capsys, tmp_path, ("fixture", "fig1"))

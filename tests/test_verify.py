@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import reference_properties
+from oracles import reference_converse, reference_properties
 from smoothldc import verify
 from smoothldc.codespec import DecodingSuperset, LinearCodeSpec
 from smoothldc.construct import build_sldc, load_fixture
+from smoothldc.entropy import oracle_for
 from smoothldc.gf2 import BitMatrix
 from smoothldc.verify import (
     PROPERTY_NAMES,
@@ -21,6 +22,7 @@ from smoothldc.verify import (
     check_correctness,
     check_smoothness,
     check_universality,
+    converse_witnesses,
     corruption_trial,
     enumerate_trees,
     leaf_distinctness,
@@ -256,6 +258,17 @@ class TestTreeConstruction:
         assert not exhaustive
         assert len(trees) == 17
 
+    @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"samples": -3}, {"budget": -1}], ids=str)
+    def test_audit_of_no_trees_is_value_error(self, codes, kwargs):
+        # at budget 5 the (2,3) code's 48 trees would be sampled
+        with pytest.raises(ValueError, match="at least"):
+            trees_for_audit(codes[(2, 3)], **{"budget": 5, "samples": 40, **kwargs})
+
+    def test_negative_sample_count_is_value_error(self, codes):
+        with pytest.raises(ValueError, match="at least 0"):
+            sample_trees(codes[(2, 3)], -2)
+        assert sample_trees(codes[(2, 3)], 0) == []
+
 
 def tree_digest(trees):
     body = repr([(t.permutation, t.root, t.sets_by_depth) for t in trees])
@@ -427,6 +440,107 @@ class TestConverseAudit:
         assert audit.total_slack == sum(level.slack for level in audit.levels)
 
 
+def sigma(code, k, given, members, x):
+    """sigma(k, J, S, x) = sum over m in S of H(X_m | W_J), less Lw and
+    H(X_x | W_{J+k})."""
+    ora = oracle_for(code)
+    j = frozenset(given)
+    return sum(ora.entropy((m,), j) for m in members) - code.params.Lw - ora.entropy((x,), j | {k})
+
+
+def same_converse(code, trees, exhaustive):
+    """converse_witnesses agrees with the label-by-label reference."""
+    got = converse_witnesses(code, trees, exhaustive)
+    assert got == reference_converse(code, trees)
+    return got
+
+
+class TestConverseWitnesses:
+    @pytest.mark.parametrize("nk", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 3)], ids=str)
+    def test_built_codes_exhaustive(self, codes, nk):
+        code = codes[nk] if nk in codes else build_sldc(*nk)
+        trees, exhaustive = trees_for_audit(code)
+        assert exhaustive
+        assert same_converse(code, trees, exhaustive) == []
+
+    @pytest.mark.parametrize("nk", [(5, 3), (3, 4)], ids=str)
+    def test_built_codes_sampled(self, nk):
+        code = build_sldc(*nk)
+        trees, exhaustive = trees_for_audit(code)
+        assert not exhaustive
+        assert same_converse(code, trees, exhaustive) == []
+
+    @pytest.mark.parametrize("name", [(2, 3), (3, 3), *FIXTURE_NAMES], ids=str)
+    def test_small_budget(self, codes, name):
+        trees, exhaustive = trees_for_audit(codes[name], budget=5, samples=40, seed=9)
+        same_converse(codes[name], trees, exhaustive)
+
+    @pytest.mark.parametrize(
+        "name, count", [("fig1", 36), ("fig2", 24), ("intro_nonsmooth", 248), ("eq28", 0), ("fig4", 0)]
+    )
+    def test_fixtures(self, codes, name, count):
+        trees, exhaustive = trees_for_audit(codes[name])
+        assert exhaustive
+        assert len(same_converse(codes[name], trees, exhaustive)) == count
+
+    @given(random_linear_codes(), st.sampled_from([verify.DEFAULT_TREE_BUDGET, 5]))
+    def test_random_linear_codes(self, code, budget):
+        trees, exhaustive = trees_for_audit(code, budget=budget, samples=40, seed=9)
+        same_converse(code, trees, exhaustive)
+
+    def test_tight_exhaustive_audit_reads_no_tree(self, codes):
+        class Unread(list):
+            def __iter__(self):
+                raise AssertionError("a tree was read")
+
+        assert converse_witnesses(codes[(3, 3)], Unread(), True) == []
+        with pytest.raises(AssertionError, match="read"):
+            converse_witnesses(codes[(3, 3)], Unread(), False)
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "intro_nonsmooth", (2, 3)], ids=str)
+    def test_audit_converse_chain_agrees(self, codes, name):
+        code = codes[name]
+        trees = list(enumerate_trees(code))
+        witnesses = []
+        for tree in trees:
+            audit = audit_converse_chain(code, tree)
+            if not audit.tight:
+                witnesses.append(
+                    {"permutation": list(tree.permutation), "root": code.label(tree.root),
+                     "total_slack_bits": audit.total_slack}
+                )
+        assert witnesses == reference_converse(code, trees)
+
+
+class TestSigma:
+    @pytest.mark.parametrize("name", [(2, 2), (2, 3), (3, 2), (3, 3), *FIXTURE_NAMES], ids=str)
+    def test_level_slack_is_the_sum_of_its_sets_sigma(self, codes, name):
+        code = codes[name]
+        for tree in enumerate_trees(code):
+            perm = tree.permutation
+            for level in audit_converse_chain(code, tree).levels:
+                depth = level.depth
+                parents = tree.labels_at_depth(depth - 1)
+                sets = tree.sets_by_depth[depth - 1]
+                assert level.slack == sum(
+                    sigma(code, perm[depth - 1], perm[depth:], members, x)
+                    for x, (_, members) in zip(parents, sets)
+                )
+
+    @pytest.mark.parametrize("name", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), *FIXTURE_NAMES], ids=str)
+    def test_sigma_never_negative_on_a_correct_code(self, codes, name):
+        code = codes[name]
+        assert check_correctness(code).passed
+        for sup in code.supersets:
+            rest = [j for j in range(1, code.params.K + 1) if j != sup.k]
+            for given in itertools.chain.from_iterable(
+                itertools.combinations(rest, size) for size in range(len(rest) + 1)
+            ):
+                for members in sup.sets:
+                    for x in members:
+                        assert sigma(code, sup.k, given, members, x) >= 0
+
+
 class TestMinDistance:
     def test_replicated_code(self, codes):
         result = min_distance(codes["fig1"])
@@ -479,6 +593,11 @@ class TestCorruption:
         b = corruption_trial(codes["fig1"], Fraction(1, 3), mode="sampled", samples=50, seed=4)
         assert a == b
         assert a.min_success >= Fraction(1, 3)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_sampled_mode_needs_a_pattern(self, codes, samples):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            corruption_trial(codes[(2, 3)], Fraction(1, 8), mode="sampled", samples=samples)
 
     def test_float_delta_normalized(self, codes):
         report = corruption_trial(codes["fig1"], 1 / 3)
