@@ -13,19 +13,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import capacity, construct, netsim, pir, verify
-from .codespec import CodeSpecError, dump_document, from_document, load_document, to_document
+from .codespec import dump_document, from_document, load_document, to_document
 from .gf2 import BitVector
-
-DEFAULT_CHECKS = ("correctness", "smoothness", "universality", "properties", "tree", "converse")
-ALL_CHECKS = DEFAULT_CHECKS + ("min-distance", "corruption")
+from .verify import ALL_CHECKS, DEFAULT_CHECKS
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _load_code(path: str):
@@ -75,91 +69,7 @@ def cmd_fixture(args) -> int:
 
 
 def _run_checks(code, names, args) -> list[verify.CheckResult]:
-    results = []
-    audit_trees = None  # shared by "tree" and "converse"
-    for name in names:
-        if name == "correctness":
-            results.append(verify.check_correctness(code))
-        elif name == "smoothness":
-            results.append(verify.CheckResult("smoothness", verify.check_smoothness(code)))
-        elif name == "universality":
-            results.append(verify.CheckResult("universality", verify.check_universality(code)))
-        elif name == "properties":
-            report = verify.check_capacity_properties(code)
-            for key in verify.PROPERTY_NAMES:
-                res = report.results[key]
-                results.append(verify.CheckResult(res.name, res.passed, res.witnesses))
-        elif name in ("tree", "converse"):
-            check_name = "tree-leaf-distinctness" if name == "tree" else "converse-tightness"
-            if audit_trees is None:
-                try:
-                    audit_trees = verify.trees_for_audit(
-                        code, budget=args.tree_budget, samples=args.samples, seed=args.seed
-                    )
-                except verify.TreeConstructionError as exc:
-                    audit_trees = exc
-            if isinstance(audit_trees, verify.TreeConstructionError):
-                # a non-universal code has no tree to audit
-                results.append(verify.CheckResult(check_name, False, [{"error": str(audit_trees)}]))
-                continue
-            trees, exhaustive = audit_trees
-            detail = {"trees": len(trees), "exhaustive": exhaustive}
-            if name == "tree":
-                witnesses = []
-                for tree in trees:
-                    ok, dup = verify.leaf_distinctness(tree)
-                    if not ok:
-                        witnesses.append(
-                            {"permutation": list(tree.permutation), "root": code.label(tree.root),
-                             "duplicate": code.label(dup)}
-                        )
-                results.append(verify.CheckResult(check_name, not witnesses, witnesses, detail))
-            else:
-                witnesses = verify.converse_witnesses(code, trees, exhaustive)
-                results.append(verify.CheckResult(check_name, not witnesses, witnesses, detail))
-        elif name == "min-distance":
-            try:
-                result = verify.min_distance(code)
-            except verify.BudgetError as exc:
-                results.append(verify.CheckResult("min-distance", False, [{"error": str(exc)}]))
-                continue
-            m, n = code.params.M, code.params.N
-            meets_bound = result.distance * n >= m
-            results.append(
-                verify.CheckResult(
-                    "min-distance",
-                    meets_bound,
-                    [] if meets_bound else [{"distance": result.distance, "bound": f"M/N = {m}/{n}"}],
-                    {
-                        "distance": result.distance,
-                        "witness": [code.label(i) for i in result.witness],
-                        "witness_count": len(result.witnesses),
-                    },
-                )
-            )
-        elif name == "corruption":
-            delta = args.delta
-            if delta is None:
-                # largest corruption budget below 1/N with an integral count
-                t = -(-code.params.M // code.params.N) - 1
-                delta = Fraction(max(t, 0), code.params.M)
-            try:
-                report = verify.corruption_trial(code, delta)
-            except verify.BudgetError as exc:
-                results.append(verify.CheckResult("corruption", False, [{"error": str(exc)}]))
-                continue
-            target = 1 - delta * code.params.N
-            passed = report.every_pattern_leaves_clean_set and report.min_success >= target
-            results.append(
-                verify.CheckResult(
-                    "corruption",
-                    passed,
-                    [] if passed else [{"min_success": str(report.min_success), "target": str(target)}],
-                    {"delta": str(report.delta), "corrupted": report.corrupted_count,
-                     "min_success": str(report.min_success)},
-                )
-            )
-    return results
+    return verify.run_checks(code, names, args.tree_budget, args.samples, args.seed, args.delta)
 
 
 def render_report(results: list[verify.CheckResult], fmt: str) -> str:
@@ -185,15 +95,15 @@ def render_report(results: list[verify.CheckResult], fmt: str) -> str:
 def cmd_verify(args) -> int:
     names = [c.strip() for c in args.checks.split(",") if c.strip()]
     if not names:
-        raise _UsageError("no checks requested")
-    for name in names:
-        if name not in ALL_CHECKS:
-            raise _UsageError(f"unknown check {name!r}; valid: {', '.join(ALL_CHECKS)}")
+        raise ValueError("no checks requested")
+    verify.require_known_checks(names)
     # an audit of no trees would pass without looking at one
     if args.samples < 1:
-        raise _UsageError(f"--samples must be at least 1, got {args.samples}")
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if args.tree_budget < 0:
-        raise _UsageError(f"--tree-budget must be at least 0, got {args.tree_budget}")
+        raise ValueError(f"--tree-budget must be at least 0, got {args.tree_budget}")
+    if args.delta is not None and not 0 <= args.delta <= 1:
+        raise ValueError(f"--delta must lie in [0, 1], got {args.delta}")
     code = _load_code(args.file)
     results = _run_checks(code, names, args)
     print(render_report(results, args.format))
@@ -313,15 +223,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "format", "text") not in ("text", "json"):  # verify and pir-audit
-            raise _UsageError(f"unknown format {args.format!r}; valid: text, json")
+            raise ValueError(f"unknown format {args.format!r}; valid: text, json")
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, CodeSpecError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, IndexError) as exc:
+    except (OSError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -33,7 +33,7 @@ from .codespec import (
 )
 from .gf2 import BitMatrix, BitVector, column_mask, mat_vec_mul, solve_columns
 
-DEFAULT_MAX_SYMBOLS = 4096
+MAX_SYMBOLS = 4096
 
 
 class BudgetExceeded(ValueError):
@@ -76,8 +76,8 @@ def enumerate_supersets(n: int, k: int) -> list[DecodingSuperset]:
     return supersets
 
 
-def build_sldc(n: int, k: int, max_symbols: int = DEFAULT_MAX_SYMBOLS) -> LinearCodeSpec:
-    """Build the length-N^K capacity-achieving SLDC.
+def build_sldc(n: int, k: int) -> LinearCodeSpec:
+    """Build the length-N^K capacity-achieving SLDC, for N^K up to MAX_SYMBOLS.
 
     Sub-coded-symbol gamma of symbol p is the GF(2) sum over source symbols
     of bit (p_k + g_k) mod N of sub-source-symbol gamma; symbol p belongs to
@@ -86,8 +86,8 @@ def build_sldc(n: int, k: int, max_symbols: int = DEFAULT_MAX_SYMBOLS) -> Linear
     if n < 2 or k < 1:
         raise ValueError("need N >= 2 and K >= 1")
     m = n**k
-    if m > max_symbols:
-        raise BudgetExceeded(f"N^K = {m} exceeds the size budget of {max_symbols} symbols")
+    if m > MAX_SYMBOLS:
+        raise BudgetExceeded(f"N^K = {m} exceeds the size budget of {MAX_SYMBOLS} symbols")
     lw = m * (n - 1)
     lx = m - 1
     width = k * lw
@@ -194,7 +194,19 @@ def random_message(code: LinearCodeSpec, rng: random.Random) -> BitVector:
 #
 # Terms are (source symbol k, bit index within it), both 1-based; a row is
 # the XOR of its distinct terms and an empty row is a constantly-zero
-# sub-symbol.
+# sub-symbol. a(i), b(i) and c(i) are bit i of sources 1, 2 and 3.
+
+
+def a(i):
+    return (1, i)
+
+
+def b(i):
+    return (2, i)
+
+
+def c(i):
+    return (3, i)
 
 
 def _transcribed(
@@ -252,12 +264,6 @@ def _fixture_intro_nonsmooth() -> LinearCodeSpec:
 def _fixture_eq28() -> LinearCodeSpec:
     # The published length-4 table for N=K=2; empty rows are the stored-free
     # zero sub-symbols.
-    def a(i):
-        return (1, i)
-
-    def b(i):
-        return (2, i)
-
     symbols = [
         [[], [a(2)], [b(3)], [a(4), b(4)]],
         [[a(1)], [], [a(3), b(3)], [b(4)]],
@@ -274,15 +280,6 @@ def _fixture_eq28() -> LinearCodeSpec:
 def _fixture_fig2() -> LinearCodeSpec:
     # Replication-flavored SLDC that admits no group partition: turning it
     # into per-database answer sets forces duplication.
-    def a(i):
-        return (1, i)
-
-    def b(i):
-        return (2, i)
-
-    def c(i):
-        return (3, i)
-
     symbols = [
         [[a(1)], [a(2)], [b(1)], [b(2)], [c(1)], [c(2)]],
         [[a(3)], [a(4)], [b(1)], [b(3)], [c(1)], [c(3)]],
@@ -300,15 +297,6 @@ def _fixture_fig2() -> LinearCodeSpec:
 def _fixture_fig4() -> LinearCodeSpec:
     # Length-8 code behind the two-database retrieval scheme; left column of
     # the figure is group 0, right column group 1.
-    def a(i):
-        return (1, i)
-
-    def b(i):
-        return (2, i)
-
-    def c(i):
-        return (3, i)
-
     symbols = [
         [[a(1)], [b(1)], [c(1)], [a(2), b(2)], [a(3), c(2)], [b(3), c(3)], [a(4), b(4), c(4)]],
         [[a(6)], [b(6)], [c(4)], [a(5), b(5)], [a(8), c(3)], [b(8), c(2)], [a(7), b(7), c(1)]],

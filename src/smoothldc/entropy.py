@@ -19,10 +19,6 @@ from .codespec import LinearCodeSpec
 from .gf2 import column_mask, rank_words
 
 
-# Source-set types the raw-key cache accepts: hashable and fixed once made.
-_RAW_SOURCE_TYPES = (tuple, frozenset)
-
-
 class RankOracle:
     """Caching rank-based entropy oracle for one code.
 
@@ -37,8 +33,8 @@ class RankOracle:
         self._symbol_rows = [gen.rows for gen in code.symbol_gens]
         self._message_columns = [code.message_columns(k) for k in range(1, p.K + 1)]
         self._masks: dict[frozenset[int], int] = {}
-        self._cache: dict[tuple, int] = {}  # (sorted symbols, sorted sources) -> bits
-        self._raw: dict[tuple, int] = {}  # (symbols, sources) as passed -> bits
+        # (symbols, sources) -> bits, under the key as passed and normalised
+        self._cache: dict[tuple, int] = {}
 
     def _mask_without(self, conditioned: frozenset[int]) -> int:
         mask = self._masks.get(conditioned)
@@ -55,34 +51,32 @@ class RankOracle:
         """H(X_A | W_J) in bits.
 
         A tuple of symbols with a tuple or frozenset of sources is first
-        looked up exactly as passed; only a query never seen in that form
-        is validated and normalised. Other iterables are always normalised.
+        looked up exactly as passed. Any other query, or a miss, is
+        validated and looked up as (sorted symbols, frozenset of sources),
+        and the value is stored under both keys.
         """
-        if type(symbols) is tuple and type(given_messages) in _RAW_SOURCE_TYPES:
-            key = (symbols, given_messages)
-            value = self._raw.get(key)
-            if value is None:
-                value = self._raw[key] = self._normalized_entropy(symbols, given_messages)
-            return value
-        return self._normalized_entropy(symbols, given_messages)
-
-    def _normalized_entropy(self, symbols: Iterable[int], given_messages: Iterable[int]) -> int:
+        as_passed = type(symbols) is tuple and type(given_messages) in (tuple, frozenset)
+        if as_passed:
+            value = self._cache.get((symbols, given_messages))
+            if value is not None:
+                return value
         a = tuple(sorted(set(symbols)))
         j = frozenset(given_messages)
         if a and (a[0] < 0 or a[-1] >= self.M):
             raise IndexError(f"symbol index out of range [0, {self.M})")
         if any(not 1 <= k <= self.K for k in j):
             raise IndexError(f"source symbol index out of range [1, {self.K}]")
-        key = (a, tuple(sorted(j)))
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        if not a:
-            value = 0
-        else:
-            mask = self._mask_without(j)
-            value = rank_words([row & mask for i in a for row in self._symbol_rows[i]])
-        self._cache[key] = value
+        key = (a, j)
+        value = self._cache.get(key)
+        if value is None:
+            if a:
+                mask = self._mask_without(j)
+                value = rank_words([row & mask for i in a for row in self._symbol_rows[i]])
+            else:
+                value = 0
+            self._cache[key] = value
+        if as_passed:
+            self._cache[symbols, given_messages] = value
         return value
 
     def message_entropy_given(self, k: int, symbols: Iterable[int], given_messages: Iterable[int] = ()) -> int:

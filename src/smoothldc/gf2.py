@@ -16,6 +16,14 @@ def _n_bytes(bits: int) -> int:
     return -(-bits // 8)
 
 
+def _fit(value: int, width: int) -> int:
+    """The low *width* bits of value. A value that already fits is returned
+    as it is, so no width-bit mask is built for it."""
+    if value < 0 or value.bit_length() > width:
+        return value & ((1 << width) - 1)
+    return value
+
+
 def _row_from_bits(bits: Iterable[int]) -> tuple[int, int]:
     """(width, int row) of a sequence of 0/1 values, first value leftmost."""
     value = width = 0
@@ -34,7 +42,7 @@ class BitVector:
         if length < 0:
             raise ValueError("length must be >= 0")
         self.length = length
-        self.value = value & ((1 << length) - 1)
+        self.value = _fit(value, length)
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitVector":
@@ -106,9 +114,8 @@ class BitMatrix:
     def __init__(self, cols: int, rows: Iterable[int] = ()):
         if cols < 0:
             raise ValueError("shape must be non-negative")
-        mask = (1 << cols) - 1
         self.cols = cols
-        self.rows = tuple(row & mask for row in rows)
+        self.rows = tuple(_fit(row, cols) for row in rows)
 
     @classmethod
     def from_bits(cls, bits: Iterable[Iterable[int]]) -> "BitMatrix":

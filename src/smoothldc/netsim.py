@@ -310,10 +310,6 @@ class RetrievalTranscript:
     set_index: int
     records: tuple[WireRecord, ...]
 
-    @property
-    def total_download_bits(self) -> int:
-        return sum(r.download_bits for r in self.records)
-
 
 def _send_query(sock: socket.socket, q: int) -> None:
     """Wait for HELLO-ACK, then send the query: a server that did not accept

@@ -24,8 +24,11 @@ from .capacity import CodeParams
 from .codespec import LinearCodeSpec
 from .entropy import _distinct, _same, oracle_for
 
-DEFAULT_DISTANCE_BUDGET = 24
+DISTANCE_BUDGET = 24
 DEFAULT_TREE_BUDGET = 512
+
+DEFAULT_CHECKS = ("correctness", "smoothness", "universality", "properties", "tree", "converse")
+ALL_CHECKS = DEFAULT_CHECKS + ("min-distance", "corruption")
 
 
 class TreeConstructionError(ValueError):
@@ -577,13 +580,14 @@ class DistanceResult:
         return self.witnesses[0]
 
 
-def min_distance(code: LinearCodeSpec, budget: int = DEFAULT_DISTANCE_BUDGET) -> DistanceResult:
+def min_distance(code: LinearCodeSpec) -> DistanceResult:
     """Smallest number of erased symbols that makes some source symbol
-    unrecoverable from the remaining ones, by exhaustive search."""
+    unrecoverable from the remaining ones, by exhaustive search over codes
+    of at most DISTANCE_BUDGET symbols."""
     p = code.params
-    if p.M > budget:
+    if p.M > DISTANCE_BUDGET:
         raise BudgetError(
-            f"exhaustive erasure search over M = {p.M} symbols exceeds the budget of {budget};"
+            f"exhaustive erasure search over M = {p.M} symbols exceeds the budget of {DISTANCE_BUDGET};"
             " use corruption_trial in sampled mode instead"
         )
     ora = oracle_for(code)
@@ -616,12 +620,12 @@ def corruption_trial(
     mode: str = "exact",
     samples: int = 1000,
     seed: int = 0,
-    budget: int = DEFAULT_DISTANCE_BUDGET,
 ) -> CorruptionReport:
     """Success probability of a uniformly random decoding-set choice when a
     delta fraction of symbols is corrupted.
 
-    Exact mode enumerates every pattern of floor(delta*M) corrupted symbols;
+    Exact mode enumerates every pattern of floor(delta*M) corrupted symbols
+    of a code with at most DISTANCE_BUDGET symbols;
     sampled mode draws patterns with a seeded generator. Success for a
     (message, pattern) pair is the fraction of decoding sets untouched by
     the pattern; the report carries the minimum over patterns per message.
@@ -632,8 +636,8 @@ def corruption_trial(
         raise ValueError("delta must lie in [0, 1]")
     corrupted = int(delta * p.M)
     if mode == "exact":
-        if p.M > budget:
-            raise BudgetError(f"exact corruption enumeration needs M <= {budget}, got {p.M}")
+        if p.M > DISTANCE_BUDGET:
+            raise BudgetError(f"exact corruption enumeration needs M <= {DISTANCE_BUDGET}, got {p.M}")
         patterns: Iterable[tuple[int, ...]] = itertools.combinations(range(p.M), corrupted)
     elif mode == "sampled":
         # a trial of no patterns would report every message safe
@@ -665,3 +669,108 @@ def corruption_trial(
         every_pattern_leaves_clean_set=every_clean,
         guarantee_void=delta >= Fraction(1, p.N),
     )
+
+
+# --- the battery ------------------------------------------------------------
+
+# report row names of the checks whose row is not named after the check
+_ROW_NAMES = {"tree": "tree-leaf-distinctness", "converse": "converse-tightness"}
+
+
+def require_known_checks(names: Iterable[str]) -> None:
+    """Raise ValueError for the first name that is not in ALL_CHECKS."""
+    for name in names:
+        if name not in ALL_CHECKS:
+            raise ValueError(f"unknown check {name!r}; valid: {', '.join(ALL_CHECKS)}")
+
+
+def run_checks(
+    code: LinearCodeSpec,
+    names: Sequence[str],
+    tree_budget: int = DEFAULT_TREE_BUDGET,
+    samples: int = 100,
+    seed: int = 0,
+    delta=None,
+) -> list[CheckResult]:
+    """The report rows of the named checks, in order: one per check, and
+    five (p1 to p3) for "properties". "tree" and "converse" share one
+    trees_for_audit(code, tree_budget, samples, seed). A check that cannot
+    run on this code (no tree of a non-universal code, min-distance or
+    corruption past DISTANCE_BUDGET symbols) fails with an
+    {"error": ...} witness. *delta* is the corruption fraction, by default
+    the largest below 1/N with an integral count. Raises ValueError for an
+    unknown check name."""
+    require_known_checks(names)
+    audit = []  # the one trees_for_audit outcome: its value or its error
+
+    def trees() -> tuple[list[NaryTree], bool]:
+        if not audit:
+            try:
+                audit.append(trees_for_audit(code, budget=tree_budget, samples=samples, seed=seed))
+            except TreeConstructionError as exc:
+                audit.append(exc)
+        if isinstance(audit[0], TreeConstructionError):
+            raise audit[0]
+        return audit[0]
+
+    results = []
+    for name in names:
+        try:
+            results.extend(_check_rows(code, name, trees, delta))
+        except (TreeConstructionError, BudgetError) as exc:
+            results.append(CheckResult(_ROW_NAMES.get(name, name), False, [{"error": str(exc)}]))
+    return results
+
+
+def _check_rows(code: LinearCodeSpec, name: str, trees, delta) -> list[CheckResult]:
+    """The report rows of one known check; trees() is the battery's tree
+    audit."""
+    p = code.params
+    if name == "correctness":
+        return [check_correctness(code)]
+    if name == "smoothness":
+        return [CheckResult(name, check_smoothness(code))]
+    if name == "universality":
+        return [CheckResult(name, check_universality(code))]
+    if name == "properties":
+        return list(check_capacity_properties(code).results.values())
+    if name == "min-distance":
+        result = min_distance(code)
+        passed = result.distance * p.N >= p.M
+        witnesses = [{"distance": result.distance, "bound": f"M/N = {p.M}/{p.N}"}]
+        details = {"distance": result.distance, "witness": [code.label(i) for i in result.witness],
+                   "witness_count": len(result.witnesses)}
+    elif name == "corruption":
+        if delta is None:
+            # largest corruption budget below 1/N with an integral count
+            delta = Fraction(max(-(-p.M // p.N) - 1, 0), p.M)
+        report = corruption_trial(code, delta)
+        target = 1 - report.delta * p.N
+        passed = report.every_pattern_leaves_clean_set and report.min_success >= target
+        witnesses = [{"min_success": str(report.min_success), "target": str(target)}]
+        details = {"delta": str(report.delta), "corrupted": report.corrupted_count,
+                   "min_success": str(report.min_success)}
+    else:
+        audited, exhaustive = trees()
+        if name == "tree":
+            witnesses = _leaf_witnesses(code, audited)
+        else:
+            witnesses = converse_witnesses(code, audited, exhaustive)
+        passed = not witnesses
+        details = {"trees": len(audited), "exhaustive": exhaustive}
+        name = _ROW_NAMES[name]
+    return [CheckResult(name, passed, [] if passed else witnesses, details)]
+
+
+def _leaf_witnesses(code: LinearCodeSpec, trees: Sequence[NaryTree]) -> list[dict]:
+    """The trees, in order, with a repeated leaf, each with its smallest
+    repeated symbol: the tree-leaf-distinctness check's witnesses."""
+    witnesses = []
+    for tree in trees:
+        ok, dup = leaf_distinctness(tree)
+        if not ok:
+            witnesses.append(
+                {"permutation": list(tree.permutation), "root": code.label(tree.root),
+                 "duplicate": code.label(dup)}
+            )
+    return witnesses

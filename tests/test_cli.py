@@ -100,6 +100,8 @@ class TestBuildVerify:
             (("verify", "--tree-budget", "0", "--samples", "0"), "--samples must be at least 1, got 0"),
             (("verify", "--samples", "-5"), "--samples must be at least 1, got -5"),
             (("verify", "--tree-budget", "-1"), "--tree-budget must be at least 0, got -1"),
+            (("verify", "--delta", "3/2"), "--delta must lie in [0, 1], got 3/2"),
+            (("verify", "--delta=-1/3"), "--delta must lie in [0, 1], got -1/3"),
         ],
     )
     def test_usage_errors_come_before_any_work(self, capsys, tmp_path, monkeypatch, argv, message):
@@ -129,7 +131,14 @@ class TestBuildVerify:
         _, out2, _ = run_cli(capsys, "verify", str(f2))
         assert out1 == out2
 
-    def test_tree_and_converse_share_one_tree_enumeration(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "source, exit_code, status",
+        [(("fixture", "eq28"), 0, "PASS"), (("fixture", "fig1", "non-universal"), 1, "FAIL")],
+        ids=["eq28", "fig1-non-universal"],
+    )
+    def test_tree_and_converse_share_one_tree_enumeration(
+        self, capsys, tmp_path, monkeypatch, source, exit_code, status
+    ):
         calls = []
         enumerate_once = verify.trees_for_audit
 
@@ -138,11 +147,10 @@ class TestBuildVerify:
             return enumerate_once(*args, **kwargs)
 
         monkeypatch.setattr(verify, "trees_for_audit", counting)
-        out_file = tmp_path / "eq28.json"
-        run_cli(capsys, "fixture", "--name", "eq28", "--out", str(out_file))
+        out_file = write_code(capsys, tmp_path, source)
         code, out, _ = run_cli(capsys, "verify", str(out_file))
-        assert code == 0
-        assert "tree-leaf-distinctness: PASS" in out and "converse-tightness: PASS" in out
+        assert code == exit_code
+        assert f"tree-leaf-distinctness: {status}" in out and f"converse-tightness: {status}" in out
         assert len(calls) == 1
 
 
@@ -169,12 +177,21 @@ REPORT_DIGESTS = {
 
 
 def write_code(capsys, tmp_path, source) -> Path:
+    """("build", n, k) or ("fixture", name), optionally with "non-universal"
+    appended: the code with X2 taken out of every decoding set of W_2."""
     out_file = tmp_path / "code.json"
     if source[0] == "build":
         argv = ["build", "--n", source[1], "--k", source[2], "--out", str(out_file)]
     else:
         argv = ["fixture", "--name", source[1], "--out", str(out_file)]
     assert run_cli(capsys, *argv)[0] == 0
+    if source[-1] == "non-universal":
+        body = json.loads(out_file.read_text())
+        for symbol in body["symbols"]:
+            symbol["group"] = None
+        body["supersets"][1] = [[0, 3], [0, 4], [3, 4]]  # X2 is in no set of W_2
+        del body["content_hash"]
+        out_file.write_text(json.dumps(body))
     return out_file
 
 
@@ -225,13 +242,7 @@ class TestVerifyReports:
         assert counts == {"entropy": 6490, "rank_words": 3046, "trees_for_audit": 1}
 
     def test_non_universal_code_reports_tree_failures(self, capsys, tmp_path):
-        doc = write_code(capsys, tmp_path, ("fixture", "fig1"))
-        body = json.loads(doc.read_text())
-        for symbol in body["symbols"]:
-            symbol["group"] = None
-        body["supersets"][1] = [[0, 3], [0, 4], [3, 4]]  # X2 is in no set of W_2
-        del body["content_hash"]
-        doc.write_text(json.dumps(body))
+        doc = write_code(capsys, tmp_path, ("fixture", "fig1", "non-universal"))
         code, out, err = run_cli(capsys, "verify", str(doc))
         assert code == 1 and err == ""
         lines = out.splitlines()
@@ -242,6 +253,20 @@ class TestVerifyReports:
         assert code == 1
         check = json.loads(out)["checks"][0]
         assert check["passed"] is False and check["witnesses"][0]["error"].startswith("no decoding set")
+
+    @pytest.mark.parametrize("source", [("fixture", "fig1"), ("build", "2", "3")], ids="-".join)
+    def test_library_battery_is_the_cli_report(self, capsys, tmp_path, source):
+        from smoothldc.codespec import from_document, load_document
+
+        doc = write_code(capsys, tmp_path, source)
+        code, out, _ = run_cli(capsys, "verify", str(doc), "--checks", ALL_CHECKS, "--format", "json")
+        spec = from_document(load_document(doc.read_bytes()))
+        rows = verify.run_checks(spec, verify.ALL_CHECKS)
+        assert [row.as_dict() for row in rows] == json.loads(out)["checks"]
+        assert code == (0 if all(row.passed for row in rows) else 1)
+        # a misspelt check must not silently pass
+        with pytest.raises(ValueError, match="unknown check 'tre'"):
+            verify.run_checks(spec, ["correctness", "tre"])
 
 
     def test_corruption_over_budget_keeps_the_report(self, capsys, tmp_path):
@@ -346,6 +371,7 @@ class TestServeRetrieve:
                      "--db", db, "--messages", str(messages)],
                     stdout=subprocess.PIPE,
                     text=True,
+                    env=package_env(),
                 )
                 servers.append(proc)
                 line = proc.stdout.readline()
@@ -358,6 +384,7 @@ class TestServeRetrieve:
                 capture_output=True,
                 text=True,
                 timeout=60,
+                env=package_env(),
             )
             assert result.returncode == 0, result.stderr
             expected = BitVector.from_bits(msg.to_bits()[4:8])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -167,6 +169,27 @@ class TestBitPacking:
         assert v ^ v == BitVector.zeros(3)
         with pytest.raises(IndexError):
             v[3]
+
+    def test_values_that_do_not_fit_are_masked(self):
+        assert BitVector(4, 0x1F).value == 0xF
+        assert BitVector(4, -1).value == 0xF
+        assert BitVector(4, 0x9).value == 0x9
+        assert BitMatrix(3, [-2, 9, 5, 0]).rows == (6, 1, 5, 0)
+
+    # a wide shape must cost no width-bit mask for a row that already fits
+    @pytest.mark.parametrize(
+        "make", [lambda width: BitMatrix(width, [1]), lambda width: BitVector(width, 1)],
+        ids=["BitMatrix", "BitVector"],
+    )
+    def test_wide_shape_builds_no_mask(self, make):
+        tracemalloc.start()
+        try:
+            made = make(1 << 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
+        assert (made.rows if isinstance(made, BitMatrix) else (made.value,)) == (1,)
 
 
 def _consistent(m, rhs):
