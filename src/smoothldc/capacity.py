@@ -67,10 +67,10 @@ def pir_capacity(n: int, k: int) -> Fraction:
 def min_length(n: int, k: int) -> int:
     """Shortest code length at which the capacity is attainable: n^k."""
     _check_nk(n, k)
-    m = n**k
-    if m > _MAX_LENGTH:
-        raise OverflowError(f"n^k = {m} exceeds the supported range")
-    return m
+    # 2^63 is past the range, so K >= 63 is refused before n^k is computed
+    if n > 1 and (k >= _MAX_LENGTH.bit_length() or n**k > _MAX_LENGTH):
+        raise OverflowError(f"N^K = {n}^{k} exceeds the supported range of 2^62 symbols")
+    return n**k
 
 
 def min_upload_bits(n: int, k: int) -> float:

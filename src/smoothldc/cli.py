@@ -39,10 +39,10 @@ def _fraction(text: str) -> Fraction:
 
 
 def cmd_capacity(args) -> int:
-    cap = capacity.capacity_uldc(args.n, args.k)
+    length = capacity.min_length(args.n, args.k)  # bounds N^K before anything computes it
     lines = [
-        f"C*        = {cap}",
-        f"M*        = {capacity.min_length(args.n, args.k)}",
+        f"C*        = {capacity.capacity_uldc(args.n, args.k)}",
+        f"M*        = {length}",
         f"upload    = {capacity.min_upload_bits(args.n, args.k):g} bits/db",
         f"PIR rate  = {capacity.pir_capacity(args.n, args.k)}",
     ]
@@ -225,7 +225,7 @@ def main(argv=None) -> int:
         if getattr(args, "format", "text") not in ("text", "json"):  # verify and pir-audit
             raise ValueError(f"unknown format {args.format!r}; valid: text, json")
         return args.func(args)
-    except (OSError, ValueError, IndexError) as exc:
+    except (OSError, OverflowError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

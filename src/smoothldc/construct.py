@@ -85,9 +85,10 @@ def build_sldc(n: int, k: int) -> LinearCodeSpec:
     """
     if n < 2 or k < 1:
         raise ValueError("need N >= 2 and K >= 1")
+    # 2^K is past the budget from K = 13, so N^K is not computed for such K
+    if k >= MAX_SYMBOLS.bit_length() or n**k > MAX_SYMBOLS:
+        raise BudgetExceeded(f"N^K = {n}^{k} exceeds the size budget of {MAX_SYMBOLS} symbols")
     m = n**k
-    if m > MAX_SYMBOLS:
-        raise BudgetExceeded(f"N^K = {m} exceeds the size budget of {MAX_SYMBOLS} symbols")
     lw = m * (n - 1)
     lx = m - 1
     width = k * lw

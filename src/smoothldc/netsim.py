@@ -28,11 +28,13 @@ rejects the hash never sees a query index.
 
 from __future__ import annotations
 
+import errno
+import itertools
 import selectors
 import socket
 import struct
 import threading
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import ExitStack
 from dataclasses import dataclass
 from math import ceil, log2
@@ -54,6 +56,7 @@ ERR_MALFORMED = 0x02
 MAX_FRAME = 1 << 20
 
 CLIENT_TIMEOUT_S = 10  # per connect, and per read or write on each connection
+ACCEPT_RETRY_S = 1.0  # a paused listener is tried again after the next event or this long
 RECV_BYTES = 1 << 16
 
 
@@ -160,6 +163,7 @@ class DatabaseServer:
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._listener, selectors.EVENT_READ)
         self._selector.register(self._wake, selectors.EVENT_READ)
+        self._paused = False  # _accept unregistered the listener
         self._thread = threading.Thread(target=self._serve, name=f"database-{n}", daemon=True)
         self._thread.start()
 
@@ -184,7 +188,8 @@ class DatabaseServer:
     def _serve(self) -> None:
         try:
             while True:
-                for key, _ in self._selector.select():
+                paused = self._paused
+                for key, _ in self._selector.select(ACCEPT_RETRY_S if paused else None):
                     if key.fileobj is self._wake:
                         return
                     if key.fileobj is self._listener:
@@ -193,15 +198,23 @@ class DatabaseServer:
                         self._send(key.data)
                     else:
                         self._receive(key.data)
+                if paused:
+                    self._selector.register(self._listener, selectors.EVENT_READ)
+                    self._paused = False
         finally:
             for key in list(self._selector.get_map().values()):
                 key.fileobj.close()
+            self._listener.close()  # also while paused
             self._selector.close()
 
     def _accept(self) -> None:
         try:
             sock, _ = self._listener.accept()
-        except OSError:  # the peer gave up before accept, or no descriptors left
+        except OSError as exc:  # the peer gave up before accept, or no resources left
+            # the unaccepted peer keeps the listener readable: pause it rather than spin
+            if exc.errno in (errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM):
+                self._selector.unregister(self._listener)
+                self._paused = True
             return
         sock.setblocking(False)
         self._selector.register(sock, selectors.EVENT_READ, _Connection(sock))
@@ -422,37 +435,26 @@ def transcript_audit(
     if not transcripts_by_theta:
         raise ValueError("no transcripts to audit")
     thetas = sorted(transcripts_by_theta)
-    sample_counts = {t: len(transcripts_by_theta[t]) for t in thetas}
-    low_power = any(c < min_samples for c in sample_counts.values())
-
-    databases = sorted(
-        {rec.database for t in thetas for tr in transcripts_by_theta[t] for rec in tr.records}
-    )
+    low_power = any(len(transcripts_by_theta[t]) < min_samples for t in thetas)
+    # one pass: per database, a query count per theta and the largest query space
+    counts: dict[int, dict[int, Counter]] = defaultdict(lambda: {t: Counter() for t in thetas})
+    spaces: dict[int, int] = {}
+    for t in thetas:
+        for tr in transcripts_by_theta[t]:
+            for rec in tr.records:
+                counts[rec.database][t][rec.query] += 1
+                spaces[rec.database] = max(spaces.get(rec.database, rec.query_space), rec.query_space)
     per_db = []
-    for n in databases:
-        queries_by_theta = {
-            t: [rec.query for tr in transcripts_by_theta[t] for rec in tr.records if rec.database == n]
-            for t in thetas
-        }
-        space = max(
-            rec.query_space
-            for t in thetas
-            for tr in transcripts_by_theta[t]
-            for rec in tr.records
-            if rec.database == n
-        )
+    for n in sorted(counts):
+        space = spaces[n]
         dists = {}
-        for t, qs in queries_by_theta.items():
-            total = max(1, len(qs))
-            counts = Counter(qs)
-            dists[t] = [counts[q] / total for q in range(space)]
+        for t, seen in counts[n].items():
+            total = max(1, seen.total())
+            dists[t] = [seen[q] / total for q in range(space)]
         max_tv = 0.0
-        for a in thetas:
-            for b in thetas:
-                if a < b:
-                    tv = sum(abs(x - y) for x, y in zip(dists[a], dists[b])) / 2
-                    max_tv = max(max_tv, tv)
-        pooled = Counter(q for qs in queries_by_theta.values() for q in qs)
+        for a, b in itertools.combinations(thetas, 2):
+            max_tv = max(max_tv, sum(abs(x - y) for x, y in zip(dists[a], dists[b])) / 2)
+        pooled = sum(counts[n].values(), Counter())
         total = max(1, pooled.total())
         uniform = 1.0 / space
         deviation = max(abs(pooled[q] / total - uniform) for q in range(space))

@@ -614,6 +614,14 @@ class CorruptionReport:
     guarantee_void: bool  # delta >= 1/N, the survival bound does not apply
 
 
+def _corruption_fraction(delta) -> Fraction:
+    """delta as the exact fraction a corruption trial uses; ValueError outside [0, 1]."""
+    delta = delta if isinstance(delta, Fraction) else Fraction(delta).limit_denominator(10**6)
+    if not 0 <= delta <= 1:
+        raise ValueError("delta must lie in [0, 1]")
+    return delta
+
+
 def corruption_trial(
     code: LinearCodeSpec,
     delta,
@@ -625,15 +633,13 @@ def corruption_trial(
     delta fraction of symbols is corrupted.
 
     Exact mode enumerates every pattern of floor(delta*M) corrupted symbols
-    of a code with at most DISTANCE_BUDGET symbols;
-    sampled mode draws patterns with a seeded generator. Success for a
-    (message, pattern) pair is the fraction of decoding sets untouched by
-    the pattern; the report carries the minimum over patterns per message.
+    of a code with at most DISTANCE_BUDGET symbols; sampled mode draws
+    patterns with a seeded generator. Each pattern is visited once. Success
+    for a (message, pattern) pair is the fraction of decoding sets untouched
+    by the pattern; the report carries the minimum over patterns per message.
     """
     p = code.params
-    delta = Fraction(delta).limit_denominator(10**6) if not isinstance(delta, Fraction) else delta
-    if delta < 0 or delta > 1:
-        raise ValueError("delta must lie in [0, 1]")
+    delta = _corruption_fraction(delta)
     corrupted = int(delta * p.M)
     if mode == "exact":
         if p.M > DISTANCE_BUDGET:
@@ -648,25 +654,20 @@ def corruption_trial(
     else:
         raise ValueError("mode must be 'exact' or 'sampled'")
 
-    per_message_min: dict[int, Fraction] = {}
-    every_clean = True
-    pattern_list = list(patterns)
-    for sup in code.supersets:
-        worst = Fraction(1)
-        for pattern in pattern_list:
-            hit = set(pattern)
-            clean = sum(1 for members in sup.sets if hit.isdisjoint(members))
-            if clean == 0:
-                every_clean = False
-            worst = min(worst, Fraction(clean, len(sup.sets)))
-        per_message_min[sup.k] = worst
+    # fewest[i]: the fewest clean decoding sets of superset i under any pattern so far
+    fewest = [len(sup.sets) for sup in code.supersets]
+    for pattern in patterns:
+        hit = set(pattern)
+        for i, sup in enumerate(code.supersets):
+            fewest[i] = min(fewest[i], sum(map(hit.isdisjoint, sup.sets)))
+    per_message_min = {sup.k: Fraction(f, len(sup.sets)) for sup, f in zip(code.supersets, fewest)}
     return CorruptionReport(
         delta=delta,
         corrupted_count=corrupted,
         mode=mode,
         per_message_min=per_message_min,
         min_success=min(per_message_min.values()),
-        every_pattern_leaves_clean_set=every_clean,
+        every_pattern_leaves_clean_set=min(fewest) > 0,
         guarantee_void=delta >= Fraction(1, p.N),
     )
 
@@ -696,35 +697,32 @@ def run_checks(
     five (p1 to p3) for "properties". "tree" and "converse" share one
     trees_for_audit(code, tree_budget, samples, seed). A check that cannot
     run on this code (no tree of a non-universal code, min-distance or
-    corruption past DISTANCE_BUDGET symbols) fails with an
-    {"error": ...} witness. *delta* is the corruption fraction, by default
-    the largest below 1/N with an integral count. Raises ValueError for an
-    unknown check name."""
+    corruption past DISTANCE_BUDGET symbols) fails with an {"error": ...}
+    witness. *delta* is the corruption fraction, by default the largest
+    below 1/N with an integral count. An unknown check name, or a bad
+    option of a named check, raises ValueError before any check runs."""
     require_known_checks(names)
-    audit = []  # the one trees_for_audit outcome: its value or its error
-
-    def trees() -> tuple[list[NaryTree], bool]:
-        if not audit:
-            try:
-                audit.append(trees_for_audit(code, budget=tree_budget, samples=samples, seed=seed))
-            except TreeConstructionError as exc:
-                audit.append(exc)
-        if isinstance(audit[0], TreeConstructionError):
-            raise audit[0]
-        return audit[0]
-
+    p = code.params
+    audit = None  # the one trees_for_audit outcome: its value or its error
+    if "tree" in names or "converse" in names:
+        try:
+            audit = trees_for_audit(code, budget=tree_budget, samples=samples, seed=seed)
+        except TreeConstructionError as exc:
+            audit = exc
+    if "corruption" in names:
+        # by default the largest corruption budget below 1/N with an integral count
+        delta = Fraction(max(-(-p.M // p.N) - 1, 0), p.M) if delta is None else _corruption_fraction(delta)
     results = []
     for name in names:
         try:
-            results.extend(_check_rows(code, name, trees, delta))
+            results.extend(_check_rows(code, name, audit, delta))
         except (TreeConstructionError, BudgetError) as exc:
             results.append(CheckResult(_ROW_NAMES.get(name, name), False, [{"error": str(exc)}]))
     return results
 
 
-def _check_rows(code: LinearCodeSpec, name: str, trees, delta) -> list[CheckResult]:
-    """The report rows of one known check; trees() is the battery's tree
-    audit."""
+def _check_rows(code: LinearCodeSpec, name: str, audit, delta) -> list[CheckResult]:
+    """The report rows of one known check, given the battery's tree audit and delta."""
     p = code.params
     if name == "correctness":
         return [check_correctness(code)]
@@ -741,9 +739,6 @@ def _check_rows(code: LinearCodeSpec, name: str, trees, delta) -> list[CheckResu
         details = {"distance": result.distance, "witness": [code.label(i) for i in result.witness],
                    "witness_count": len(result.witnesses)}
     elif name == "corruption":
-        if delta is None:
-            # largest corruption budget below 1/N with an integral count
-            delta = Fraction(max(-(-p.M // p.N) - 1, 0), p.M)
         report = corruption_trial(code, delta)
         target = 1 - report.delta * p.N
         passed = report.every_pattern_leaves_clean_set and report.min_success >= target
@@ -751,7 +746,9 @@ def _check_rows(code: LinearCodeSpec, name: str, trees, delta) -> list[CheckResu
         details = {"delta": str(report.delta), "corrupted": report.corrupted_count,
                    "min_success": str(report.min_success)}
     else:
-        audited, exhaustive = trees()
+        if isinstance(audit, TreeConstructionError):
+            raise audit
+        audited, exhaustive = audit
         if name == "tree":
             witnesses = _leaf_witnesses(code, audited)
         else:

@@ -8,18 +8,22 @@ The column restriction deletes columns from the bit table, the reference
 for the package's column masks, and the exhaustive decoder is the reference
 for ``construct.decode``. The pair-loop property battery is the reference
 for ``verify.check_capacity_properties``, and the label-by-label converse
-chain the reference for ``verify.converse_witnesses``.
+chain the reference for ``verify.converse_witnesses``. The corruption
+trial that lists every pattern and scans it once per superset is the
+reference for ``verify.corruption_trial``.
 """
 
 import itertools
+import random
 from collections import Counter
+from fractions import Fraction
 from math import log2
 
 import numpy as np
 
 from smoothldc.entropy import _distinct, _same, oracle_for
 from smoothldc.gf2 import BitMatrix, BitVector
-from smoothldc.verify import CheckResult, PropertyReport, check_universality
+from smoothldc.verify import CheckResult, CorruptionReport, PropertyReport, check_universality
 
 MAX_MESSAGE_BITS = 16
 
@@ -203,3 +207,37 @@ def reference_converse(code, trees):
                 {"permutation": list(perm), "root": code.label(tree.root), "total_slack_bits": totals[p.K] - bound}
             )
     return witnesses
+
+
+def reference_corruption(code, delta, mode="exact", samples=1000, seed=0):
+    """The corruption trial as a list of every pattern, scanned once per
+    superset with a Fraction per (pattern, superset): the reference for
+    verify.corruption_trial on valid arguments."""
+    p = code.params
+    delta = Fraction(delta).limit_denominator(10**6) if not isinstance(delta, Fraction) else delta
+    corrupted = int(delta * p.M)
+    if mode == "exact":
+        patterns = list(itertools.combinations(range(p.M), corrupted))
+    else:
+        rng = random.Random(seed)
+        patterns = [tuple(sorted(rng.sample(range(p.M), corrupted))) for _ in range(samples)]
+    per_message_min = {}
+    every_clean = True
+    for sup in code.supersets:
+        worst = Fraction(1)
+        for pattern in patterns:
+            hit = set(pattern)
+            clean = sum(1 for members in sup.sets if hit.isdisjoint(members))
+            if clean == 0:
+                every_clean = False
+            worst = min(worst, Fraction(clean, len(sup.sets)))
+        per_message_min[sup.k] = worst
+    return CorruptionReport(
+        delta=delta,
+        corrupted_count=corrupted,
+        mode=mode,
+        per_message_min=per_message_min,
+        min_success=min(per_message_min.values()),
+        every_pattern_leaves_clean_set=every_clean,
+        guarantee_void=delta >= Fraction(1, p.N),
+    )

@@ -72,6 +72,11 @@ class TestMinLength:
         with pytest.raises(OverflowError):
             min_length(2, 80)
 
+    @pytest.mark.parametrize("n, k", [(2, 63), (10, 5000)])
+    def test_overflow_names_n_and_k(self, n, k):
+        with pytest.raises(OverflowError, match=rf"N\^K = {n}\^{k} exceeds the supported range"):
+            min_length(n, k)
+
 
 class TestUpload:
     @pytest.mark.parametrize(

@@ -41,6 +41,21 @@ class TestCapacityCommand:
         code, out, _ = run_cli(capsys, "capacity", "--n", "1", "--k", "4")
         assert code == 2  # upload cost undefined for one database
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("capacity", "--n", "2", "--k", "63"), "N^K = 2^63 exceeds the supported range of 2^62 symbols"),
+            (("capacity", "--n", "10", "--k", "5000"), "N^K = 10^5000 exceeds the supported range of 2^62 symbols"),
+            (("build", "--n", "10", "--k", "5000", "--out", "unused.json"),
+             "N^K = 10^5000 exceeds the size budget of 4096 symbols"),
+        ],
+        ids=["capacity-63", "capacity-5000", "build-5000"],
+    )
+    def test_n_to_the_k_out_of_range_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
 
 class TestBuildVerify:
     def test_build_then_verify_passes(self, capsys, tmp_path):

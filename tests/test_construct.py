@@ -92,6 +92,11 @@ class TestBuild:
         with pytest.raises(BudgetExceeded, match="4096"):
             build_sldc(2, 13)
 
+    @pytest.mark.parametrize("n, k", [(2, 63), (10, 5000)])
+    def test_size_budget_names_n_and_k(self, n, k):
+        with pytest.raises(BudgetExceeded, match=rf"N\^K = {n}\^{k} exceeds the size budget of 4096 symbols"):
+            build_sldc(n, k)
+
     def test_rejects_single_database(self):
         with pytest.raises(ValueError):
             build_sldc(1, 3)

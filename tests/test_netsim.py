@@ -1,11 +1,19 @@
+import dataclasses
+import hashlib
+import os
 import random
 import socket
 import struct
+import subprocess
+import sys
+import textwrap
 import threading
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+import smoothldc
 from oracles import message_slice
 from smoothldc import pir
 from smoothldc.codespec import content_hash, to_document
@@ -155,6 +163,63 @@ class TestServer:
             assert recv_frame(sock) == (FRAME_ERROR, bytes([ERR_QUERY_RANGE]))
             assert recv_frame(sock) == (FRAME_ANSWER, answer(scheme, 2, 1, msg).to_bytes())
 
+    @pytest.mark.parametrize(
+        "sent",
+        [
+            struct.pack(">I", 0),
+            struct.pack(">I", MAX_FRAME + 1),
+            struct.pack(">IBI", 5, FRAME_QUERY, 0),
+            struct.pack(">IB", 32, FRAME_HELLO) + b"\0" * 31,
+        ],
+        ids=["zero-length", "oversized", "query-before-hello", "31-byte-hello"],
+    )
+    def test_bad_first_frame_gets_malformed_error_then_close(self, live, sent):
+        _, _, endpoints = live
+        with connect(endpoints[0]) as sock:
+            sock.sendall(sent)
+            replies = b""
+            while chunk := sock.recv(64):
+                replies += chunk
+        assert replies == bytes([0, 0, 0, 2, FRAME_ERROR, ERR_MALFORMED])
+
+    def test_peer_that_reads_late_gets_every_answer_in_order(self, codes, monkeypatch):
+        """A peer with a small receive buffer pipelines queries from a second
+        thread and reads nothing until they are all sent. The listener's
+        send buffer is made small too (accepted sockets inherit it), so the
+        server must wait for the socket to drain instead of buffering every
+        reply in the kernel."""
+        scheme = scheme_from_sldc(codes[(2, 3)])
+        msg = random_message(scheme.code, random.Random(5))
+        create_server = socket.create_server
+
+        def small_send_buffer(*args, **kwargs):
+            listener = create_server(*args, **kwargs)
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            return listener
+
+        monkeypatch.setattr(socket, "create_server", small_send_buffer)
+        queries = [q % 5 for q in range(20_000)]  # 4 is out of range
+        replies = [_answer_frame(scheme, 2, q, msg) for q in range(4)]
+        replies.append(bytes([0, 0, 0, 2, FRAME_ERROR, ERR_QUERY_RANGE]))
+        expected = b"".join(replies[q] for q in queries)
+        with serve_database(scheme, 2, msg) as server, socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(10)
+            sock.connect(parse_endpoint(server.endpoint))
+            send_frame(sock, FRAME_HELLO, scheme_hash(scheme))
+            assert recv_frame(sock) == (FRAME_HELLO_ACK, b"")
+            sender = threading.Thread(
+                target=sock.sendall, args=(b"".join(struct.pack(">IBI", 5, FRAME_QUERY, q) for q in queries),)
+            )
+            sender.start()
+            sender.join(timeout=0.1)  # the server's replies fill both buffers meanwhile
+            got = bytearray()
+            while len(got) < len(expected) and (chunk := sock.recv(1 << 16)):
+                got += chunk
+            sender.join(timeout=10)
+            assert not sender.is_alive()
+        assert got == expected
+
     def test_idle_and_stalled_peers_do_not_block_or_add_threads(self, live):
         scheme, msg, endpoints = live
         threads = threading.active_count()
@@ -210,6 +275,84 @@ class TestServerLifecycle:
             retrieve(scheme, 1, [s1.endpoint, s2.endpoint], 0)
             assert threading.active_count() == threads + 2
         assert threading.active_count() == threads
+
+
+def run_child(*parts):
+    """Run the parts, each dedented, as one script in a fresh interpreter
+    that imports this smoothldc."""
+    src = str(Path(smoothldc.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, "-W", "error::ResourceWarning", "-c", "".join(map(textwrap.dedent, parts))],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
+# A child interpreter lowers only its own soft descriptor limit to 64, brings
+# a server to it, measures the process CPU over one second and then
+# retrieves once the descriptors are free.
+LIMIT_PROLOGUE = """
+    import random, resource, socket, time
+    from smoothldc.construct import build_sldc, random_message
+    from smoothldc.netsim import (FRAME_HELLO, FRAME_HELLO_ACK, parse_endpoint, recv_frame,
+                                  retrieve, scheme_hash, send_frame, serve_database)
+    from smoothldc.pir import scheme_from_sldc
+
+    scheme = scheme_from_sldc(build_sldc(2, 2))
+    msg = random_message(scheme.code, random.Random(1))
+    servers = [serve_database(scheme, n, msg) for n in (1, 2)]
+    address = parse_endpoint(servers[0].endpoint)
+    resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+
+    def cpu_over_one_second():
+        time.sleep(0.2)  # the server reaches the limit
+        start = time.process_time()
+        time.sleep(1.0)
+        return time.process_time() - start
+"""
+LIMIT_EPILOGUE = """
+    value, _ = retrieve(scheme, 2, [s.endpoint for s in servers], 0)
+    assert list(value.to_bits()) == list(msg.to_bits()[4:8])
+    for server in servers:
+        server.close()
+    print(f"cpu {used:.3f}")
+"""
+
+
+class TestDescriptorLimit:
+    def test_server_idles_while_its_clients_hold_every_descriptor(self):
+        result = run_child(LIMIT_PROLOGUE, """
+            clients = [socket.socket() for _ in range(48)]  # taken before the server accepts
+            for client in clients:
+                client.settimeout(5)
+                client.connect(address)
+            used = cpu_over_one_second()
+            for client in clients:
+                client.close()
+        """, LIMIT_EPILOGUE)
+        assert result.returncode == 0 and result.stderr == "", result.stderr
+        assert float(result.stdout.split()[-1]) < 0.2
+
+    def test_server_accepts_again_once_descriptors_are_freed_elsewhere(self):
+        result = run_child(LIMIT_PROLOGUE, """
+            held = []
+            try:
+                for _ in range(64):
+                    held.append(socket.socket())
+            except OSError:
+                pass
+            assert len(held) < 64
+            held.pop().close()
+            with socket.create_connection(address, timeout=5) as client:  # the last descriptor
+                send_frame(client, FRAME_HELLO, scheme_hash(scheme))
+                used = cpu_over_one_second()
+                for sock in held:
+                    sock.close()
+                assert recv_frame(client) == (FRAME_HELLO_ACK, b"")
+        """, LIMIT_EPILOGUE)
+        assert result.returncode == 0 and result.stderr == "", result.stderr
+        assert float(result.stdout.split()[-1]) < 0.2
 
 
 class TestSchemeHash:
@@ -303,8 +446,12 @@ class TestRetrieve:
               FRAME_QUERY: bytes([0, 0, 0, 2, FRAME_ERROR, ERR_QUERY_RANGE])}, "server error 0x01"),
             ({FRAME_HELLO: bytes([0, 0, 0, 1, FRAME_HELLO_ACK]),
               FRAME_QUERY: bytes([0, 0, 0, 1, FRAME_ANSWER])}, "answer of 0 bytes"),
+            ({FRAME_HELLO: bytes([0, 0, 0, 1, FRAME_HELLO_ACK]), FRAME_QUERY: b""},
+             "connection closed before answer"),
+            ({FRAME_HELLO: bytes([0, 0, 0, 1, FRAME_HELLO_ACK]),
+              FRAME_QUERY: bytes([0, 0, 0, 1, FRAME_HELLO_ACK])}, "unexpected frame 0x11"),
         ],
-        ids=["hash-mismatch", "error", "short-answer"],
+        ids=["hash-mismatch", "error", "short-answer", "closed-after-hello-ack", "hello-ack-for-answer"],
     )
     def test_misbehaving_database_is_named(self, live, replies, reason):
         scheme, _, endpoints = live
@@ -314,10 +461,16 @@ class TestRetrieve:
         assert received == list(replies)  # after a mismatch, no QUERY
 
 
+def _answer_frame(scheme, n, q, msg):
+    payload = answer(scheme, n, q, msg).to_bytes()
+    return struct.pack(">IB", len(payload) + 1, FRAME_ANSWER) + payload
+
+
 @contextmanager
 def fake_database(replies):
     """A one-connection server that answers each frame type in replies with
-    the given bytes and records the types of the frames it receives."""
+    the given bytes, closes the connection after answering the last one,
+    and records the types of the frames it receives."""
     received = []
     with socket.create_server(("127.0.0.1", 0)) as listener:
         listener.settimeout(5)
@@ -330,6 +483,8 @@ def fake_database(replies):
                     received.append(got[0])
                     if got[0] in replies:
                         sock.sendall(replies[got[0]])
+                    if got[0] == list(replies)[-1]:
+                        break
 
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
@@ -398,6 +553,28 @@ class TestTranscriptAudit:
         audit = transcript_audit(transcripts)
         assert audit.max_tv_distance == 0.0
         assert audit.flagged
+
+    # SHA-256 of repr((plain, hostile, hostile with other thresholds)), where
+    # hostile adds a theta with no transcripts and drops database 1 from
+    # every transcript of theta 1; recorded before the audit counted in one
+    # pass, so every float is pinned
+    @pytest.mark.parametrize(
+        "n, k, constant_query, digest",
+        [
+            (2, 3, None, "f669cf8253aaa66262418ae959d7ecf340a994e934896f804ccf07aa1da96ab2"),
+            (3, 2, None, "96f9628f8488d3fe0dc8d3a5dbb44c33b1f08c8f75576265aa4003b41589339c"),
+            (2, 4, None, "da1f53d6aefc4933c2f180b40df0a3df4a3cf5edcf30849303cc515f51a42789"),
+            (2, 4, 0, "999a8f4e4b5c8c066030eaac9b5ac3df7a3c998319bae812884442a07c2a180d"),
+        ],
+    )
+    def test_results_pinned(self, n, k, constant_query, digest):
+        scheme = scheme_from_sldc(build_sldc(n, k))
+        transcripts = synth_transcripts(scheme, range(1, k + 1), 300, n * 10 + k, constant_query)
+        plain = transcript_audit(transcripts)
+        transcripts[k + 1] = []
+        transcripts[1] = [dataclasses.replace(tr, records=tr.records[1:]) for tr in transcripts[1]]
+        audits = (plain, transcript_audit(transcripts), transcript_audit(transcripts, 5, 1.5))
+        assert hashlib.sha256(repr(audits).encode()).hexdigest() == digest
 
     def test_low_power_flag(self, codes):
         scheme = scheme_from_sldc(codes[(2, 2)])

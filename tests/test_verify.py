@@ -1,16 +1,17 @@
 import hashlib
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import reference_converse, reference_properties
+from oracles import reference_converse, reference_corruption, reference_properties
 from smoothldc import verify
 from smoothldc.codespec import DecodingSuperset, LinearCodeSpec
 from smoothldc.construct import build_sldc, load_fixture
-from smoothldc.entropy import oracle_for
+from smoothldc.entropy import RankOracle, oracle_for
 from smoothldc.gf2 import BitMatrix
 from smoothldc.verify import (
     PROPERTY_NAMES,
@@ -603,3 +604,45 @@ class TestCorruption:
         report = corruption_trial(codes["fig1"], 1 / 3)
         assert report.delta == Fraction(1, 3)
         assert report.corrupted_count == 2
+
+    # intro_nonsmooth's decoding sets overlap; every other code's are disjoint
+    @pytest.mark.parametrize("name", [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), *FIXTURE_NAMES], ids=str)
+    def test_one_pass_matches_the_pattern_list(self, codes, name):
+        code = codes[name] if name in codes else build_sldc(*name)
+        p = code.params
+        default = Fraction(max(-(-p.M // p.N) - 1, 0), p.M)
+        runs = [{"mode": "exact"}] + [
+            {"mode": "sampled", "samples": samples, "seed": seed} for samples in (1, 50) for seed in (0, 7)
+        ]
+        for delta in (Fraction(0), default, Fraction(1, p.N), Fraction(1)):
+            for run in runs:
+                assert repr(corruption_trial(code, delta, **run)) == repr(reference_corruption(code, delta, **run))
+
+    def test_exact_trial_keeps_no_pattern_list(self):
+        code = build_sldc(2, 4)  # M = 16: C(16, 7) = 11440 patterns at the default delta
+        tracemalloc.start()
+        try:
+            corruption_trial(code, Fraction(7, 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
+class TestBatteryOptions:
+    @pytest.mark.parametrize(
+        "names, options, message",
+        [
+            (["correctness", "properties", "corruption"], {"delta": Fraction(3, 2)}, "delta must lie in"),
+            (["properties", "tree"], {"samples": 0}, "samples must be at least 1"),
+            (["properties", "tree"], {"tree_budget": -1}, "tree budget must be at least 0"),
+        ],
+        ids=["delta", "samples", "tree-budget"],
+    )
+    def test_bad_option_fails_before_any_entropy_query(self, codes, monkeypatch, names, options, message):
+        calls = []
+        entropy = RankOracle.entropy
+        monkeypatch.setattr(RankOracle, "entropy", lambda self, *args: calls.append(args) or entropy(self, *args))
+        with pytest.raises(ValueError, match=message):
+            verify.run_checks(codes["fig1"], names, **options)
+        assert calls == []
