@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Hard ceiling before packed-index arithmetic would misbehave downstream.
-_MAX_LENGTH = 1 << 62
+# Lengths up to 2^_MAX_LENGTH_BITS; past that, packed-index arithmetic would misbehave downstream.
+_MAX_LENGTH_BITS = 62
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,10 @@ def pir_capacity(n: int, k: int) -> Fraction:
 def min_length(n: int, k: int) -> int:
     """Shortest code length at which the capacity is attainable: n^k."""
     _check_nk(n, k)
-    # 2^63 is past the range, so K >= 63 is refused before n^k is computed
-    if n > 1 and (k >= _MAX_LENGTH.bit_length() or n**k > _MAX_LENGTH):
-        raise OverflowError(f"N^K = {n}^{k} exceeds the supported range of 2^62 symbols")
-    return n**k
+    # 2^k alone is past the range for larger k, so n^k is not computed there
+    if n > 1 and k > _MAX_LENGTH_BITS or (m := n**k) > 1 << _MAX_LENGTH_BITS:
+        raise OverflowError(f"N^K = {n}^{k} exceeds the supported range of 2^{_MAX_LENGTH_BITS} symbols")
+    return m
 
 
 def min_upload_bits(n: int, k: int) -> float:

@@ -469,8 +469,8 @@ def _answer_frame(scheme, n, q, msg):
 @contextmanager
 def fake_database(replies):
     """A one-connection server that answers each frame type in replies with
-    the given bytes, closes the connection after answering the last one,
-    and records the types of the frames it receives."""
+    the given bytes and records the types of the frames it receives; an
+    empty reply closes the connection instead."""
     received = []
     with socket.create_server(("127.0.0.1", 0)) as listener:
         listener.settimeout(5)
@@ -481,10 +481,10 @@ def fake_database(replies):
                 sock.settimeout(5)
                 while (got := recv_frame(sock)) is not None:
                     received.append(got[0])
+                    if replies.get(got[0]) == b"":
+                        break
                     if got[0] in replies:
                         sock.sendall(replies[got[0]])
-                    if got[0] == list(replies)[-1]:
-                        break
 
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
