@@ -431,7 +431,9 @@ def transcript_audit(
 ) -> TranscriptAudit:
     """Compare empirical per-database query distributions across desired
     messages (total-variation distance) and flag non-uniform pooled
-    marginals, which the TV comparison alone cannot see."""
+    marginals, which the TV comparison alone cannot see. A database with no
+    queries for some theta has no distribution there to compare: that cell
+    is left out of the TV pairs and makes the audit low-power."""
     if not transcripts_by_theta:
         raise ValueError("no transcripts to audit")
     thetas = sorted(transcripts_by_theta)
@@ -449,10 +451,12 @@ def transcript_audit(
         space = spaces[n]
         dists = {}
         for t, seen in counts[n].items():
-            total = max(1, seen.total())
-            dists[t] = [seen[q] / total for q in range(space)]
+            total = seen.total()
+            if total:
+                dists[t] = [seen[q] / total for q in range(space)]
+        low_power = low_power or len(dists) < len(thetas)
         max_tv = 0.0
-        for a, b in itertools.combinations(thetas, 2):
+        for a, b in itertools.combinations(dists, 2):
             max_tv = max(max_tv, sum(abs(x - y) for x, y in zip(dists[a], dists[b])) / 2)
         pooled = sum(counts[n].values(), Counter())
         total = max(1, pooled.total())

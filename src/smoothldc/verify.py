@@ -231,13 +231,19 @@ class NaryTree:
         return tuple(set_id for level in self.sets_by_depth for set_id, _ in level)
 
 
-def _normalize_chooser(chooser):
+def _pick_one(chooser):
+    """The _grow pick that gives each node one set: the first of its set ids,
+    the next of an explicit list, or one drawn by a Random (an int seeds one)."""
+    if isinstance(chooser, int):
+        chooser = random.Random(chooser)
     if chooser is None or chooser == "first":
-        return lambda node, k, qualifying: qualifying[0]
-    if isinstance(chooser, (list, tuple)):
+        choose = lambda node, qualifying: qualifying[0]
+    elif isinstance(chooser, random.Random):
+        choose = lambda node, qualifying: chooser.choice(qualifying)
+    elif isinstance(chooser, (list, tuple)):
         explicit = iter(chooser)
 
-        def from_list(node, k, qualifying):
+        def choose(node, qualifying):
             try:
                 choice = next(explicit)
             except StopIteration:
@@ -247,22 +253,14 @@ def _normalize_chooser(chooser):
                     f"explicit set {choice} does not contain node {node} (valid: {qualifying})"
                 )
             return choice
+    else:
+        raise TypeError("chooser must be 'first', an explicit index list, or a seed/Random")
 
-        return from_list
-    if isinstance(chooser, int):
-        rng = random.Random(chooser)
-        return lambda node, k, qualifying: rng.choice(qualifying)
-    if isinstance(chooser, random.Random):
-        return lambda node, k, qualifying: chooser.choice(qualifying)
-    raise TypeError("chooser must be 'first', an explicit index list, or a seed/Random")
+    def pick(node, options):
+        set_id = choose(node, list(options))
+        return ((set_id, options[set_id]),)
 
-
-def _validate_tree_start(code: LinearCodeSpec, permutation: tuple[int, ...], root: int) -> None:
-    p = code.params
-    if sorted(permutation) != list(range(1, p.K + 1)):
-        raise ValueError(f"permutation must rearrange [1..{p.K}]")
-    if not 0 <= root < p.M:
-        raise IndexError(f"root symbol {root} out of range")
+    return pick
 
 
 def _sets_containing(code: LinearCodeSpec) -> list[dict[int, dict[int, tuple[int, ...]]]]:
@@ -279,13 +277,27 @@ def _sets_containing(code: LinearCodeSpec) -> list[dict[int, dict[int, tuple[int
     return index
 
 
-def _options(code: LinearCodeSpec, index, k: int, node: int) -> dict[int, tuple[int, ...]]:
-    options = index[k - 1].get(node)
-    if not options:
-        raise TreeConstructionError(
-            f"no decoding set of source symbol {k} contains {code.label(node)}"
-        )
-    return options
+def _grow(code: LinearCodeSpec, index, permutation: tuple[int, ...], root: int, pick, levels=()):
+    """Every tree from (permutation, root) that extends *levels*, the sets
+    chosen so far, in lexicographic order of choices. Each node of the next
+    depth's frontier, breadth-first, takes one of the (set id, members)
+    pairs pick(node, options) returns from its _sets_containing options."""
+    depth = len(levels)
+    if depth == len(permutation):
+        yield NaryTree(permutation=permutation, root=root, sets_by_depth=levels)
+        return
+    k = permutation[depth]
+    frontier = [m for _, ordered in levels[-1] for m in ordered] if levels else [root]
+    picks = []
+    for node in frontier:
+        options = index[k - 1].get(node)
+        if not options:
+            raise TreeConstructionError(
+                f"no decoding set of source symbol {k} contains {code.label(node)}"
+            )
+        picks.append(pick(node, options))
+    for level in itertools.product(*picks):
+        yield from _grow(code, index, permutation, root, pick, levels + (level,))
 
 
 def build_nary_tree(
@@ -299,62 +311,26 @@ def build_nary_tree(
     Nodes are processed breadth-first; within a set the parent label comes
     first, remaining members in ascending index order.
     """
+    p = code.params
     permutation = tuple(permutation)
-    _validate_tree_start(code, permutation, root)
-    return _build_tree(code, _sets_containing(code), permutation, root, _normalize_chooser(chooser))
+    if sorted(permutation) != list(range(1, p.K + 1)):
+        raise ValueError(f"permutation must rearrange [1..{p.K}]")
+    if not 0 <= root < p.M:
+        raise IndexError(f"root symbol {root} out of range")
+    return next(_grow(code, _sets_containing(code), permutation, root, _pick_one(chooser)))
 
 
-def _build_tree(code: LinearCodeSpec, index, permutation: tuple[int, ...], root: int, choose) -> NaryTree:
-    """build_nary_tree from a valid start, with the _sets_containing index
-    and the normalised chooser given, so callers that build many trees
-    index the code once."""
-    sets_by_depth = []
-    frontier = [root]
-    for k in permutation:
-        level = []
-        for node in frontier:
-            options = _options(code, index, k, node)
-            set_id = choose(node, k, list(options))
-            level.append((set_id, options[set_id]))
-        sets_by_depth.append(tuple(level))
-        frontier = [m for _, ordered in level for m in ordered]
-    return NaryTree(permutation=permutation, root=root, sets_by_depth=tuple(sets_by_depth))
-
-
-def enumerate_trees(
-    code: LinearCodeSpec,
-    permutations: Iterable[Sequence[int]] | None = None,
-    roots: Iterable[int] | None = None,
-) -> Iterator[NaryTree]:
+def enumerate_trees(code: LinearCodeSpec) -> Iterator[NaryTree]:
     """All tree realizations: every permutation, root, and qualifying-set
     choice, in lexicographic order. May be combinatorially large; slice it
     or fall back to sample_trees.
 
     Each tree equals build_nary_tree(code, perm, root, list(tree.choices)).
     """
-    p = code.params
-    if permutations is None:
-        permutations = itertools.permutations(range(1, p.K + 1))
-    if roots is None:
-        roots = range(p.M)
-    roots = list(roots)
     index = _sets_containing(code)
-
-    def expand(perm, root, depth, frontier, levels):
-        if depth == p.K:
-            yield NaryTree(permutation=perm, root=root, sets_by_depth=levels)
-            return
-        k = perm[depth]
-        options = [_options(code, index, k, node).items() for node in frontier]
-        for level in itertools.product(*options):
-            next_frontier = [m for _, ordered in level for m in ordered]
-            yield from expand(perm, root, depth + 1, next_frontier, levels + (level,))
-
-    for perm in permutations:
-        perm = tuple(perm)
-        for root in roots:
-            _validate_tree_start(code, perm, root)
-            yield from expand(perm, root, 0, [root], ())
+    for perm in itertools.permutations(range(1, code.params.K + 1)):
+        for root in range(code.params.M):
+            yield from _grow(code, index, perm, root, lambda node, options: options.items())
 
 
 def sample_trees(code: LinearCodeSpec, count: int, seed: int = 0) -> list[NaryTree]:
@@ -362,16 +338,15 @@ def sample_trees(code: LinearCodeSpec, count: int, seed: int = 0) -> list[NaryTr
     if count < 0:
         raise ValueError(f"tree count must be at least 0, got {count}")
     rng = random.Random(seed)
-    choose = _normalize_chooser(rng)
+    pick = _pick_one(rng)
     p = code.params
     index = _sets_containing(code)
-    out = []
+    trees = []
     for _ in range(count):
         perm = list(range(1, p.K + 1))
         rng.shuffle(perm)
-        root = rng.randrange(p.M)
-        out.append(_build_tree(code, index, tuple(perm), root, choose))
-    return out
+        trees.extend(_grow(code, index, tuple(perm), rng.randrange(p.M), pick))
+    return trees
 
 
 def _trees_per_permutation(code: LinearCodeSpec) -> Iterator[int]:
@@ -467,7 +442,7 @@ class ConverseAudit:
 
 def audit_converse_chain(code: LinearCodeSpec, tree: NaryTree) -> ConverseAudit:
     p = code.params
-    totals = _level_totals(_EntropyRows(oracle_for(code)), tree)
+    totals = _level_totals(_Entropies(oracle_for(code)), tree)
     levels = tuple(
         LevelAudit(depth=depth, message=tree.permutation[depth - 1], lhs_bits=totals[depth],
                    rhs_bits=totals[depth] - slack)
@@ -477,41 +452,29 @@ def audit_converse_chain(code: LinearCodeSpec, tree: NaryTree) -> ConverseAudit:
     return ConverseAudit(levels=levels, total_bits=totals[p.K], bound_bits=bound)
 
 
-class _EntropyRow(dict):
-    """H(X_m | W_J) for one conditioning set J, each symbol m asked of the
-    oracle on its first lookup."""
-
-    def __init__(self, ora, given: frozenset[int]):
-        super().__init__()
-        self.ora = ora
-        self.given = given
-
-    def __missing__(self, m: int) -> int:
-        value = self[m] = self.ora.entropy((m,), self.given)
-        return value
-
-
-class _EntropyRows(dict):
-    """One _EntropyRow per conditioning set (a frozenset of sources), made on
-    its first lookup; one audit shares them across all its trees."""
+class _Entropies(dict):
+    """H(X_m | W_J) keyed (J, m), J a frozenset of sources, each asked of the
+    oracle on its first lookup; one audit shares it across all its trees."""
 
     def __init__(self, ora):
         super().__init__()
         self.ora = ora
 
-    def __missing__(self, given: frozenset[int]) -> _EntropyRow:
-        row = self[given] = _EntropyRow(self.ora, given)
-        return row
+    def __missing__(self, key: tuple[frozenset[int], int]) -> int:
+        given, m = key
+        value = self[key] = self.ora.entropy((m,), given)
+        return value
 
 
-def _level_totals(rows: _EntropyRows, tree: NaryTree) -> list[int]:
+def _level_totals(entropies: _Entropies, tree: NaryTree) -> list[int]:
     """Per depth d = 0..K, the sum of H(X_label | W_perm[d:]) over the
     tree's depth-d labels."""
     perm = tree.permutation
-    return [
-        sum(map(rows[frozenset(perm[depth:])].__getitem__, tree.labels_at_depth(depth)))
-        for depth in range(len(perm) + 1)
-    ]
+    totals = []
+    for depth in range(len(perm) + 1):
+        given = frozenset(perm[depth:])
+        totals.append(sum(entropies[given, m] for m in tree.labels_at_depth(depth)))
+    return totals
 
 
 def _level_slacks(p: CodeParams, totals: list[int]) -> list[int]:
@@ -522,7 +485,7 @@ def _level_slacks(p: CodeParams, totals: list[int]) -> list[int]:
     ]
 
 
-def _every_sigma_zero(code: LinearCodeSpec, rows: _EntropyRows) -> bool:
+def _every_sigma_zero(code: LinearCodeSpec, entropies: _Entropies) -> bool:
     """Whether sigma(k, J, S, x) = sum over m in S of H(X_m | W_J), less Lw
     and H(X_x | W_{J+k}), is 0 for every source k, every J of the other
     sources, every decoding set S of k and every x in S."""
@@ -531,11 +494,11 @@ def _every_sigma_zero(code: LinearCodeSpec, rows: _EntropyRows) -> bool:
         rest = [j for j in range(1, p.K + 1) if j != sup.k]
         for size in range(len(rest) + 1):
             for given in itertools.combinations(rest, size):
-                row = rows[frozenset(given)]
-                row_k = rows[frozenset(given + (sup.k,))]
+                without_k = frozenset(given)
+                with_k = without_k | {sup.k}
                 for members in sup.sets:
-                    target = sum(map(row.__getitem__, members)) - p.Lw
-                    if any(row_k[x] != target for x in members):
+                    target = sum(entropies[without_k, m] for m in members) - p.Lw
+                    if any(entropies[with_k, x] != target for x in members):
                         return False
     return True
 
@@ -552,13 +515,13 @@ def converse_witnesses(code: LinearCodeSpec, trees: Sequence[NaryTree], exhausti
     code reads anyway, so only an exhaustive audit tries it first; a
     sampled one reads fewer and sums each tree's levels directly.
     """
-    rows = _EntropyRows(oracle_for(code))
-    if exhaustive and _every_sigma_zero(code, rows):
+    entropies = _Entropies(oracle_for(code))
+    if exhaustive and _every_sigma_zero(code, entropies):
         return []
     p = code.params
     witnesses = []
     for tree in trees:
-        slacks = _level_slacks(p, _level_totals(rows, tree))
+        slacks = _level_slacks(p, _level_totals(entropies, tree))
         if any(slacks):
             witnesses.append(
                 {"permutation": list(tree.permutation), "root": code.label(tree.root),

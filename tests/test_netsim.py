@@ -495,6 +495,20 @@ def fake_database(replies):
     assert not thread.is_alive()
 
 
+def pinned_transcripts(n, k, constant_query=None):
+    """300 synthetic transcripts per theta of the built (n, k) scheme."""
+    scheme = scheme_from_sldc(build_sldc(n, k))
+    return synth_transcripts(scheme, range(1, k + 1), 300, n * 10 + k, constant_query)
+
+
+def hostile_transcripts(transcripts):
+    """The transcripts plus a theta with none, and with database 1 dropped
+    from every transcript of theta 1."""
+    k = max(transcripts)
+    return {**transcripts, k + 1: [],
+            1: [dataclasses.replace(tr, records=tr.records[1:]) for tr in transcripts[1]]}
+
+
 def synth_transcripts(scheme, thetas, count, seed, constant_query=None):
     """Transcripts fabricated from the query generator alone (no sockets).
 
@@ -554,27 +568,50 @@ class TestTranscriptAudit:
         assert audit.max_tv_distance == 0.0
         assert audit.flagged
 
-    # SHA-256 of repr((plain, hostile, hostile with other thresholds)), where
-    # hostile adds a theta with no transcripts and drops database 1 from
-    # every transcript of theta 1; recorded before the audit counted in one
-    # pass, so every float is pinned
+    # SHA-256 of repr(audit) of the plain transcripts, recorded before the
+    # audit counted in one pass, so every float is pinned
     @pytest.mark.parametrize(
         "n, k, constant_query, digest",
         [
-            (2, 3, None, "f669cf8253aaa66262418ae959d7ecf340a994e934896f804ccf07aa1da96ab2"),
-            (3, 2, None, "96f9628f8488d3fe0dc8d3a5dbb44c33b1f08c8f75576265aa4003b41589339c"),
-            (2, 4, None, "da1f53d6aefc4933c2f180b40df0a3df4a3cf5edcf30849303cc515f51a42789"),
-            (2, 4, 0, "999a8f4e4b5c8c066030eaac9b5ac3df7a3c998319bae812884442a07c2a180d"),
+            (2, 3, None, "577e223ff4c6153db0640fd067293919e65d9957683b55e0bd8031548c7976d3"),
+            (3, 2, None, "65db3b22ca724c6dca1fb23884852823851e2d6dd4b38937eb685ff94cfeda79"),
+            (2, 4, None, "2881c592682d90d6f751edca837fcd2a112faf365a0971eb3030e0a28640024f"),
+            (2, 4, 0, "e0995fe2c9f449dff548bfa099f006bae54ddd2fb45975771d3ade0323c81a54"),
         ],
     )
-    def test_results_pinned(self, n, k, constant_query, digest):
-        scheme = scheme_from_sldc(build_sldc(n, k))
-        transcripts = synth_transcripts(scheme, range(1, k + 1), 300, n * 10 + k, constant_query)
-        plain = transcript_audit(transcripts)
-        transcripts[k + 1] = []
-        transcripts[1] = [dataclasses.replace(tr, records=tr.records[1:]) for tr in transcripts[1]]
-        audits = (plain, transcript_audit(transcripts), transcript_audit(transcripts, 5, 1.5))
+    def test_plain_results_pinned(self, n, k, constant_query, digest):
+        transcripts = pinned_transcripts(n, k, constant_query)
+        assert hashlib.sha256(repr(transcript_audit(transcripts)).encode()).hexdigest() == digest
+
+    # SHA-256 of repr((hostile, hostile with other thresholds)), recorded
+    # when (database, theta) cells with no queries left the TV pairs
+    @pytest.mark.parametrize(
+        "n, k, constant_query, digest",
+        [
+            (2, 3, None, "b4310a5657638259a1cf9584c302d5e5cac495cca81d4ce5aa159c6094fae801"),
+            (3, 2, None, "e1f5df9de251effff2decaaded1fda558a997f563b5d1487870be9d6df3b6326"),
+            (2, 4, None, "05bb90c7a1aa2d4c0c72a266084444e4a18b1df6afaee4946f5e5ae90593d414"),
+            (2, 4, 0, "4cd610082508673984264c04e8969bfbec906f33ebc92da2b41b7018a7798b17"),
+        ],
+    )
+    def test_hostile_results_pinned(self, n, k, constant_query, digest):
+        transcripts = hostile_transcripts(pinned_transcripts(n, k, constant_query))
+        audits = (transcript_audit(transcripts), transcript_audit(transcripts, 5, 1.5))
         assert hashlib.sha256(repr(audits).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n, k", [(2, 3), (3, 2), (2, 4)])
+    def test_missing_cells_read_low_power_not_leak(self, n, k):
+        audit = transcript_audit(hostile_transcripts(pinned_transcripts(n, k)))
+        assert audit.low_power
+        assert all(d.max_tv_distance < 0.5 for d in audit.per_database)
+
+    def test_database_missing_for_one_theta_is_low_power(self):
+        # every theta keeps its 300 transcripts; only database 1's cell of theta 1 is empty
+        transcripts = pinned_transcripts(2, 3)
+        assert not transcript_audit(transcripts, min_samples=300).low_power
+        transcripts[1] = [dataclasses.replace(tr, records=tr.records[1:]) for tr in transcripts[1]]
+        audit = transcript_audit(transcripts, min_samples=300)
+        assert audit.low_power and audit.max_tv_distance < 0.5
 
     def test_low_power_flag(self, codes):
         scheme = scheme_from_sldc(codes[(2, 2)])

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -231,6 +232,11 @@ class TestTreeConstruction:
         t2 = build_nary_tree(code, (1, 2, 3), 0, chooser=42)
         assert t1 == t2
 
+    def test_int_chooser_is_a_seeded_random(self, codes):
+        code = codes["intro_nonsmooth"]
+        seeded = build_nary_tree(code, (1, 2, 3), 0, chooser=42)
+        assert seeded == build_nary_tree(code, (1, 2, 3), 0, chooser=random.Random(42))
+
     def test_stuck_node_raises(self, codes):
         code = codes["intro_nonsmooth"]
         bad = with_supersets(
@@ -301,6 +307,13 @@ class TestTreeCounting:
         assert (len(trees), exhaustive) == (samples, False)
         assert tree_digest(trees) == SAMPLED_TREE_DIGESTS[key]
 
+    @pytest.mark.parametrize("key", list(SAMPLED_TREE_DIGESTS), ids=str)
+    def test_each_sampled_tree_equals_build_nary_tree(self, key):
+        name, budget, samples, seed = key
+        code = load_fixture(name) if isinstance(name, str) else build_sldc(*name)
+        for tree in trees_for_audit(code, budget=budget, samples=samples, seed=seed)[0]:
+            assert tree == build_nary_tree(code, tree.permutation, tree.root, list(tree.choices))
+
     def test_over_budget_builds_no_tree_to_count(self, monkeypatch):
         code = build_sldc(5, 3)  # 750 trees
         monkeypatch.setattr(verify, "enumerate_trees", None)  # any call raises TypeError
@@ -344,26 +357,13 @@ class TestEnumerationEquivalence:
         body = repr([(t.permutation, t.root, t.sets_by_depth) for t in trees])
         assert (len(trees), hashlib.sha256(body.encode()).hexdigest()) == TREE_SEQUENCE_DIGESTS[name]
 
-    def test_subsets_of_permutations_and_roots(self, codes):
-        code = codes[(2, 3)]
-        trees = list(enumerate_trees(code, [[3, 1, 2], (2, 1, 3)], iter([5, 0])))
-        starts = [(t.permutation, t.root) for t in trees]
-        assert sorted(set(starts), key=starts.index) == [
-            ((3, 1, 2), 5), ((3, 1, 2), 0), ((2, 1, 3), 5), ((2, 1, 3), 0)
-        ]
-        assert all(t == build_nary_tree(code, t.permutation, t.root, list(t.choices)) for t in trees)
-
     @pytest.mark.parametrize("root", [8, 100])
     def test_out_of_range_root_is_index_error(self, codes, root):
-        with pytest.raises(IndexError):
-            list(enumerate_trees(codes[(2, 3)], roots=[root]))
         with pytest.raises(IndexError):
             build_nary_tree(codes[(2, 3)], (1, 2, 3), root)
 
     @pytest.mark.parametrize("perm", [(1, 1, 2), (0, 1, 2), (1, 2, 3, 1), (1, 2, 4), (1, 2)])
     def test_bad_permutation_is_value_error(self, codes, perm):
-        with pytest.raises(ValueError, match="permutation"):
-            list(enumerate_trees(codes[(2, 3)], permutations=[perm]))
         with pytest.raises(ValueError, match="permutation"):
             build_nary_tree(codes[(2, 3)], perm, 0)
 
@@ -374,7 +374,7 @@ class TestEnumerationEquivalence:
             [code.supersets[0], DecodingSuperset(k=2, sets=((1, 2), (2, 3))), code.supersets[2]],
         )
         with pytest.raises(TreeConstructionError, match="X1"):
-            list(enumerate_trees(bad, permutations=[(2, 1, 3)]))
+            list(enumerate_trees(bad))
 
 
 class TestLeafDistinctness:
