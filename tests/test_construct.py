@@ -1,5 +1,6 @@
 import copy
 import gc
+import hashlib
 import json
 import random
 import weakref
@@ -145,6 +146,14 @@ class TestEncode:
     def test_message_length_checked(self, codes):
         with pytest.raises(ValueError):
             encode(codes[(2, 2)], BitVector.zeros(7))
+
+    def test_answers_pinned(self):
+        # every (4,3) answer under one seeded message, pinned before
+        # encode_symbol stopped building a matrix per call
+        code = build_sldc(4, 3)
+        msg = random_message(code, random.Random(12))
+        answers = b"".join(encode_symbol(code, m, msg).to_bytes() for m in range(code.params.M))
+        assert hashlib.sha256(answers).hexdigest() == "5201de948098c19a26a328101b23e6fe34d3a2a9f6f939c9804774b39613db78"
 
 
 class TestDecode:
@@ -320,6 +329,25 @@ class TestFixtures:
         assert check_correctness(code).passed
 
 
+# SHA-256 of each written document, pinned before rows were hexed and
+# parsed as plain ints: the row codec must not move a byte.
+DOCUMENT_DIGESTS = {
+    (2, 2): "7fb2e82da9e115553d1a47b640e0fd15022f9edaeeee76d428074cbcef0c9138",
+    (2, 3): "bb7eb81caef5e7406474d960d718c91b3f2739e8149a665738fbbdaba4ecfeaf",
+    (3, 2): "9e501fb434e85a7b48168802caa035f95ef21a0bdae88a225de0d2f497c23121",
+    (4, 2): "be64b2769d5312a9341b434225fa2995ee8abfdc9bb5dba94a2e8bfea3d21101",
+    (2, 4): "b541150f4d7af8ce17be8266a9dcb0a70fe3f4c2fb2947f02b1c1853a59a1264",
+    (3, 3): "8cbcd740419e997f4e5fb205f3db13a74d20c519f2c0fa2b45c7eeb1756b9ce0",
+    (4, 3): "d533a291a7dd387cb22187ccd9cbe9838889f187a4bbe0e07ddaec7ca1ade2f8",
+    (2, 6): "d8521f7530358d27151436e1968be540df933a256b15e0c851291aa5725ae4e7",
+    "fig1": "6180b62397a485216061e4e2b38d55bc6d093f403758768f949f54ad1bdb3889",
+    "fig2": "e53a972c382e62ac6e2d4d257f5463b2dc07e602201d86fcd082230a5a03eaed",
+    "intro_nonsmooth": "20e790ce571d12fec28e7c9da0ad8f975011b634fe59a2366211d5f9a16ab2ec",
+    "eq28": "5dffe0297253959610b7000793301a43c0cceef5ed29261da2195d3bc550c2cc",
+    "fig4": "c260c126be9745b15d22719d81d375010b19b5c92bd1b9c2ba85741f43f8097c",
+}
+
+
 class TestDocuments:
     def test_roundtrip(self, codes, tmp_path):
         code = codes[(2, 2)]
@@ -354,6 +382,11 @@ class TestDocuments:
 
     def test_rebuild_gives_identical_document(self):
         assert to_document(build_sldc(3, 2)) == to_document(build_sldc(3, 2))
+
+    @pytest.mark.parametrize("key", list(DOCUMENT_DIGESTS), ids=str)
+    def test_written_document_pinned(self, key):
+        code = build_sldc(*key) if isinstance(key, tuple) else load_fixture(key)
+        assert hashlib.sha256(dump_document(to_document(code))).hexdigest() == DOCUMENT_DIGESTS[key]
 
 
 JSON_VALUES = st.recursive(

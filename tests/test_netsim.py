@@ -365,6 +365,11 @@ class TestSchemeHash:
             ("fig1", "dc22b974ba7d8d0b6b791ef20b73f5de265befffe07e17f0cc1d0002d8051589"),
             ("eq28", "9b8c59bae747808570bfd7bf87e8171a827a8c91623555ba7ac6d9fe687d08be"),
             ("fig4", "0d51fe63cec3a9b1e535c64839c590b94362eea399388f14acd370eecfc57d45"),
+            ((2, 2), "2abba108c6fbb541d4a406ec616fc99eeecab172428cf631bbf6cfb5599c8905"),
+            ((3, 2), "0bdd18a9a59382ac8a0247310851cf27ceb3327ed3e91d1665138823241b26e5"),
+            ((4, 2), "9a1bba6dd87f1911a4a01ad48a0aa0c5db16bd499c7355d92b7d73c58985fe82"),
+            ((4, 3), "d051ae3da4c10637486becee163b54c1bff1e0d9c0695738164775a54c7a489e"),
+            ((2, 6), "31ec1a644a1f00adf22fe61f4ded85234e16bbd6f77559600e8cc5fed91f5065"),
         ],
     )
     def test_hello_hash_pinned(self, codes, name, digest):
