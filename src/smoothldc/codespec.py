@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .capacity import CodeParams
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix, rows_from_hex, rows_to_hex
 
 DOCUMENT_VERSION = 1
 
@@ -158,7 +158,7 @@ def to_document(code: LinearCodeSpec, databases: Sequence[Sequence[int]] | None 
                 "group": code.groups[m] if code.groups is not None else None,
                 "label": code.label(m),
                 "zero_row": code.zero_row(m),
-                "rows": [BitVector(width, row).to_hex() for row in gen.rows],
+                "rows": rows_to_hex(gen.rows, width),
             }
         )
     doc = {
@@ -201,7 +201,7 @@ def _optional(value, kind: type, what: str):
 def _rows(texts, width: int, what: str) -> list[int]:
     texts = _seq(texts, what)
     try:
-        return [BitVector.from_hex(text, width).value for text in texts]
+        return rows_from_hex(texts, width)
     except (TypeError, ValueError) as exc:  # not a str, bad hex, or the wrong length
         raise CodeSpecError(f"{what}: {exc}") from exc
 
@@ -214,12 +214,14 @@ def from_document(doc: dict) -> LinearCodeSpec:
     """
     _need(isinstance(doc, dict), f"document must be a JSON object, not {type(doc).__name__}")
     try:
-        version = doc["version"]
-        if version != DOCUMENT_VERSION:
-            raise CodeSpecError(f"unsupported document version {version}")
+        version = _int(doc["version"], "version")
+        _need(version == DOCUMENT_VERSION, f"unsupported document version {version}")
         stated = doc.get("content_hash")
-        if stated is not None and stated != content_hash(doc):
-            raise CodeSpecError("content_hash does not match document body")
+        try:
+            computed = None if stated is None else content_hash(doc)
+        except (TypeError, ValueError) as exc:  # keys that do not sort, a cycle
+            raise CodeSpecError(f"document has no canonical serialization: {exc}") from exc
+        _need(stated == computed, "content_hash does not match document body")
         pd = doc["params"]
         _need(isinstance(pd, dict), "params must be an object")
         values = {name: _int(pd[name], f"params.{name}") for name in ("N", "K", "M", "Lw", "Lx")}

@@ -31,7 +31,7 @@ from .codespec import (
     DecodingSuperset,
     LinearCodeSpec,
 )
-from .gf2 import BitMatrix, BitVector, column_mask, mat_vec_mul, solve_columns
+from .gf2 import BitMatrix, BitVector, column_mask, mat_vec_mul, row_parities, solve_columns
 
 MAX_SYMBOLS = 4096
 
@@ -93,17 +93,20 @@ def build_sldc(n: int, k: int) -> LinearCodeSpec:
     lx = m - 1
     width = k * lw
     all_digits = [index_to_digits(i, n, k) for i in range(m)]
+    # units[gamma][kk][bit]: the one-bit row of column kk*Lw + gamma*(N-1) + bit-1; bit 0 is 0
+    units = [
+        [(0,) + tuple(1 << (width - kk * lw - gamma * (n - 1) - b) for b in range(1, n)) for kk in range(k)]
+        for gamma in range(m)
+    ]
 
     gens = []
     for p in all_digits:
         rows = []
-        for g_index, g in enumerate(all_digits):
-            columns = []
+        for unit, g in zip(units, all_digits):
+            row = 0
             for kk in range(k):
-                bit = (p[kk] + g[kk]) % n
-                if bit != 0:
-                    columns.append(kk * lw + g_index * (n - 1) + (bit - 1))
-            rows.append(column_mask(width, columns))
+                row |= unit[kk][(p[kk] + g[kk]) % n]
+            rows.append(row)
         gens.append(BitMatrix(width, rows))
 
     groups = [sum(p) % n for p in all_digits]
@@ -123,8 +126,7 @@ def encode_symbol(code: LinearCodeSpec, m: int, msg: BitVector) -> BitVector:
     p = code.params
     if msg.length != p.K * p.Lw:
         raise ValueError(f"message must have K*Lw = {p.K * p.Lw} bits, got {msg.length}")
-    gen = code.symbol_gens[m]
-    return mat_vec_mul(BitMatrix(gen.cols, [row for row in gen.rows if row]), msg)
+    return BitVector(p.Lx, row_parities(filter(None, code.symbol_gens[m].rows), msg.value))
 
 
 def encode(code: LinearCodeSpec, msg: BitVector) -> list[BitVector]:

@@ -12,8 +12,27 @@ from __future__ import annotations
 from typing import Iterable
 
 
-def _n_bytes(bits: int) -> int:
-    return -(-bits // 8)
+def _layout(width: int) -> tuple[int, int]:
+    """(bytes, trailing pad bits) of a serialized row of *width* bits."""
+    need = -(-width // 8)
+    return need, 8 * need - width
+
+
+def rows_to_hex(rows: Iterable[int], width: int) -> list[str]:
+    need, pad = _layout(width)
+    return [(row << pad).to_bytes(need, "big").hex() for row in rows]
+
+
+def rows_from_hex(texts: Iterable[str], width: int) -> list[int]:
+    """Parse hex rows of *width* bits, ignoring pad bits; TypeError or ValueError."""
+    need, pad = _layout(width)
+    rows = []
+    for text in texts:
+        data = bytes.fromhex(text)
+        if len(data) != need:
+            raise ValueError(f"need exactly {need} bytes for {width} bits, got {len(data)}")
+        rows.append(int.from_bytes(data, "big") >> pad)
+    return rows
 
 
 def _fit(value: int, width: int) -> int:
@@ -55,24 +74,21 @@ class BitVector:
     @classmethod
     def from_bytes(cls, data: bytes, length: int) -> "BitVector":
         """Parse exactly ceil(length/8) bytes; pad bits are ignored."""
-        need = _n_bytes(length)
-        if len(data) != need:
-            raise ValueError(f"need exactly {need} bytes for {length} bits, got {len(data)}")
-        return cls(length, int.from_bytes(data, "big") >> (8 * need - length))
+        return cls.from_hex(data.hex(), length)
 
     @classmethod
     def from_hex(cls, text: str, length: int) -> "BitVector":
-        return cls.from_bytes(bytes.fromhex(text), length)
+        return cls(length, rows_from_hex((text,), length)[0])
 
     def to_bits(self) -> list[int]:
         return [(self.value >> (self.length - 1 - j)) & 1 for j in range(self.length)]
 
     def to_bytes(self) -> bytes:
-        need = _n_bytes(self.length)
-        return (self.value << (8 * need - self.length)).to_bytes(need, "big")
+        need, pad = _layout(self.length)
+        return (self.value << pad).to_bytes(need, "big")
 
     def to_hex(self) -> str:
-        return self.to_bytes().hex()
+        return rows_to_hex((self.value,), self.length)[0]
 
     def __len__(self) -> int:
         return self.length
@@ -165,14 +181,19 @@ def rank(m: BitMatrix) -> int:
     return rank_words(m.rows)
 
 
+def row_parities(rows: Iterable[int], value: int) -> int:
+    """The GF(2) inner products <row, value>, first row as the leading bit."""
+    out = 0
+    for row in rows:
+        out = (out << 1) | ((row & value).bit_count() & 1)
+    return out
+
+
 def mat_vec_mul(m: BitMatrix, v: BitVector) -> BitVector:
     """GF(2) matrix-vector product: output bit i = <row i, v>."""
     if v.length != m.cols:
         raise ValueError(f"dimension mismatch: {len(m.rows)}x{m.cols} with vector of {v.length}")
-    out = 0
-    for row in m.rows:
-        out = (out << 1) | ((row & v.value).bit_count() & 1)
-    return BitVector(len(m.rows), out)
+    return BitVector(len(m.rows), row_parities(m.rows, v.value))
 
 
 def column_mask(cols: int, keep: Iterable[int]) -> int:

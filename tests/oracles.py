@@ -10,7 +10,8 @@ for ``construct.decode``. The pair-loop property battery is the reference
 for ``verify.check_capacity_properties``, and the label-by-label converse
 chain the reference for ``verify.converse_witnesses``. The corruption
 trial that lists every pattern and scans it once per superset is the
-reference for ``verify.corruption_trial``.
+reference for ``verify.corruption_trial``. One column_mask per generator
+row is the reference for ``construct.build_sldc``.
 """
 
 import itertools
@@ -22,7 +23,7 @@ from math import log2
 import numpy as np
 
 from smoothldc.entropy import _distinct, _same, oracle_for
-from smoothldc.gf2 import BitMatrix, BitVector
+from smoothldc.gf2 import BitMatrix, BitVector, column_mask
 from smoothldc.verify import CheckResult, CorruptionReport, PropertyReport, check_universality
 
 MAX_MESSAGE_BITS = 16
@@ -83,6 +84,25 @@ def restrict_columns(m, keep):
         raise IndexError(f"column index out of range [0, {m.cols})")
     rows = (BitVector.from_bits(bits[j] for j in keep).value for bits in m.to_bits())
     return BitMatrix(len(keep), rows)
+
+
+def reference_generator_rows(n, k):
+    """build_sldc(n, k)'s generator rows, symbol by symbol, from the
+    construction's formula with one column_mask per row: row gamma of
+    symbol p has a one in column (kk-1)*Lw + gamma*(N-1) + bit-1 for each
+    source kk whose bit (p_kk + gamma_kk) mod N is not the constant zero."""
+    m = n**k
+    lw = m * (n - 1)
+    digits = list(itertools.product(range(n), repeat=k))
+    for p in digits:
+        yield [
+            column_mask(k * lw, [
+                kk * lw + gamma * (n - 1) + (p[kk] + g[kk]) % n - 1
+                for kk in range(k)
+                if (p[kk] + g[kk]) % n
+            ])
+            for gamma, g in enumerate(digits)
+        ]
 
 
 def brute_force_decode(code, k, set_index, values):

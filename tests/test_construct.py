@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_decode, message_slice
+from oracles import brute_force_decode, message_slice, reference_generator_rows
 from smoothldc import capacity, construct
 from smoothldc.codespec import (
     CodeSpecError,
@@ -82,6 +82,16 @@ class TestBuild:
                 expected = digits_to_index([(-d) % n for d in p_digits], n)
                 assert zero_rows == [expected]
                 assert rank(gen) == code.params.Lx
+
+    # every N^K <= 256, but (N,1) only up to N = 16: the generator of
+    # (256,1) alone is 65536 rows of 65280 bits
+    @pytest.mark.parametrize(
+        "n, k", [(n, k) for k in range(1, 9) for n in range(2, 17) if n**k <= 256], ids=str
+    )
+    def test_rows_match_one_column_mask_per_row(self, n, k):
+        code = build_sldc(n, k)
+        for gen, rows in zip(code.symbol_gens, reference_generator_rows(n, k), strict=True):
+            assert gen.rows == tuple(rows)
 
     def test_symbol_rate_is_capacity(self, codes):
         for n, k in [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
@@ -435,14 +445,31 @@ class TestMalformedDocuments:
                     parent.insert(path[-1], copy.deepcopy(parent[path[-1]]))
             except (KeyError, IndexError, TypeError):
                 pass  # an earlier mutation removed or replaced this path
+        doc = json.loads(json.dumps(doc))
         if isinstance(doc, dict) and data.draw(st.booleans()):
             doc["content_hash"] = content_hash(doc)  # reach the checks past the hash
-        doc = json.loads(json.dumps(doc))
         try:
             code = from_document(doc)
         except CodeSpecError:
             return
         assert code.params.M == len(code.symbol_gens)
+
+    def test_keys_that_do_not_sort_are_code_spec_error(self, codes):
+        # a set replaced by {"": None}, then its index 0 set: an int key
+        # beside a str key has no canonical serialization to hash
+        doc = to_document(codes["fig1"])
+        doc["supersets"][0][0] = {"": None}
+        doc["supersets"][0][0][0] = None
+        with pytest.raises(CodeSpecError, match="no canonical serialization"):
+            from_document(doc)
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_must_be_an_int(self, codes, version):
+        doc = to_document(codes["fig1"])
+        doc["version"] = version
+        doc["content_hash"] = content_hash(doc)
+        with pytest.raises(CodeSpecError, match=f"version must be an integer, not {type(version).__name__}"):
+            from_document(doc)
 
     def test_overlong_and_bad_hex(self, codes):
         for bad_row in ("zz", "8000", "8"):

@@ -10,6 +10,8 @@ from smoothldc.gf2 import (
     column_mask,
     mat_vec_mul,
     rank,
+    rows_from_hex,
+    rows_to_hex,
     solve_columns,
 )
 from oracles import restrict_columns
@@ -190,6 +192,61 @@ class TestBitPacking:
             tracemalloc.stop()
         assert peak < 16 * 1024
         assert (made.rows if isinstance(made, BitMatrix) else (made.value,)) == (1,)
+
+
+@st.composite
+def width_and_rows(draw):
+    width = draw(st.integers(1, 700))
+    return width, draw(st.lists(st.integers(0, (1 << width) - 1), max_size=4))
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestRowCodec:
+    """The list-level row codec against one BitVector per row."""
+
+    @given(width_and_rows())
+    def test_matches_bit_vector(self, case):
+        width, rows = case
+        texts = rows_to_hex(rows, width)
+        assert texts == [BitVector(width, row).to_hex() for row in rows]
+        assert rows_from_hex(texts, width) == rows
+
+    # int(text, 16) would also take "0x80", "+80", "8_0" and " 80"; the
+    # codec takes what bytes.fromhex takes, whitespace between bytes
+    # included. Outcomes as BitVector.from_hex gave them before it shared
+    # the codec.
+    @pytest.mark.parametrize(
+        "text, width, outcome",
+        [
+            ("8", 8, (ValueError, "non-hexadecimal number found in fromhex() arg at position 1")),
+            ("808", 12, (ValueError, "non-hexadecimal number found in fromhex() arg at position 3")),
+            ("zz", 8, (ValueError, "non-hexadecimal number found in fromhex() arg at position 0")),
+            ("8000", 8, (ValueError, "need exactly 1 bytes for 8 bits, got 2")),
+            ("", 8, (ValueError, "need exactly 1 bytes for 8 bits, got 0")),
+            ("80", 9, (ValueError, "need exactly 2 bytes for 9 bits, got 1")),
+            ("0x80", 8, (ValueError, "non-hexadecimal number found in fromhex() arg at position 1")),
+            ("+80", 8, (ValueError, "non-hexadecimal number found in fromhex() arg at position 0")),
+            ("8_0", 8, (ValueError, "non-hexadecimal number found in fromhex() arg at position 1")),
+            (" 80", 8, 0x80),
+            ("80 00", 16, 0x8000),
+            ("80 00", 8, (ValueError, "need exactly 1 bytes for 8 bits, got 2")),
+            ("FF80", 9, 0x1FF),
+            ("fF", 8, 0xFF),
+            (128, 8, (TypeError, "fromhex() argument must be str, not int")),
+            (None, 8, (TypeError, "fromhex() argument must be str, not None")),
+            (b"80", 8, (TypeError, "fromhex() argument must be str, not bytes")),
+        ],
+    )
+    def test_malformed_corpus_agrees_with_bit_vector(self, text, width, outcome):
+        assert _outcome(lambda: BitVector.from_hex(text, width).value) == outcome
+        assert _outcome(lambda: rows_from_hex([text], width)[0]) == outcome
+        assert _outcome(lambda: rows_from_hex(["00" * -(-width // 8), text], width)[1]) == outcome
 
 
 def _consistent(m, rhs):
