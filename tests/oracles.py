@@ -89,8 +89,9 @@ def restrict_columns(m, keep):
 def reference_generator_rows(n, k):
     """build_sldc(n, k)'s generator rows, symbol by symbol, from the
     construction's formula with one column_mask per row: row gamma of
-    symbol p has a one in column (kk-1)*Lw + gamma*(N-1) + bit-1 for each
-    source kk whose bit (p_kk + gamma_kk) mod N is not the constant zero."""
+    symbol p has a one in column kk*Lw + gamma*(N-1) + bit-1 for each
+    0-based source kk whose bit (p_kk + gamma_kk) mod N is not the
+    constant zero."""
     m = n**k
     lw = m * (n - 1)
     digits = list(itertools.product(range(n), repeat=k))

@@ -158,8 +158,8 @@ class TestEncode:
             encode(codes[(2, 2)], BitVector.zeros(7))
 
     def test_answers_pinned(self):
-        # every (4,3) answer under one seeded message, pinned before
-        # encode_symbol stopped building a matrix per call
+        # every (4,3) answer under one seeded message: these are the
+        # bytes a server sends, so no rewrite of encode_symbol may move them
         code = build_sldc(4, 3)
         msg = random_message(code, random.Random(12))
         answers = b"".join(encode_symbol(code, m, msg).to_bytes() for m in range(code.params.M))
@@ -339,8 +339,8 @@ class TestFixtures:
         assert check_correctness(code).passed
 
 
-# SHA-256 of each written document, pinned before rows were hexed and
-# parsed as plain ints: the row codec must not move a byte.
+# SHA-256 of each written document. The content hash covers these bytes,
+# so no change to the build or the row codec may move one.
 DOCUMENT_DIGESTS = {
     (2, 2): "7fb2e82da9e115553d1a47b640e0fd15022f9edaeeee76d428074cbcef0c9138",
     (2, 3): "bb7eb81caef5e7406474d960d718c91b3f2739e8149a665738fbbdaba4ecfeaf",
