@@ -12,12 +12,11 @@ from .capacity import (
 from .codespec import DecodingSuperset, LinearCodeSpec, from_document, to_document
 from .construct import build_sldc, decode, encode, enumerate_supersets, load_fixture
 from .entropy import conditional_entropy, distinct_information, same_information
-from .gf2 import BitMatrix, BitVector, mat_vec_mul, rank
+from .gf2 import BitVector, rank_words
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitMatrix",
     "BitVector",
     "CodeParams",
     "DecodingSuperset",
@@ -31,11 +30,10 @@ __all__ = [
     "enumerate_supersets",
     "from_document",
     "load_fixture",
-    "mat_vec_mul",
     "min_length",
     "min_upload_bits",
     "pir_capacity",
-    "rank",
+    "rank_words",
     "same_information",
     "symbol_and_code_rate",
     "to_document",

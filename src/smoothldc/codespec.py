@@ -1,9 +1,9 @@
 """Linear code specifications and their on-disk document format.
 
 A ``LinearCodeSpec`` is a complete description of a binary linear locally
-decodable code: parameters, one generator matrix per coded symbol (rows are
-the symbol's bit equations over the K*Lw message-bit columns), the decoding
-supersets, and an optional group id per symbol for N-partite codes.
+decodable code: parameters, one generator per coded symbol (a tuple of int
+rows, the symbol's bit equations over the K*Lw message-bit columns), the
+decoding supersets, and an optional group id per symbol for N-partite codes.
 
 The document format is self-describing JSON:
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .capacity import CodeParams
-from .gf2 import BitMatrix, rows_from_hex, rows_to_hex
+from .gf2 import rows_from_hex, rows_to_hex
 
 DOCUMENT_VERSION = 1
 
@@ -62,15 +62,16 @@ class DecodingSuperset:
 class LinearCodeSpec:
     """Immutable description of a linear LDC over GF(2).
 
-    symbol_gens[m] may contain all-zero rows (sub-symbols that are constant
-    zero and never transmitted); the number of nonzero rows must equal Lx,
-    so every symbol carries exactly Lx stored bits.
+    symbol_gens[m] is symbol m's generator: a tuple of int rows, each below
+    2**(K*Lw) (see ``gf2``). It may contain all-zero rows (sub-symbols that
+    are constant zero and never transmitted); the number of nonzero rows
+    must equal Lx, so every symbol carries exactly Lx stored bits.
     """
 
     def __init__(
         self,
         params: CodeParams,
-        symbol_gens: Sequence[BitMatrix],
+        symbol_gens: Sequence[Sequence[int]],
         supersets: Sequence[DecodingSuperset],
         groups: Sequence[int] | None = None,
         digits: Sequence[tuple[int, ...]] | None = None,
@@ -78,7 +79,7 @@ class LinearCodeSpec:
         column_order: str = COLUMN_ORDER_TRANSCRIBED,
     ):
         self.params = params
-        self.symbol_gens = tuple(symbol_gens)
+        self.symbol_gens = tuple(map(tuple, symbol_gens))
         self.supersets = tuple(supersets)
         self.groups = tuple(groups) if groups is not None else None
         self.digits = tuple(digits) if digits is not None else None
@@ -89,12 +90,15 @@ class LinearCodeSpec:
     def _validate(self) -> None:
         p = self.params
         if len(self.symbol_gens) != p.M:
-            raise CodeSpecError(f"expected {p.M} symbol matrices, got {len(self.symbol_gens)}")
+            raise CodeSpecError(f"expected {p.M} symbol generators, got {len(self.symbol_gens)}")
         width = p.K * p.Lw
         for m, gen in enumerate(self.symbol_gens):
-            if gen.cols != width:
-                raise CodeSpecError(f"symbol {m}: {gen.cols} columns, expected K*Lw = {width}")
-            nonzero = sum(1 for row in gen.rows if row)
+            nonzero = 0
+            for r, row in enumerate(gen):
+                if row:
+                    if row < 0 or row.bit_length() > width:
+                        raise CodeSpecError(f"symbol {m} row {r}: does not fit K*Lw = {width} columns")
+                    nonzero += 1
             if nonzero != p.Lx:
                 raise CodeSpecError(f"symbol {m}: {nonzero} nonzero rows, expected Lx = {p.Lx}")
         if len(self.supersets) != p.K:
@@ -127,7 +131,7 @@ class LinearCodeSpec:
         return f"X{m + 1}"
 
     def zero_row(self, m: int) -> int | None:
-        return next((r for r, row in enumerate(self.symbol_gens[m].rows) if not row), None)
+        return next((r for r, row in enumerate(self.symbol_gens[m]) if not row), None)
 
     def message_columns(self, k: int) -> range:
         """Column range of source symbol k (1-based) in the message layout."""
@@ -158,7 +162,7 @@ def to_document(code: LinearCodeSpec, databases: Sequence[Sequence[int]] | None 
                 "group": code.groups[m] if code.groups is not None else None,
                 "label": code.label(m),
                 "zero_row": code.zero_row(m),
-                "rows": rows_to_hex(gen.rows, width),
+                "rows": rows_to_hex(gen, width),
             }
         )
     doc = {
@@ -238,7 +242,7 @@ def from_document(doc: dict) -> LinearCodeSpec:
             d = sym.get("digits")
             digits.append(None if d is None else _ints(d, f"symbol {m} digits"))
             labels.append(_optional(sym.get("label"), str, f"symbol {m} label"))
-        # every row was checked against the width, so no matrix is wider than
+        # every row was checked against the width, so no row is wider than
         # the document; with no rows at all nothing would bound it
         _need(any(rows), "document has no generator rows")
         supersets = tuple(
@@ -259,7 +263,7 @@ def from_document(doc: dict) -> LinearCodeSpec:
     has_labels = all(lb is not None for lb in labels)
     return LinearCodeSpec(
         params=params,
-        symbol_gens=[BitMatrix(width, r) for r in rows],
+        symbol_gens=rows,
         supersets=supersets,
         groups=groups if has_groups else None,
         digits=digits if has_digits else None,

@@ -31,7 +31,7 @@ from .codespec import (
     DecodingSuperset,
     LinearCodeSpec,
 )
-from .gf2 import BitMatrix, BitVector, column_mask, mat_vec_mul, row_parities, solve_columns
+from .gf2 import BitVector, column_mask, row_parities, solve_columns
 
 MAX_SYMBOLS = 4096
 
@@ -107,7 +107,7 @@ def build_sldc(n: int, k: int) -> LinearCodeSpec:
             for kk in range(k):
                 row |= unit[kk][(p[kk] + g[kk]) % n]
             rows.append(row)
-        gens.append(BitMatrix(width, rows))
+        gens.append(rows)
 
     groups = [sum(p) % n for p in all_digits]
     params = CodeParams(N=n, K=k, M=m, Lw=lw, Lx=lx)
@@ -126,7 +126,7 @@ def encode_symbol(code: LinearCodeSpec, m: int, msg: BitVector) -> BitVector:
     p = code.params
     if msg.length != p.K * p.Lw:
         raise ValueError(f"message must have K*Lw = {p.K * p.Lw} bits, got {msg.length}")
-    return BitVector(p.Lx, row_parities(filter(None, code.symbol_gens[m].rows), msg.value))
+    return BitVector(p.Lx, row_parities(filter(None, code.symbol_gens[m]), msg.value))
 
 
 def encode(code: LinearCodeSpec, msg: BitVector) -> list[BitVector]:
@@ -138,20 +138,21 @@ def encode(code: LinearCodeSpec, msg: BitVector) -> list[BitVector]:
 _decoders: "weakref.WeakKeyDictionary[LinearCodeSpec, dict]" = weakref.WeakKeyDictionary()
 
 
-def _decoder(code: LinearCodeSpec, k: int, set_index: int) -> tuple[BitMatrix, BitMatrix | None]:
+def _decoder(code: LinearCodeSpec, k: int, set_index: int) -> tuple[list[int], list[int] | None]:
     """The fixed linear map of one decoding set over its N*Lx stacked answer
-    bits y, worked out on first use: y is in the code's image iff
-    checks·y = 0, and then W_k = recovery·y. recovery is None when the set
-    does not determine W_k."""
+    bits y, worked out on first use: two lists of N*Lx-bit int rows, with y
+    in the code's image iff every checks row has even parity against y, and
+    then bit t of W_k the parity of recovery row t against y. recovery is
+    None when the set does not determine W_k."""
     per_code = _decoders.setdefault(code, {})
     dec = per_code.get((k, set_index))
     if dec is None:
         members = code.supersets[k - 1].sets[set_index]
-        rows = [row for m in members for row in code.symbol_gens[m].rows if row]
+        rows = [row for m in members for row in code.symbol_gens[m] if row]
         width = code.params.K * code.params.Lw
-        checks, solutions = solve_columns(BitMatrix(width, rows), code.message_columns(k))
-        recovery = None if None in solutions else BitMatrix(len(rows), solutions)
-        dec = per_code[(k, set_index)] = (BitMatrix(len(rows), checks), recovery)
+        checks, solutions = solve_columns(rows, width, code.message_columns(k))
+        recovery = None if None in solutions else solutions
+        dec = per_code[(k, set_index)] = (checks, recovery)
     return dec
 
 
@@ -180,12 +181,11 @@ def decode(
             raise ValueError(f"symbol value for {code.label(m)} must have Lx = {p.Lx} bits")
         y = (y << p.Lx) | value.value
     checks, recovery = _decoder(code, k, set_index)
-    answers = BitVector(p.N * p.Lx, y)
-    if mat_vec_mul(checks, answers).any():
+    if row_parities(checks, y):
         raise DecodeFailure("symbol values are not in the code's image")
     if recovery is None:
         raise DecodeFailure(f"decoding set {members} does not determine source symbol {k}")
-    return mat_vec_mul(recovery, answers)
+    return BitVector(p.Lw, row_parities(recovery, y))
 
 
 def random_message(code: LinearCodeSpec, rng: random.Random) -> BitVector:
@@ -225,7 +225,7 @@ def _transcribed(
     gens = []
     for rows in symbols:
         columns = [[(kk - 1) * lw + (bit - 1) for kk, bit in terms] for terms in rows]
-        gens.append(BitMatrix(width, [column_mask(width, cols) for cols in columns]))
+        gens.append([column_mask(width, cols) for cols in columns])
     params = CodeParams(N=n, K=k, M=len(symbols), Lw=lw, Lx=lx)
     return LinearCodeSpec(
         params=params,

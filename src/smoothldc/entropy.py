@@ -30,7 +30,7 @@ class RankOracle:
         p = code.params
         self.K, self.Lw, self.M = p.K, p.Lw, p.M
         self.width = p.K * p.Lw
-        self._symbol_rows = [gen.rows for gen in code.symbol_gens]
+        self._symbol_rows = code.symbol_gens
         self._message_columns = [code.message_columns(k) for k in range(1, p.K + 1)]
         self._masks: dict[frozenset[int], int] = {}
         # (symbols, sources) -> bits, under the key as passed and normalised

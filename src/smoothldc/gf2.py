@@ -3,13 +3,15 @@
 A row of width W is an int below 2**W, MSB-first: column j is int bit
 W-1-j. Serialized, a row is ceil(W/8) big-endian bytes with the columns in
 the leading bits and zero pad bits after them, so column 0 is the most
-significant bit of the first byte. ``BitVector`` and ``BitMatrix`` are
-immutable after construction and every operation here is a pure function.
+significant bit of the first byte. A matrix is a sequence of such rows with
+its width passed alongside; a ``BitVector`` is one row that carries its
+length. ``BitVector`` is immutable after construction and every operation
+here is a pure function.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 def _layout(width: int) -> tuple[int, int]:
@@ -35,23 +37,6 @@ def rows_from_hex(texts: Iterable[str], width: int) -> list[int]:
     return rows
 
 
-def _fit(value: int, width: int) -> int:
-    """The low *width* bits of value. A value that already fits is returned
-    as it is, so no width-bit mask is built for it."""
-    if value < 0 or value.bit_length() > width:
-        return value & ((1 << width) - 1)
-    return value
-
-
-def _row_from_bits(bits: Iterable[int]) -> tuple[int, int]:
-    """(width, int row) of a sequence of 0/1 values, first value leftmost."""
-    value = width = 0
-    for b in bits:
-        value = (value << 1) | (1 if b else 0)
-        width += 1
-    return width, value
-
-
 class BitVector:
     """Immutable sequence of bits: ``length`` and an int ``value``."""
 
@@ -61,11 +46,20 @@ class BitVector:
         if length < 0:
             raise ValueError("length must be >= 0")
         self.length = length
-        self.value = _fit(value, length)
+        # the low *length* bits; a value that already fits is kept as it is,
+        # so no length-bit mask is built for it
+        if value < 0 or value.bit_length() > length:
+            value &= (1 << length) - 1
+        self.value = value
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitVector":
-        return cls(*_row_from_bits(bits))
+        """The bits of a sequence of 0/1 values, first value leftmost."""
+        value = length = 0
+        for b in bits:
+            value = (value << 1) | (1 if b else 0)
+            length += 1
+        return cls(length, value)
 
     @classmethod
     def zeros(cls, length: int) -> "BitVector":
@@ -121,45 +115,6 @@ class BitVector:
         return f"BitVector({shown}{'...' if self.length > 64 else ''})"
 
 
-class BitMatrix:
-    """Immutable GF(2) matrix: ``cols`` columns and a tuple of int ``rows``.
-    Empty shapes are legal."""
-
-    __slots__ = ("cols", "rows")
-
-    def __init__(self, cols: int, rows: Iterable[int] = ()):
-        if cols < 0:
-            raise ValueError("shape must be non-negative")
-        self.cols = cols
-        self.rows = tuple(_fit(row, cols) for row in rows)
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[Iterable[int]]) -> "BitMatrix":
-        parsed = [_row_from_bits(row) for row in bits]
-        cols = parsed[0][0] if parsed else 0
-        if any(width != cols for width, _ in parsed):
-            raise ValueError("rows have unequal widths")
-        return cls(cols, (row for _, row in parsed))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        if rows < 0:
-            raise ValueError("shape must be non-negative")
-        return cls(cols, (0,) * rows)
-
-    def to_bits(self) -> list[list[int]]:
-        return [BitVector(self.cols, row).to_bits() for row in self.rows]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BitMatrix) and (self.cols, self.rows) == (other.cols, other.rows)
-
-    def __hash__(self) -> int:
-        return hash((self.cols, self.rows))
-
-    def __repr__(self) -> str:
-        return f"BitMatrix({len(self.rows)}x{self.cols})"
-
-
 def rank_words(rows: Iterable[int]) -> int:
     """GF(2) rank of int rows: each row is reduced against an XOR basis
     keyed by leading bit (``int.bit_length``) until it is zero or brings a
@@ -176,24 +131,12 @@ def rank_words(rows: Iterable[int]) -> int:
     return len(basis)
 
 
-def rank(m: BitMatrix) -> int:
-    """GF(2) row rank."""
-    return rank_words(m.rows)
-
-
 def row_parities(rows: Iterable[int], value: int) -> int:
     """The GF(2) inner products <row, value>, first row as the leading bit."""
     out = 0
     for row in rows:
         out = (out << 1) | ((row & value).bit_count() & 1)
     return out
-
-
-def mat_vec_mul(m: BitMatrix, v: BitVector) -> BitVector:
-    """GF(2) matrix-vector product: output bit i = <row i, v>."""
-    if v.length != m.cols:
-        raise ValueError(f"dimension mismatch: {len(m.rows)}x{m.cols} with vector of {v.length}")
-    return BitVector(len(m.rows), row_parities(m.rows, v.value))
 
 
 def column_mask(cols: int, keep: Iterable[int]) -> int:
@@ -208,8 +151,11 @@ def column_mask(cols: int, keep: Iterable[int]) -> int:
     return mask
 
 
-def solve_columns(m: BitMatrix, columns: Iterable[int]) -> tuple[list[int], list[int | None]]:
-    """Eliminate the rows of m once and return ``(checks, solutions)``.
+def solve_columns(
+    rows: Sequence[int], width: int, columns: Iterable[int]
+) -> tuple[list[int], list[int | None]]:
+    """Eliminate the int rows of a matrix m with *width* columns once and
+    return ``(checks, solutions)``.
 
     Row combinations are n-bit masks over m's n rows, row i being bit
     n-1-i. Each row carries its own mask as n extra low bits, so a row that
@@ -217,10 +163,10 @@ def solve_columns(m: BitMatrix, columns: Iterable[int]) -> tuple[list[int], list
     every such combination. ``solutions[t]`` is a mask r with
     r·m = e_{columns[t]}, or None when that unit row is not in m's row space.
     """
-    n = len(m.rows)
+    n = len(rows)
     basis: dict[int, int] = {}
     checks = []
-    for i, row in enumerate(m.rows):
+    for i, row in enumerate(rows):
         row = (row << n) | (1 << (n - 1 - i))
         while row >> n:
             lead = row.bit_length()
@@ -233,7 +179,7 @@ def solve_columns(m: BitMatrix, columns: Iterable[int]) -> tuple[list[int], list
             checks.append(row)
     solutions: list[int | None] = []
     for j in columns:
-        residual = 1 << (m.cols - 1 - j + n)
+        residual = 1 << (width - 1 - j + n)
         while residual >> n and (pivot := basis.get(residual.bit_length())) is not None:
             residual ^= pivot
         solutions.append(None if residual >> n else residual)

@@ -23,7 +23,7 @@ from math import log2
 import numpy as np
 
 from smoothldc.entropy import _distinct, _same, oracle_for
-from smoothldc.gf2 import BitMatrix, BitVector, column_mask
+from smoothldc.gf2 import BitVector, column_mask
 from smoothldc.verify import CheckResult, CorruptionReport, PropertyReport, check_universality
 
 MAX_MESSAGE_BITS = 16
@@ -50,7 +50,7 @@ def brute_force_conditional_entropy(code, symbols, given_messages=()) -> float:
 
     symbols = sorted(set(symbols))
     if symbols:
-        stacked = np.vstack([code.symbol_gens[m].to_bits() for m in symbols])
+        stacked = np.array([bits for m in symbols for bits in generator_bits(code, m)])
         symbol_values = (msgs @ stacked.T.astype(np.uint32)) % 2
     else:
         symbol_values = np.zeros((total, 0), dtype=np.uint32)
@@ -76,14 +76,20 @@ def message_slice(code, msg, k):
     return list(msg.to_bits()[(k - 1) * lw : k * lw])
 
 
-def restrict_columns(m, keep):
-    """Delete the columns of BitMatrix m outside *keep*, preserving column
-    order."""
+def generator_bits(code, m):
+    """Symbol m's generator rows as lists of K*Lw bits."""
+    width = code.params.K * code.params.Lw
+    return [BitVector(width, row).to_bits() for row in code.symbol_gens[m]]
+
+
+def restrict_columns(rows, width, keep):
+    """Delete the columns outside *keep* from the int rows of a width-column
+    matrix, preserving column order; the result has len(keep) columns."""
     keep = sorted(set(keep))
-    if keep and (keep[0] < 0 or keep[-1] >= m.cols):
-        raise IndexError(f"column index out of range [0, {m.cols})")
-    rows = (BitVector.from_bits(bits[j] for j in keep).value for bits in m.to_bits())
-    return BitMatrix(len(keep), rows)
+    if keep and (keep[0] < 0 or keep[-1] >= width):
+        raise IndexError(f"column index out of range [0, {width})")
+    bits = (BitVector(width, row).to_bits() for row in rows)
+    return [BitVector.from_bits(row[j] for j in keep).value for row in bits]
 
 
 def reference_generator_rows(n, k):
@@ -115,7 +121,7 @@ def brute_force_decode(code, k, set_index, values):
     msgs = all_messages(p.K * p.Lw)
     members = code.supersets[k - 1].sets[set_index]
     stored = np.array(
-        [row for m in members for row in code.symbol_gens[m].to_bits() if any(row)], dtype=np.uint32
+        [row for m in members for row in generator_bits(code, m) if any(row)], dtype=np.uint32
     )
     target = np.array([bit for value in values for bit in value.to_bits()], dtype=np.uint32)
     matching = msgs[((msgs @ stored.T) % 2 == target).all(axis=1)]

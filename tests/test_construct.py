@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_decode, message_slice, reference_generator_rows
+import smoothldc
 from smoothldc import capacity, construct
 from smoothldc.codespec import (
     CodeSpecError,
@@ -34,7 +35,7 @@ from smoothldc.construct import (
     load_fixture,
     random_message,
 )
-from smoothldc.gf2 import BitVector, rank
+from smoothldc.gf2 import BitVector, rank_words
 from smoothldc.verify import check_correctness, check_smoothness, check_universality
 
 
@@ -75,13 +76,13 @@ class TestBuild:
             code = codes[(n, k)]
             for m in range(code.params.M):
                 gen = code.symbol_gens[m]
-                zero_rows = [r for r, row in enumerate(gen.rows) if not row]
+                zero_rows = [r for r, row in enumerate(gen) if not row]
                 assert len(zero_rows) == 1
                 # the zero row sits where every digit of gamma cancels p
                 p_digits = code.digits[m]
                 expected = digits_to_index([(-d) % n for d in p_digits], n)
                 assert zero_rows == [expected]
-                assert rank(gen) == code.params.Lx
+                assert rank_words(gen) == code.params.Lx
 
     # every N^K <= 256, but (N,1) only up to N = 16: the generator of
     # (256,1) alone is 65536 rows of 65280 bits
@@ -91,7 +92,7 @@ class TestBuild:
     def test_rows_match_one_column_mask_per_row(self, n, k):
         code = build_sldc(n, k)
         for gen, rows in zip(code.symbol_gens, reference_generator_rows(n, k), strict=True):
-            assert gen.rows == tuple(rows)
+            assert gen == tuple(rows)
 
     def test_symbol_rate_is_capacity(self, codes):
         for n, k in [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
@@ -328,7 +329,7 @@ class TestFixtures:
             assert check_correctness(code).passed
             assert check_smoothness(code)
             assert check_universality(code)
-        assert [rank(g) for g in table.symbol_gens] == [rank(g) for g in built.symbol_gens]
+        assert [rank_words(g) for g in table.symbol_gens] == [rank_words(g) for g in built.symbol_gens]
         assert sorted(table.groups) == sorted(built.groups)
         assert [len(s.sets) for s in table.supersets] == [len(s.sets) for s in built.supersets]
 
@@ -397,6 +398,28 @@ class TestDocuments:
     def test_written_document_pinned(self, key):
         code = build_sldc(*key) if isinstance(key, tuple) else load_fixture(key)
         assert hashlib.sha256(dump_document(to_document(code))).hexdigest() == DOCUMENT_DIGESTS[key]
+
+
+class TestSpecValidation:
+    """A generator row is an int of K*Lw bits; fig1 has K*Lw = 3."""
+
+    @pytest.mark.parametrize("row", [-1, -0b100, 0b1000, 1 << 64], ids=hex)
+    def test_row_that_does_not_fit_names_its_symbol(self, codes, row):
+        code = codes["fig1"]
+        gens = list(code.symbol_gens)
+        gens[2] = (row,)
+        with pytest.raises(CodeSpecError, match=r"^symbol 2 row 0: does not fit K\*Lw = 3 columns$"):
+            LinearCodeSpec(code.params, gens, code.supersets)
+
+    def test_widest_row_fits(self, codes):
+        code = codes["fig1"]
+        gens = list(code.symbol_gens)
+        gens[2] = [0b111]
+        assert LinearCodeSpec(code.params, gens, code.supersets).symbol_gens[2] == (0b111,)
+
+
+def test_public_names_resolve():
+    assert [name for name in smoothldc.__all__ if not hasattr(smoothldc, name)] == []
 
 
 JSON_VALUES = st.recursive(

@@ -13,7 +13,6 @@ from smoothldc import verify
 from smoothldc.codespec import DecodingSuperset, LinearCodeSpec
 from smoothldc.construct import build_sldc, load_fixture
 from smoothldc.entropy import RankOracle, oracle_for
-from smoothldc.gf2 import BitMatrix
 from smoothldc.verify import (
     PROPERTY_NAMES,
     BudgetError,
@@ -43,10 +42,9 @@ WALKTHROUGH_LEAVES = (0, 2, 1, 2, 1, 3, 2, 1)  # X1 X3 X2 X3 X2 X4 X3 X2
 
 def with_rows(code, rows):
     """code with symbol m's generator rows replaced by rows[m]."""
-    gens = [BitMatrix(gen.cols, new) for gen, new in zip(code.symbol_gens, rows)]
     return LinearCodeSpec(
         params=code.params,
-        symbol_gens=gens,
+        symbol_gens=rows,
         supersets=code.supersets,
         groups=code.groups,
         digits=code.digits,
@@ -167,7 +165,7 @@ def random_linear_codes(draw):
     template = TEMPLATES[draw(st.sampled_from(sorted(TEMPLATES)))]
     top = (1 << template.params.K * template.params.Lw) - 1
     # a zero row of the template stays zero, so each symbol keeps Lx stored bits
-    rows = [[draw(st.integers(1, top)) if row else 0 for row in gen.rows] for gen in template.symbol_gens]
+    rows = [[draw(st.integers(1, top)) if row else 0 for row in gen] for gen in template.symbol_gens]
     return with_rows(template, rows)
 
 
