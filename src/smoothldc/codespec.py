@@ -13,7 +13,9 @@ The document format is self-describing JSON:
     content_hash = SHA-256 over the canonical serialization.
 
 The canonical serialization (sorted keys, no whitespace) makes the hash and
-the written bytes platform-stable.
+the written bytes platform-stable. Both it and the indented file form come
+from one writer whose output equals ``json.dumps(value, sort_keys=True, ...)``
+for every value.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Sequence
 
 from .capacity import CodeParams
@@ -95,6 +98,8 @@ class LinearCodeSpec:
         for m, gen in enumerate(self.symbol_gens):
             nonzero = 0
             for r, row in enumerate(gen):
+                if type(row) is not int:
+                    raise CodeSpecError(f"symbol {m} row {r}: must be an int, not {type(row).__name__}")
                 if row:
                     if row < 0 or row.bit_length() > width:
                         raise CodeSpecError(f"symbol {m} row {r}: does not fit K*Lw = {width} columns")
@@ -140,13 +145,66 @@ class LinearCodeSpec:
         return range((k - 1) * self.params.Lw, k * self.params.Lw)
 
 
-def canonical_json(doc: dict) -> bytes:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+def _emit(value, out: list[str], newline: str, step: int) -> None:
+    """Append the JSON text of value to out as json.dumps(sort_keys=True)
+    writes it: compact when newline is "", else indented by step spaces per
+    level, newline being the line break plus the current level's pad.
+
+    Str-keyed dicts and lists recurse, and a list of exact ints or of strs
+    that need no escaping (hex rows) is joined in one call. Anything else,
+    a dict with a non-str key included, goes to json.dumps itself.
+    """
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_str(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif (kind is list or kind is dict and all(type(key) is str for key in value)) and value:
+        inner = newline and newline + " " * step
+        sep = "," + inner
+        out.append(("[" if kind is list else "{") + inner)
+        if kind is dict:
+            colon = ": " if newline else ":"
+            for key in sorted(value):
+                out.append(_encode_str(key) + colon)
+                _emit(value[key], out, inner, step)
+                out.append(sep)
+            out.pop()
+        elif type(value[0]) is str and _plain_strs(value):
+            out.append('"' + f'"{sep}"'.join(value) + '"')
+        elif all(type(item) is int for item in value):
+            out.append(sep.join(map(int.__repr__, value)))
+        else:
+            for item in value:
+                _emit(item, out, inner, step)
+                out.append(sep)
+            out.pop()
+        out.append(newline + ("]" if kind is list else "}"))
+    elif newline:  # json.dumps escapes a newline inside a string, so each one is a line break
+        out.append(json.dumps(value, sort_keys=True, indent=step).replace("\n", newline))
+    else:
+        out.append(json.dumps(value, sort_keys=True, separators=(",", ":")))
+
+
+def _plain_strs(items: list) -> bool:
+    """True when the items are strs of ASCII letters and digits, not all empty."""
+    try:
+        text = "".join(items)
+    except TypeError:  # an item that is not a str
+        return False
+    return text.isascii() and text.encode().isalnum()
+
+
+def _json(value, indent: int | None = None) -> bytes:
+    """json.dumps(value, sort_keys=True) as bytes: compact, or with indent."""
+    out: list[str] = []
+    _emit(value, out, "" if indent is None else "\n", indent or 0)
+    return "".join(out).encode("utf-8")
 
 
 def content_hash(doc: dict) -> str:
     body = {key: value for key, value in doc.items() if key != "content_hash"}
-    return hashlib.sha256(canonical_json(body)).hexdigest()
+    return hashlib.sha256(_json(body)).hexdigest()
 
 
 def to_document(code: LinearCodeSpec, databases: Sequence[Sequence[int]] | None = None) -> dict:
@@ -223,7 +281,7 @@ def from_document(doc: dict) -> LinearCodeSpec:
         stated = doc.get("content_hash")
         try:
             computed = None if stated is None else content_hash(doc)
-        except (TypeError, ValueError) as exc:  # keys that do not sort, a cycle
+        except (TypeError, ValueError, RecursionError) as exc:  # keys that do not sort, a cycle, deep nesting
             raise CodeSpecError(f"document has no canonical serialization: {exc}") from exc
         _need(stated == computed, "content_hash does not match document body")
         pd = doc["params"]
@@ -275,7 +333,7 @@ def from_document(doc: dict) -> LinearCodeSpec:
 def dump_document(doc: dict) -> bytes:
     """Stable, human-readable rendering for files; hash covers the canonical
     form, not this indented one."""
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    return _json(doc, indent=2) + b"\n"
 
 
 def load_document(data: bytes) -> dict:

@@ -11,10 +11,12 @@ for ``verify.check_capacity_properties``, and the label-by-label converse
 chain the reference for ``verify.converse_witnesses``. The corruption
 trial that lists every pattern and scans it once per superset is the
 reference for ``verify.corruption_trial``. One column_mask per generator
-row is the reference for ``construct.build_sldc``.
+row is the reference for ``construct.build_sldc``, and ``json.dumps`` with
+sorted keys the reference for the document writer in ``codespec``.
 """
 
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -268,3 +270,10 @@ def reference_corruption(code, delta, mode="exact", samples=1000, seed=0):
         every_pattern_leaves_clean_set=every_clean,
         guarantee_void=delta >= Fraction(1, p.N),
     )
+
+
+def reference_json(value, indent=None) -> bytes:
+    """The JSON text of value with sorted keys: compact, or indented by indent."""
+    if indent is None:
+        return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return json.dumps(value, sort_keys=True, indent=indent).encode("utf-8")

@@ -11,6 +11,7 @@ import pytest
 
 import smoothldc
 from smoothldc import cli, entropy, pir, verify
+from smoothldc.codespec import CodeSpecError, load_document
 from smoothldc.construct import random_message
 from smoothldc.gf2 import BitVector
 
@@ -330,6 +331,29 @@ class TestMalformedDocuments:
         doc.write_text("[" * 100_000 + "]" * 100_000)
         code, _, err = run_cli(capsys, "verify", str(doc))
         assert code == 2 and "nests too deeply" in err
+
+    def test_deep_field_that_loads_exits_2(self, capsys, tmp_path):
+        # an "extra" field nested just shallower than load_document refuses:
+        # it parses, so the content-hash step must serialise it
+        head = json.dumps(smoothldc.to_document(smoothldc.build_sldc(2, 2)))[:-1] + ', "extra": '
+
+        def nested(depth):
+            return (head + "[" * depth + "0" + "]" * depth + "}").encode()
+
+        def loads(depth):
+            try:
+                load_document(nested(depth))
+            except CodeSpecError:
+                return False
+            return True
+
+        deepest = next(d for d in range(sys.getrecursionlimit(), 0, -1) if loads(d))
+        doc = tmp_path / "deep.json"
+        for depth in range(deepest - 40, deepest + 1):
+            doc.write_bytes(nested(depth))
+            code, out, err = run_cli(capsys, "verify", str(doc))
+            assert (code, out) == (2, ""), depth
+            assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestPirAudit:

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_decode, message_slice, reference_generator_rows
+from oracles import brute_force_decode, message_slice, reference_generator_rows, reference_json
 import smoothldc
 from smoothldc import capacity, construct
 from smoothldc.codespec import (
     CodeSpecError,
     DecodingSuperset,
     LinearCodeSpec,
+    _json,
     content_hash,
     dump_document,
     from_document,
@@ -411,11 +412,61 @@ class TestSpecValidation:
         with pytest.raises(CodeSpecError, match=r"^symbol 2 row 0: does not fit K\*Lw = 3 columns$"):
             LinearCodeSpec(code.params, gens, code.supersets)
 
+    @pytest.mark.parametrize("row", [1.0, "1", True, 0.0, None], ids=repr)
+    def test_row_that_is_not_an_int_names_its_symbol(self, codes, row):
+        code = codes["fig1"]
+        gens = list(code.symbol_gens)
+        gens[2] = (*gens[2], row)
+        message = rf"^symbol 2 row {len(gens[2]) - 1}: must be an int, not {type(row).__name__}$"
+        with pytest.raises(CodeSpecError, match=message):
+            LinearCodeSpec(code.params, gens, code.supersets)
+
     def test_widest_row_fits(self, codes):
         code = codes["fig1"]
         gens = list(code.symbol_gens)
         gens[2] = [0b111]
         assert LinearCodeSpec(code.params, gens, code.supersets).symbol_gens[2] == (0b111,)
+
+
+# characters other than ASCII letters and digits: json.dumps escapes some,
+# and "é" and "\u0663" (a digit) are letters and digits to str.isalnum
+SPECIAL = '"\\/ \x00\x1f\x7f\x80\xe9\u0663\u2028\ud800\U0001f600'
+TRICKY_TEXT = st.text(st.sampled_from("aZ09" + SPECIAL), max_size=5)
+PLAIN_TEXT = st.text("0123456789abcdefXYZ", max_size=4)
+ONE_SPECIAL = st.tuples(PLAIN_TEXT, st.sampled_from(SPECIAL), PLAIN_TEXT).map("".join)
+ANY_KEY = st.none() | st.booleans() | st.integers() | st.floats() | TRICKY_TEXT
+WRITER_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=1 << 64).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | TRICKY_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.lists(PLAIN_TEXT, max_size=4)
+    | st.tuples(st.lists(PLAIN_TEXT, max_size=3), ONE_SPECIAL, st.lists(PLAIN_TEXT, max_size=3)).map(
+        lambda parts: [*parts[0], parts[1], *parts[2]]
+    )
+    | st.lists(st.integers(), max_size=4)
+    | st.dictionaries(TRICKY_TEXT, inner, max_size=4)
+    | st.dictionaries(ANY_KEY, inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=500)
+@given(WRITER_VALUES)
+def test_writer_equals_json_dumps(value):
+    for indent in (None, 2):
+        try:
+            expected = reference_json(value, indent)
+        except Exception as exc:  # keys that do not sort
+            with pytest.raises(type(exc)):
+                _json(value, indent)
+        else:
+            assert _json(value, indent) == expected
 
 
 def test_public_names_resolve():
@@ -469,6 +520,9 @@ class TestMalformedDocuments:
             except (KeyError, IndexError, TypeError):
                 pass  # an earlier mutation removed or replaced this path
         doc = json.loads(json.dumps(doc))
+        if isinstance(doc, dict):
+            body = {key: value for key, value in doc.items() if key != "content_hash"}
+            assert content_hash(doc) == hashlib.sha256(reference_json(body)).hexdigest()
         if isinstance(doc, dict) and data.draw(st.booleans()):
             doc["content_hash"] = content_hash(doc)  # reach the checks past the hash
         try:
@@ -483,6 +537,12 @@ class TestMalformedDocuments:
         doc = to_document(codes["fig1"])
         doc["supersets"][0][0] = {"": None}
         doc["supersets"][0][0][0] = None
+        with pytest.raises(CodeSpecError, match="no canonical serialization"):
+            from_document(doc)
+
+    def test_document_that_contains_itself_is_code_spec_error(self, codes):
+        doc = to_document(codes["fig1"])
+        doc["extra"] = doc
         with pytest.raises(CodeSpecError, match="no canonical serialization"):
             from_document(doc)
 
