@@ -16,7 +16,7 @@ import weakref
 from typing import Iterable
 
 from .codespec import LinearCodeSpec
-from .gf2 import column_mask, rank_words
+from .gf2 import rank_words
 
 
 class RankOracle:
@@ -31,7 +31,6 @@ class RankOracle:
         self.K, self.Lw, self.M = p.K, p.Lw, p.M
         self.width = p.K * p.Lw
         self._symbol_rows = code.symbol_gens
-        self._message_columns = [code.message_columns(k) for k in range(1, p.K + 1)]
         self._masks: dict[frozenset[int], int] = {}
         # (symbols, sources) -> bits, under the key as passed and normalised
         self._cache: dict[tuple, int] = {}
@@ -39,11 +38,12 @@ class RankOracle:
     def _mask_without(self, conditioned: frozenset[int]) -> int:
         mask = self._masks.get(conditioned)
         if mask is None:
-            keep = []
-            for k, columns in enumerate(self._message_columns, start=1):
+            # source k owns columns (k-1)*Lw to k*Lw - 1: one block of Lw bits
+            block = (1 << self.Lw) - 1
+            mask = 0
+            for k in range(1, self.K + 1):
                 if k not in conditioned:
-                    keep.extend(columns)
-            mask = column_mask(self.width, keep)
+                    mask |= block << (self.width - k * self.Lw)
             self._masks[conditioned] = mask
         return mask
 

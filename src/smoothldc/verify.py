@@ -231,38 +231,6 @@ class NaryTree:
         return tuple(set_id for level in self.sets_by_depth for set_id, _ in level)
 
 
-def _pick_one(chooser):
-    """The _grow pick that gives each node one set: the first of its set ids,
-    the next of an explicit list, or one drawn by a Random (an int seeds one)."""
-    if isinstance(chooser, int):
-        chooser = random.Random(chooser)
-    if chooser is None or chooser == "first":
-        choose = lambda node, qualifying: qualifying[0]
-    elif isinstance(chooser, random.Random):
-        choose = lambda node, qualifying: chooser.choice(qualifying)
-    elif isinstance(chooser, (list, tuple)):
-        explicit = iter(chooser)
-
-        def choose(node, qualifying):
-            try:
-                choice = next(explicit)
-            except StopIteration:
-                raise ValueError("explicit chooser ran out of set indices") from None
-            if choice not in qualifying:
-                raise ValueError(
-                    f"explicit set {choice} does not contain node {node} (valid: {qualifying})"
-                )
-            return choice
-    else:
-        raise TypeError("chooser must be 'first', an explicit index list, or a seed/Random")
-
-    def pick(node, options):
-        set_id = choose(node, list(options))
-        return ((set_id, options[set_id]),)
-
-    return pick
-
-
 def _sets_containing(code: LinearCodeSpec) -> list[dict[int, dict[int, tuple[int, ...]]]]:
     """Per source symbol k: each symbol's decoding sets of k, as set id ->
     members with that symbol first and the rest ascending, in set id order."""
@@ -304,9 +272,11 @@ def build_nary_tree(
     code: LinearCodeSpec,
     permutation: Sequence[int],
     root: int,
-    chooser="first",
+    chooser: Sequence[int] | None = None,
 ) -> NaryTree:
-    """Construct one tree realization; deterministic given the chooser.
+    """Construct one tree realization. Each node takes its first qualifying
+    set, or with an explicit chooser list the next set id of the list, which
+    must contain the node; the list must name exactly one set per node.
 
     Nodes are processed breadth-first; within a set the parent label comes
     first, remaining members in ascending index order.
@@ -317,7 +287,27 @@ def build_nary_tree(
         raise ValueError(f"permutation must rearrange [1..{p.K}]")
     if not 0 <= root < p.M:
         raise IndexError(f"root symbol {root} out of range")
-    return next(_grow(code, _sets_containing(code), permutation, root, _pick_one(chooser)))
+    if chooser is None:
+        pick = lambda node, options: (next(iter(options.items())),)
+    elif isinstance(chooser, (list, tuple)):
+        explicit = iter(chooser)
+
+        def pick(node, options):
+            try:
+                set_id = next(explicit)
+            except StopIteration:
+                raise ValueError("explicit chooser ran out of set indices") from None
+            if set_id not in options:
+                raise ValueError(f"explicit set {set_id} does not contain node {node} (valid: {list(options)})")
+            return ((set_id, options[set_id]),)
+    else:
+        raise TypeError("chooser must be None or an explicit list of set ids")
+    tree = next(_grow(code, _sets_containing(code), permutation, root, pick))
+    if chooser is not None:
+        unused = sum(1 for _ in explicit)
+        if unused:
+            raise ValueError(f"explicit chooser left {unused} of its {len(chooser)} set ids unused")
+    return tree
 
 
 def enumerate_trees(code: LinearCodeSpec) -> Iterator[NaryTree]:
@@ -338,7 +328,11 @@ def sample_trees(code: LinearCodeSpec, count: int, seed: int = 0) -> list[NaryTr
     if count < 0:
         raise ValueError(f"tree count must be at least 0, got {count}")
     rng = random.Random(seed)
-    pick = _pick_one(rng)
+
+    def pick(node, options):
+        set_id = rng.choice(list(options))
+        return ((set_id, options[set_id]),)
+
     p = code.params
     index = _sets_containing(code)
     trees = []
@@ -550,8 +544,7 @@ def min_distance(code: LinearCodeSpec) -> DistanceResult:
     p = code.params
     if p.M > DISTANCE_BUDGET:
         raise BudgetError(
-            f"exhaustive erasure search over M = {p.M} symbols exceeds the budget of {DISTANCE_BUDGET};"
-            " use corruption_trial in sampled mode instead"
+            f"exhaustive erasure search over M = {p.M} symbols exceeds the budget of {DISTANCE_BUDGET}"
         )
     ora = oracle_for(code)
     all_k = range(1, p.K + 1)
@@ -570,7 +563,6 @@ def min_distance(code: LinearCodeSpec) -> DistanceResult:
 class CorruptionReport:
     delta: Fraction
     corrupted_count: int
-    mode: str
     per_message_min: dict[int, Fraction]
     min_success: Fraction
     every_pattern_leaves_clean_set: bool
@@ -585,41 +577,24 @@ def _corruption_fraction(delta) -> Fraction:
     return delta
 
 
-def corruption_trial(
-    code: LinearCodeSpec,
-    delta,
-    mode: str = "exact",
-    samples: int = 1000,
-    seed: int = 0,
-) -> CorruptionReport:
+def corruption_trial(code: LinearCodeSpec, delta) -> CorruptionReport:
     """Success probability of a uniformly random decoding-set choice when a
     delta fraction of symbols is corrupted.
 
-    Exact mode enumerates every pattern of floor(delta*M) corrupted symbols
-    of a code with at most DISTANCE_BUDGET symbols; sampled mode draws
-    patterns with a seeded generator. Each pattern is visited once. Success
-    for a (message, pattern) pair is the fraction of decoding sets untouched
-    by the pattern; the report carries the minimum over patterns per message.
+    Every pattern of floor(delta*M) corrupted symbols of a code with at most
+    DISTANCE_BUDGET symbols is enumerated and visited once. Success for a
+    (message, pattern) pair is the fraction of decoding sets untouched by
+    the pattern; the report carries the minimum over patterns per message.
     """
     p = code.params
     delta = _corruption_fraction(delta)
+    if p.M > DISTANCE_BUDGET:
+        raise BudgetError(f"exact corruption enumeration needs M <= {DISTANCE_BUDGET}, got {p.M}")
     corrupted = int(delta * p.M)
-    if mode == "exact":
-        if p.M > DISTANCE_BUDGET:
-            raise BudgetError(f"exact corruption enumeration needs M <= {DISTANCE_BUDGET}, got {p.M}")
-        patterns: Iterable[tuple[int, ...]] = itertools.combinations(range(p.M), corrupted)
-    elif mode == "sampled":
-        # a trial of no patterns would report every message safe
-        if samples < 1:
-            raise ValueError(f"samples must be at least 1, got {samples}")
-        rng = random.Random(seed)
-        patterns = (tuple(sorted(rng.sample(range(p.M), corrupted))) for _ in range(samples))
-    else:
-        raise ValueError("mode must be 'exact' or 'sampled'")
 
     # fewest[i]: the fewest clean decoding sets of superset i under any pattern so far
     fewest = [len(sup.sets) for sup in code.supersets]
-    for pattern in patterns:
+    for pattern in itertools.combinations(range(p.M), corrupted):
         hit = set(pattern)
         for i, sup in enumerate(code.supersets):
             fewest[i] = min(fewest[i], sum(map(hit.isdisjoint, sup.sets)))
@@ -627,7 +602,6 @@ def corruption_trial(
     return CorruptionReport(
         delta=delta,
         corrupted_count=corrupted,
-        mode=mode,
         per_message_min=per_message_min,
         min_success=min(per_message_min.values()),
         every_pattern_leaves_clean_set=min(fewest) > 0,

@@ -17,7 +17,6 @@ sorted keys the reference for the document writer in ``codespec``.
 
 import itertools
 import json
-import random
 from collections import Counter
 from fractions import Fraction
 from math import log2
@@ -238,18 +237,14 @@ def reference_converse(code, trees):
     return witnesses
 
 
-def reference_corruption(code, delta, mode="exact", samples=1000, seed=0):
+def reference_corruption(code, delta):
     """The corruption trial as a list of every pattern, scanned once per
     superset with a Fraction per (pattern, superset): the reference for
     verify.corruption_trial on valid arguments."""
     p = code.params
     delta = Fraction(delta).limit_denominator(10**6) if not isinstance(delta, Fraction) else delta
     corrupted = int(delta * p.M)
-    if mode == "exact":
-        patterns = list(itertools.combinations(range(p.M), corrupted))
-    else:
-        rng = random.Random(seed)
-        patterns = [tuple(sorted(rng.sample(range(p.M), corrupted))) for _ in range(samples)]
+    patterns = list(itertools.combinations(range(p.M), corrupted))
     per_message_min = {}
     every_clean = True
     for sup in code.supersets:
@@ -264,7 +259,6 @@ def reference_corruption(code, delta, mode="exact", samples=1000, seed=0):
     return CorruptionReport(
         delta=delta,
         corrupted_count=corrupted,
-        mode=mode,
         per_message_min=per_message_min,
         min_success=min(per_message_min.values()),
         every_pattern_leaves_clean_set=every_clean,

@@ -161,7 +161,7 @@ def test_criterion_07_privacy_and_costs():
 
 def test_criterion_08_corruption_and_distance():
     fig1 = load_fixture("fig1")
-    trial = corruption_trial(fig1, Fraction(1, 3), mode="exact")
+    trial = corruption_trial(fig1, Fraction(1, 3))
     assert trial.corrupted_count == 2
     assert trial.every_pattern_leaves_clean_set
     assert trial.min_success >= Fraction(1, 3)

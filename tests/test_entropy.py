@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 
@@ -12,8 +13,10 @@ from smoothldc.entropy import (
     oracle_for,
     same_information,
 )
+from smoothldc.gf2 import column_mask
 
 SMALL_FIXTURES = ("fig1", "intro_nonsmooth", "eq28", "fig2")  # <= 12 message bits
+FIXTURE_NAMES = SMALL_FIXTURES + ("fig4",)
 
 
 class TestConditionalEntropy:
@@ -72,6 +75,18 @@ class TestOracleLifetime:
         gc.collect()
         assert all(ref() is None for ref in refs)
         assert len(entropy._oracles) == before
+
+
+class TestConditioningMasks:
+    @pytest.mark.parametrize("name", [(2, 3), (3, 3), (2, 4), (4, 3), *FIXTURE_NAMES], ids=str)
+    def test_block_masks_equal_column_masks(self, codes, name):
+        code = codes[name] if name in codes else build_sldc(*name)
+        p = code.params
+        ora = entropy.RankOracle(code)
+        for size in range(p.K + 1):
+            for given in itertools.combinations(range(1, p.K + 1), size):
+                kept = [c for k in range(1, p.K + 1) if k not in given for c in code.message_columns(k)]
+                assert ora._mask_without(frozenset(given)) == column_mask(p.K * p.Lw, kept)
 
 
 class TestBruteForceEquivalence:

@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import random
 import tracemalloc
 from fractions import Fraction
 
@@ -223,17 +222,10 @@ class TestTreeConstruction:
             build_nary_tree(codes["intro_nonsmooth"], (1, 2, 3), 1, [1])
         with pytest.raises(ValueError, match="ran out"):
             build_nary_tree(codes["intro_nonsmooth"], (1, 2, 3), 0, [0])
-
-    def test_seeded_chooser_deterministic(self, codes):
-        code = codes["intro_nonsmooth"]
-        t1 = build_nary_tree(code, (1, 2, 3), 0, chooser=42)
-        t2 = build_nary_tree(code, (1, 2, 3), 0, chooser=42)
-        assert t1 == t2
-
-    def test_int_chooser_is_a_seeded_random(self, codes):
-        code = codes["intro_nonsmooth"]
-        seeded = build_nary_tree(code, (1, 2, 3), 0, chooser=42)
-        assert seeded == build_nary_tree(code, (1, 2, 3), 0, chooser=random.Random(42))
+        with pytest.raises(ValueError, match="left 3 of its 10 set ids unused"):
+            build_nary_tree(codes["intro_nonsmooth"], (1, 2, 3), 0, WALKTHROUGH_CHOICES + [5, 5, 5])
+        with pytest.raises(TypeError, match="chooser"):
+            build_nary_tree(codes["intro_nonsmooth"], (1, 2, 3), 0, chooser=42)
 
     def test_stuck_node_raises(self, codes):
         code = codes["intro_nonsmooth"]
@@ -559,7 +551,7 @@ class TestMinDistance:
         assert result.witness == (0,)
 
     def test_budget(self, codes):
-        with pytest.raises(BudgetError, match="sampl"):
+        with pytest.raises(BudgetError, match="exceeds the budget of 24$"):
             min_distance(codes[(3, 3)])
 
 
@@ -587,17 +579,6 @@ class TestCorruption:
         report = corruption_trial(codes["fig1"], Fraction(1, 2))
         assert report.guarantee_void
 
-    def test_sampled_mode_deterministic(self, codes):
-        a = corruption_trial(codes["fig1"], Fraction(1, 3), mode="sampled", samples=50, seed=4)
-        b = corruption_trial(codes["fig1"], Fraction(1, 3), mode="sampled", samples=50, seed=4)
-        assert a == b
-        assert a.min_success >= Fraction(1, 3)
-
-    @pytest.mark.parametrize("samples", [0, -3])
-    def test_sampled_mode_needs_a_pattern(self, codes, samples):
-        with pytest.raises(ValueError, match="samples must be at least 1"):
-            corruption_trial(codes[(2, 3)], Fraction(1, 8), mode="sampled", samples=samples)
-
     def test_float_delta_normalized(self, codes):
         report = corruption_trial(codes["fig1"], 1 / 3)
         assert report.delta == Fraction(1, 3)
@@ -609,12 +590,8 @@ class TestCorruption:
         code = codes[name] if name in codes else build_sldc(*name)
         p = code.params
         default = Fraction(max(-(-p.M // p.N) - 1, 0), p.M)
-        runs = [{"mode": "exact"}] + [
-            {"mode": "sampled", "samples": samples, "seed": seed} for samples in (1, 50) for seed in (0, 7)
-        ]
         for delta in (Fraction(0), default, Fraction(1, p.N), Fraction(1)):
-            for run in runs:
-                assert repr(corruption_trial(code, delta, **run)) == repr(reference_corruption(code, delta, **run))
+            assert repr(corruption_trial(code, delta)) == repr(reference_corruption(code, delta))
 
     def test_exact_trial_keeps_no_pattern_list(self):
         code = build_sldc(2, 4)  # M = 16: C(16, 7) = 11440 patterns at the default delta
