@@ -126,6 +126,14 @@ class LinearCodeSpec:
                         raise CodeSpecError(
                             f"decoding set {s} is not a group transversal (groups {seen})"
                         )
+        if self.labels is not None and len(self.labels) != p.M:
+            raise CodeSpecError(f"labels must name all {p.M} coded symbols, got {len(self.labels)}")
+        if self.digits is not None:
+            if len(self.digits) != p.M:
+                raise CodeSpecError(f"digits must give all {p.M} coded symbols a vector, got {len(self.digits)}")
+            for m, d in enumerate(self.digits):
+                if len(d) != p.K or not all(type(x) is int and 0 <= x < p.N for x in d):
+                    raise CodeSpecError(f"symbol {m} digits {list(d)}: must be K = {p.K} digits in [0, {p.N})")
 
     # transcribed codes keep their X1..XM labels so reports read naturally
     def label(self, m: int) -> str:

@@ -113,7 +113,7 @@ def scheme_hash(scheme: pir.PirScheme) -> bytes:
 
 def parse_endpoint(endpoint: str) -> tuple[str, int]:
     host, _, port = endpoint.rpartition(":")
-    if not host or not port.isdigit():
+    if not host or not (port.isascii() and port.isdigit()):
         raise ValueError(f"endpoint must be host:port, got {endpoint!r}")
     if int(port) > 0xFFFF:
         raise ValueError(f"port must be in [0, 65535], got {endpoint!r}")

@@ -33,14 +33,15 @@ class PirScheme:
     """A code together with its database view.
 
     databases[n] lists the symbol indices served by database n+1;
-    query_sets[k-1] lists, in a published order, the per-database query
-    tuples (q_1..q_N) that realize the decoding sets of source symbol k.
-    The client picks one uniformly.
+    query_sets[k-1] lists, in a published order, (set index, queries)
+    entries: the per-database query tuple (q_1..q_N) that realizes decoding
+    set code.supersets[k-1].sets[set index]. The client picks one entry
+    uniformly.
     """
 
     code: LinearCodeSpec
     databases: tuple[tuple[int, ...], ...]
-    query_sets: tuple[tuple[tuple[int, ...], ...], ...]
+    query_sets: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
 
     @property
     def n_databases(self) -> int:
@@ -52,29 +53,6 @@ class PirScheme:
 
     def served_symbols(self, queries: Sequence[int]) -> tuple[int, ...]:
         return tuple(self.databases[n][q] for n, q in enumerate(queries))
-
-    def position(self, symbol: int) -> tuple[int, int]:
-        """(database 1-based, query index) serving a coded symbol; only
-        unambiguous when the databases partition the symbols."""
-        return self._positions[symbol]
-
-    @cached_property
-    def _positions(self) -> dict[int, tuple[int, int]]:
-        return {
-            symbol: (n + 1, q)
-            for n, answers in enumerate(self.databases)
-            for q, symbol in enumerate(answers)
-        }
-
-    @cached_property
-    def _set_index(self) -> tuple[dict[tuple[int, ...], int], ...]:
-        return tuple(
-            {members: i for i, members in reversed(list(enumerate(sup.sets)))}
-            for sup in self.code.supersets
-        )
-
-    def decoding_set_index(self, theta: int, members: Sequence[int]) -> int:
-        return self._set_index[theta - 1][tuple(sorted(members))]
 
     @cached_property
     def digest(self) -> bytes:
@@ -102,14 +80,14 @@ def scheme_from_sldc(code: LinearCodeSpec) -> PirScheme:
     }
     query_sets = []
     for sup in code.supersets:
-        tuples = []
-        for members in sup.sets:
+        entries = []
+        for set_index, members in enumerate(sup.sets):
             queries = [0] * n
             for symbol in members:
                 db, q = positions[symbol]
                 queries[db] = q
-            tuples.append(tuple(queries))
-        query_sets.append(tuple(tuples))
+            entries.append((set_index, tuple(queries)))
+        query_sets.append(tuple(entries))
     # transversality of every decoding set is enforced by the code spec
     return PirScheme(code=code, databases=databases, query_sets=tuple(query_sets))
 
@@ -124,10 +102,10 @@ def replicated_scheme(code: LinearCodeSpec) -> PirScheme:
     everything = tuple(range(code.params.M))
     query_sets = []
     for sup in code.supersets:
-        tuples = []
-        for members in sup.sets:
-            tuples.extend(itertools.permutations(members))
-        query_sets.append(tuple(tuples))
+        entries = []
+        for set_index, members in enumerate(sup.sets):
+            entries.extend((set_index, queries) for queries in itertools.permutations(members))
+        query_sets.append(tuple(entries))
     return PirScheme(
         code=code, databases=(everything,) * n, query_sets=tuple(query_sets)
     )
@@ -142,21 +120,16 @@ class QueryBundle:
 
 
 def gen_query(scheme: PirScheme, theta: int, rng: random.Random | int | None = None) -> QueryBundle:
-    """Pick one of theta's published query tuples uniformly at random.
-    Deterministic given the rng seed."""
+    """Pick one of theta's published (set index, queries) entries uniformly
+    at random. Deterministic given the rng seed."""
     if not 1 <= theta <= scheme.code.params.K:
         raise IndexError(f"theta must be in [1, {scheme.code.params.K}]")
     if not isinstance(rng, random.Random):
         rng = random.Random(rng)
-    tuples = scheme.query_sets[theta - 1]
-    queries = tuples[rng.randrange(len(tuples))]
-    members = scheme.served_symbols(queries)
-    return QueryBundle(
-        theta=theta,
-        set_index=scheme.decoding_set_index(theta, members),
-        members=tuple(sorted(members)),
-        queries=queries,
-    )
+    entries = scheme.query_sets[theta - 1]
+    set_index, queries = entries[rng.randrange(len(entries))]
+    members = scheme.code.supersets[theta - 1].sets[set_index]
+    return QueryBundle(theta=theta, set_index=set_index, members=members, queries=queries)
 
 
 def answer(scheme: PirScheme, n: int, q: int, messages: BitVector) -> BitVector:
@@ -188,12 +161,12 @@ class AuditResult:
 
 def query_distributions(scheme: PirScheme) -> dict[tuple[int, int], tuple[Fraction, ...]]:
     """Exact conditional distribution of each database's query given the
-    desired message, from the uniform choice over published query tuples."""
+    desired message, from the uniform choice over published entries."""
     table = {}
-    for k, tuples in enumerate(scheme.query_sets, start=1):
-        weight = Fraction(1, len(tuples))
+    for k, entries in enumerate(scheme.query_sets, start=1):
+        weight = Fraction(1, len(entries))
         per_db = {n: [Fraction(0)] * scheme.query_space(n) for n in range(1, scheme.n_databases + 1)}
-        for queries in tuples:
+        for _, queries in entries:
             for n, q in enumerate(queries, start=1):
                 per_db[n][q] += weight
         for n, dist in per_db.items():

@@ -13,10 +13,13 @@ trial that lists every pattern and scans it once per superset is the
 reference for ``verify.corruption_trial``. One column_mask per generator
 row is the reference for ``construct.build_sldc``, and ``json.dumps`` with
 sorted keys the reference for the document writer in ``codespec``.
+The seeded mutants at the end are inputs that every verify row must
+answer as it does today.
 """
 
 import itertools
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 from math import log2
@@ -24,6 +27,7 @@ from math import log2
 import numpy as np
 
 from smoothldc.entropy import _distinct, _same, oracle_for
+from smoothldc.codespec import LinearCodeSpec
 from smoothldc.gf2 import BitVector, column_mask
 from smoothldc.verify import CheckResult, CorruptionReport, PropertyReport, check_universality
 
@@ -271,3 +275,32 @@ def reference_json(value, indent=None) -> bytes:
     if indent is None:
         return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return json.dumps(value, sort_keys=True, indent=indent).encode("utf-8")
+
+
+def generator_bit_flips(code, seed, draws=64):
+    """Yield the codes made by flipping one generator bit of code. Each of
+    *draws* seeded draws picks a symbol, then one of its rows, then a
+    column; a flip is kept, in draw order, when the symbol still has
+    exactly Lx nonzero rows (so neither a zero row nor a one-bit row)."""
+    p = code.params
+    width = p.K * p.Lw
+    rng = random.Random(seed)
+    for _ in range(draws):
+        m = rng.randrange(p.M)
+        r = rng.randrange(len(code.symbol_gens[m]))
+        c = rng.randrange(width)
+        row = code.symbol_gens[m][r]
+        flipped = row ^ (1 << (width - 1 - c))
+        if not (row and flipped):
+            continue
+        gens = list(code.symbol_gens)
+        gens[m] = gens[m][:r] + (flipped,) + gens[m][r + 1 :]
+        yield LinearCodeSpec(
+            params=p,
+            symbol_gens=gens,
+            supersets=code.supersets,
+            groups=code.groups,
+            digits=code.digits,
+            labels=code.labels,
+            column_order=code.column_order,
+        )

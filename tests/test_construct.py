@@ -421,6 +421,28 @@ class TestSpecValidation:
         with pytest.raises(CodeSpecError, match=message):
             LinearCodeSpec(code.params, gens, code.supersets)
 
+    @pytest.mark.parametrize("labels", [["X1"], ["X1", "X2", "X3", "X4", "X5"]], ids=len)
+    def test_labels_name_every_symbol(self, codes, labels):
+        code = codes["eq28"]
+        with pytest.raises(CodeSpecError, match=r"^labels must name all 4 coded symbols, got \d$"):
+            LinearCodeSpec(code.params, code.symbol_gens, code.supersets, labels=labels)
+
+    @pytest.mark.parametrize(
+        "digits, message",
+        [
+            ([(0, 0)] * 3, r"^digits must give all 4 coded symbols a vector, got 3$"),
+            ([(0, 0), (0, 1), (1, 0), (1,)], r"^symbol 3 digits \[1\]: must be K = 2 digits in \[0, 2\)$"),
+            ([(0, 0), (0, 2), (1, 0), (1, 1)], r"^symbol 1 digits \[0, 2\]: must be K = 2 digits in \[0, 2\)$"),
+            ([(0, -1), (0, 1), (1, 0), (1, 1)], r"^symbol 0 digits \[0, -1\]"),
+            ([(0, True), (0, 1), (1, 0), (1, 1)], r"^symbol 0 digits \[0, True\]"),
+        ],
+        ids=["count", "short", "too-big", "negative", "bool"],
+    )
+    def test_digits_are_k_digits_below_n(self, codes, digits, message):
+        code = codes["eq28"]
+        with pytest.raises(CodeSpecError, match=message):
+            LinearCodeSpec(code.params, code.symbol_gens, code.supersets, digits=digits)
+
     def test_widest_row_fits(self, codes):
         code = codes["fig1"]
         gens = list(code.symbol_gens)
@@ -552,6 +574,13 @@ class TestMalformedDocuments:
         doc["version"] = version
         doc["content_hash"] = content_hash(doc)
         with pytest.raises(CodeSpecError, match=f"version must be an integer, not {type(version).__name__}"):
+            from_document(doc)
+
+    def test_digit_vector_out_of_range_is_code_spec_error(self, codes):
+        doc = to_document(codes[(2, 2)])
+        doc["symbols"][0]["digits"] = [9, 9, 9]
+        doc["content_hash"] = content_hash(doc)
+        with pytest.raises(CodeSpecError, match=r"^symbol 0 digits \[9, 9, 9\]: must be K = 2 digits in \[0, 2\)$"):
             from_document(doc)
 
     def test_overlong_and_bad_hex(self, codes):

@@ -94,6 +94,10 @@ class TestFraming:
         for bad in ("no-port", "127.0.0.1:65536", "127.0.0.1:99999", "127.0.0.1:-1"):
             with pytest.raises(ValueError):
                 parse_endpoint(bad)
+        # str.isdigit and int() also take non-ASCII digits
+        for bad in ("127.0.0.1:\u0668\u0660", "127.0.0.1:\u00b2"):
+            with pytest.raises(ValueError, match="^endpoint must be host:port, got "):
+                parse_endpoint(bad)
 
 
 class TestServer:

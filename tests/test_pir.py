@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -23,6 +24,12 @@ from smoothldc.pir import (
 )
 
 AUDIT_GRID = [(n, k) for n in (2, 3, 4) for k in (1, 2, 3)]
+FIXTURE_NAMES = ("fig1", "fig2", "intro_nonsmooth", "eq28", "fig4")
+
+# SHA-256 over repr(gen_query(scheme, theta, seed)) for theta = 1..K and
+# seeds 0..49 of every scheme in all_schemes, in that order; recorded when
+# gen_query still worked the set index back out of the drawn queries.
+BUNDLES_DIGEST = "d94e8525e00ef750595d467cb5020b89927eb1e28fea542fbd3b4503e47ad2c5"
 
 
 def with_supersets(code, supersets):
@@ -44,6 +51,13 @@ def grid_schemes():
     return {nk: scheme_from_sldc(build_sldc(*nk)) for nk in AUDIT_GRID}
 
 
+def all_schemes(codes):
+    """scheme_from_sldc of every code that has groups (the build grid,
+    fig1, eq28 and fig4), then replicated_scheme of every fixture."""
+    lifted = [scheme_from_sldc(code) for code in codes.values() if code.groups is not None]
+    return lifted + [replicated_scheme(codes[name]) for name in FIXTURE_NAMES]
+
+
 class TestSchemeFromCode:
     def test_2_3_layout(self, codes):
         scheme = scheme_from_sldc(codes[(2, 3)])
@@ -54,6 +68,13 @@ class TestSchemeFromCode:
         scheme = scheme_from_sldc(codes[(2, 2)])
         assert scheme.n_databases == 2
         assert scheme.databases == ((0, 3), (1, 2))
+
+    def test_every_entry_serves_its_set(self, codes):
+        for scheme in all_schemes(codes):
+            for sup, entries in zip(scheme.code.supersets, scheme.query_sets, strict=True):
+                for set_index, queries in entries:
+                    assert 0 <= set_index < len(sup.sets)
+                    assert tuple(sorted(scheme.served_symbols(queries))) == sup.sets[set_index]
 
     def test_ungroupable_code_rejected(self, codes):
         with pytest.raises(SchemeError, match="group"):
@@ -94,6 +115,32 @@ class TestGenQuery:
         sigma = math.sqrt(draws * 0.25 * 0.75)
         for c in counts:
             assert abs(c - expected) < 5 * sigma
+
+    def test_bundles_pinned(self, codes):
+        schemes = all_schemes(codes)
+        assert len(schemes) == 14
+        digest = hashlib.sha256()
+        for scheme in schemes:
+            for theta in range(1, scheme.code.params.K + 1):
+                for seed in range(50):
+                    digest.update(repr(gen_query(scheme, theta, seed)).encode())
+        assert digest.hexdigest() == BUNDLES_DIGEST
+
+    def test_repeated_set_drawn_as_often_as_the_others(self, codes):
+        # superset 1 lists set 0 twice: each listing is its own entry
+        code = codes["fig1"]
+        first = code.supersets[0]
+        doubled = DecodingSuperset(k=1, sets=first.sets + first.sets[:1])
+        scheme = scheme_from_sldc(with_supersets(code, [doubled, *code.supersets[1:]]))
+        rng = random.Random(2024)
+        draws = 4000
+        counts = [0] * len(doubled.sets)
+        for _ in range(draws):
+            counts[gen_query(scheme, 1, rng).set_index] += 1
+        expected = draws / len(counts)
+        sigma = math.sqrt(draws * (1 / len(counts)) * (1 - 1 / len(counts)))
+        for c in counts:
+            assert abs(c - expected) < 5 * sigma, counts
 
     def test_theta_validated(self, codes):
         scheme = scheme_from_sldc(codes[(2, 2)])
@@ -277,12 +324,17 @@ class TestCostMetrics:
     def test_scheme_level_smoothness(self, grid_schemes):
         # each answer is served by the same number of sets for every message
         for scheme in grid_schemes.values():
+            position = {
+                symbol: (n, q)
+                for n, answers in enumerate(scheme.databases, start=1)
+                for q, symbol in enumerate(answers)
+            }
             per_k = {}
             for sup in scheme.code.supersets:
                 counts = {}
                 for members in sup.sets:
                     for symbol in members:
-                        counts[scheme.position(symbol)] = counts.get(scheme.position(symbol), 0) + 1
+                        counts[position[symbol]] = counts.get(position[symbol], 0) + 1
                 per_k[sup.k] = counts
             baseline = per_k[1]
             assert all(counts == baseline for counts in per_k.values())
