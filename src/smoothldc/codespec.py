@@ -131,9 +131,12 @@ class LinearCodeSpec:
         if self.digits is not None:
             if len(self.digits) != p.M:
                 raise CodeSpecError(f"digits must give all {p.M} coded symbols a vector, got {len(self.digits)}")
+            first: dict[tuple[int, ...], int] = {}
             for m, d in enumerate(self.digits):
                 if len(d) != p.K or not all(type(x) is int and 0 <= x < p.N for x in d):
                     raise CodeSpecError(f"symbol {m} digits {list(d)}: must be K = {p.K} digits in [0, {p.N})")
+                if first.setdefault(tuple(d), m) != m:
+                    raise CodeSpecError(f"symbol {m} digits {list(d)}: repeat those of symbol {first[tuple(d)]}")
 
     # transcribed codes keep their X1..XM labels so reports read naturally
     def label(self, m: int) -> str:

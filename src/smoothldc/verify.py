@@ -9,19 +9,34 @@ exhaustive-erasure minimum distance, and the corruption-survival guarantee.
 Every check is exact: entropies come from the rank oracle, probabilities
 are rationals, and all enumeration orders are fixed so witnesses are
 deterministic (the lexicographically smallest witness is reported first).
+
+A built code is symmetric under the translations of Z_N^K: moving every
+digit vector by t maps X_p's generator rows onto X_{p+t}'s under a column
+permutation that keeps every source block, so H(X_A | W_J) is constant on
+translation orbits (symmetry reduction, as in Emerson & Sistla, "Symmetry
+and Model Checking", 1996). ``run_checks`` checks that symmetry on the
+rows and decoding sets themselves (``_translations``), and when it holds
+first runs correctness, properties, tree and converse on one
+representative per orbit: one set per superset orbit, symbol 0, the trees
+rooted at symbol 0. A check whose representatives all pass has no
+witnesses to report; any other check, and every check of a code without
+the symmetry, enumerates every set, symbol and tree, so each report is the
+one the full enumeration writes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .capacity import CodeParams
-from .codespec import LinearCodeSpec
+from .codespec import COLUMN_ORDER_CANONICAL, LinearCodeSpec
 from .entropy import _distinct, _same, oracle_for
 
 DISTANCE_BUDGET = 24
@@ -55,22 +70,29 @@ class CheckResult:
         }
 
 
-def check_correctness(code: LinearCodeSpec) -> CheckResult:
-    """Every decoding set must determine its source symbol exactly."""
-    ora = oracle_for(code)
-    witnesses = []
+def _every_set(code: LinearCodeSpec) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """(k, set index, members) of every decoding set, superset by superset."""
     for sup in code.supersets:
         for set_index, members in enumerate(sup.sets):
-            residual = ora.message_entropy_given(sup.k, members)
-            if residual != 0:
-                witnesses.append(
-                    {
-                        "k": sup.k,
-                        "set_index": set_index,
-                        "set": [code.label(m) for m in members],
-                        "residual_bits": residual,
-                    }
-                )
+            yield sup.k, set_index, members
+
+
+def check_correctness(code: LinearCodeSpec, sets=None) -> CheckResult:
+    """Every decoding set must determine its source symbol exactly. *sets*
+    lists the (k, set index, members) to check, by default every set."""
+    ora = oracle_for(code)
+    witnesses = []
+    for k, set_index, members in _every_set(code) if sets is None else sets:
+        residual = ora.message_entropy_given(k, members)
+        if residual != 0:
+            witnesses.append(
+                {
+                    "k": k,
+                    "set_index": set_index,
+                    "set": [code.label(m) for m in members],
+                    "residual_bits": residual,
+                }
+            )
     return CheckResult("correctness", not witnesses, witnesses)
 
 
@@ -118,7 +140,9 @@ class PropertyReport:
         return [name for name, r in self.results.items() if not r.passed]
 
 
-def check_capacity_properties(code: LinearCodeSpec) -> PropertyReport:
+def check_capacity_properties(code: LinearCodeSpec, symbols=None, sets=None) -> PropertyReport:
+    """p1 over *symbols* and p2a-p2c over the pairs of *sets*, (k, set
+    index, members) triples; by default every symbol and every set."""
     ora = oracle_for(code)
     p = code.params
     all_k = range(1, p.K + 1)
@@ -129,7 +153,7 @@ def check_capacity_properties(code: LinearCodeSpec) -> PropertyReport:
     p1 = CheckResult("p1-nonzero-entropy", True)
     # zeros[k]: symbols with H(X_i | W_-k) = 0, ascending
     zeros: dict[int, list[int]] = {k: [] for k in all_k}
-    for i in range(p.M):
+    for i in range(p.M) if symbols is None else symbols:
         for k in all_k:
             if ora.entropy((i,), others[k]) == 0:
                 p1.witnesses.append({"i": code.label(i), "k": k})
@@ -139,46 +163,44 @@ def check_capacity_properties(code: LinearCodeSpec) -> PropertyReport:
     p2a = CheckResult("p2a-same-interference", True)
     p2b = CheckResult("p2b-distinct-desired", True)
     p2c = CheckResult("p2c-independence", True)
-    for sup in code.supersets:
-        k = sup.k
-        for set_index, members in enumerate(sup.sets):
-            for i1, i2 in itertools.combinations(members, 2):
-                for k_prime in all_k:
-                    if k_prime == k:
-                        continue
-                    j = others[k_prime]
-                    if not _same(ora, i1, i2, j):
-                        h12 = ora.entropy((i1, i2), j)
-                        p2a.witnesses.append(
-                            {
-                                "k": k,
-                                "set_index": set_index,
-                                "i1": code.label(i1),
-                                "i2": code.label(i2),
-                                "k_prime": k_prime,
-                                "h_i1_given_i2": h12 - ora.entropy((i2,), j),
-                                "h_i2_given_i1": h12 - ora.entropy((i1,), j),
-                            }
-                        )
-                # _distinct is symmetric: both directions test H12 = H1 + H2
-                if not _distinct(ora, i1, i2, others[k]):
-                    p2b.witnesses.append(
-                        {"k": k, "set_index": set_index, "i1": code.label(i1), "i2": code.label(i2)}
-                    )
-                h1 = ora.entropy((i1,))
-                h2 = ora.entropy((i2,))
-                h12 = ora.entropy((i1, i2))
-                if h12 != h1 + h2:
-                    p2c.witnesses.append(
+    for k, set_index, members in _every_set(code) if sets is None else sets:
+        for i1, i2 in itertools.combinations(members, 2):
+            for k_prime in all_k:
+                if k_prime == k:
+                    continue
+                j = others[k_prime]
+                if not _same(ora, i1, i2, j):
+                    h12 = ora.entropy((i1, i2), j)
+                    p2a.witnesses.append(
                         {
                             "k": k,
                             "set_index": set_index,
                             "i1": code.label(i1),
                             "i2": code.label(i2),
-                            "joint": h12,
-                            "sum": h1 + h2,
+                            "k_prime": k_prime,
+                            "h_i1_given_i2": h12 - ora.entropy((i2,), j),
+                            "h_i2_given_i1": h12 - ora.entropy((i1,), j),
                         }
                     )
+            # _distinct is symmetric: both directions test H12 = H1 + H2
+            if not _distinct(ora, i1, i2, others[k]):
+                p2b.witnesses.append(
+                    {"k": k, "set_index": set_index, "i1": code.label(i1), "i2": code.label(i2)}
+                )
+            h1 = ora.entropy((i1,))
+            h2 = ora.entropy((i2,))
+            h12 = ora.entropy((i1, i2))
+            if h12 != h1 + h2:
+                p2c.witnesses.append(
+                    {
+                        "k": k,
+                        "set_index": set_index,
+                        "i1": code.label(i1),
+                        "i2": code.label(i2),
+                        "joint": h12,
+                        "sum": h1 + h2,
+                    }
+                )
     p2a.passed = not p2a.witnesses
     p2b.passed = not p2b.witnesses
     p2c.passed = not p2c.witnesses
@@ -317,9 +339,14 @@ def enumerate_trees(code: LinearCodeSpec) -> Iterator[NaryTree]:
 
     Each tree equals build_nary_tree(code, perm, root, list(tree.choices)).
     """
+    return _trees_from(code, range(code.params.M))
+
+
+def _trees_from(code: LinearCodeSpec, roots: Sequence[int]) -> Iterator[NaryTree]:
+    """enumerate_trees' trees whose root is in *roots*, in its order."""
     index = _sets_containing(code)
     for perm in itertools.permutations(range(1, code.params.K + 1)):
-        for root in range(code.params.M):
+        for root in roots:
             yield from _grow(code, index, perm, root, lambda node, options: options.items())
 
 
@@ -362,6 +389,23 @@ def _trees_per_permutation(code: LinearCodeSpec) -> Iterator[int]:
         yield sum(below)
 
 
+def _tree_count(code: LinearCodeSpec, budget: int) -> int | None:
+    """How many trees enumerate_trees yields, or None once the running
+    count per permutation passes *budget*."""
+    total = 0
+    for total in itertools.accumulate(_trees_per_permutation(code)):
+        if total > budget:
+            return None
+    return total
+
+
+def _check_audit_options(budget: int, samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if budget < 0:
+        raise ValueError(f"tree budget must be at least 0, got {budget}")
+
+
 def trees_for_audit(
     code: LinearCodeSpec, budget: int = DEFAULT_TREE_BUDGET, samples: int = 100, seed: int = 0
 ) -> tuple[list[NaryTree], bool]:
@@ -375,12 +419,8 @@ def trees_for_audit(
 
     An audit of no trees would pass without looking at one, so *samples*
     must be at least 1 and *budget* at least 0."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    if budget < 0:
-        raise ValueError(f"tree budget must be at least 0, got {budget}")
-    running = itertools.accumulate(_trees_per_permutation(code))
-    if not check_universality(code) or all(total <= budget for total in running):
+    _check_audit_options(budget, samples)
+    if not check_universality(code) or _tree_count(code, budget) is not None:
         trees = list(itertools.islice(enumerate_trees(code), budget + 1))
         if len(trees) <= budget:
             return trees, True
@@ -609,10 +649,120 @@ def corruption_trial(code: LinearCodeSpec, delta) -> CorruptionReport:
     )
 
 
+# --- translation orbits -----------------------------------------------------
+
+# code -> its _unit_translations; no value refers to its code
+_symmetries: "weakref.WeakKeyDictionary[LinearCodeSpec, tuple | None]" = weakref.WeakKeyDictionary()
+
+
+def _translations(code: LinearCodeSpec) -> tuple[tuple[int, ...], ...] | None:
+    """For each coordinate j, the map of symbol indices m -> the symbol
+    whose digits are m's plus e_j mod N, when the code is checked to be
+    symmetric under these translations, and otherwise None. Worked out once
+    per code."""
+    if code not in _symmetries:
+        _symmetries[code] = _unit_translations(code)
+    return _symmetries[code]
+
+
+def _unit_translations(code: LinearCodeSpec) -> tuple[tuple[int, ...], ...] | None:
+    """The unit translations of a code whose digit vectors are all of
+    Z_N^K (they are distinct, so M = N^K makes them a bijection) and whose
+    columns are in the canonical order with Lw = M(N-1), provided that for
+    each e_j every symbol's rows, under the column shuffle moving each
+    source's sub-symbol gamma + e_j to gamma, are its translate's rows, and
+    every superset's sets map onto its own sets, both as multisets. The
+    shuffle keeps every source block, so then each translation keeps every
+    H(X_A | W_J) and carries decoding sets to decoding sets."""
+    p = code.params
+    if code.digits is None or code.column_order != COLUMN_ORDER_CANONICAL:
+        return None
+    if p.M != p.N**p.K or p.Lw != p.M * (p.N - 1):
+        return None
+    index = {d: m for m, d in enumerate(code.digits)}
+    rows = [sorted(gen) for gen in code.symbol_gens]
+    sets = [sorted(sup.sets) for sup in code.supersets]
+    sub = (1 << (p.N - 1)) - 1  # the N-1 columns of one sub-symbol
+    maps = []
+    for j in range(p.K):
+        step = p.N ** (p.K - 1 - j)  # gamma index distance of one unit of digit j
+        up, down = step * (p.N - 1), step * (p.N - 1) ** 2
+        # within a block, sub-symbol gamma sits (M-1-gamma)*(N-1) bits up
+        block = sum(sub << ((p.M - 1 - gamma) * (p.N - 1)) for gamma in range(p.M) if gamma // step % p.N)
+        moved = sum(block << (k * p.Lw) for k in range(p.K))  # digit j is not 0: to gamma - e_j
+        wraps = ((1 << (p.K * p.Lw)) - 1) ^ moved  # digit j is 0: to gamma + (N-1)e_j
+        translate = tuple(index[d[:j] + ((d[j] + 1) % p.N,) + d[j + 1 :]] for d in code.digits)
+        for gen, target in zip(code.symbol_gens, translate):
+            if sorted([(r & moved) << up | (r & wraps) >> down for r in gen]) != rows[target]:
+                return None
+        for sup, own in zip(code.supersets, sets):
+            if sorted(tuple(sorted(translate[m] for m in s)) for s in sup.sets) != own:
+                return None
+        maps.append(translate)
+    return tuple(maps)
+
+
+def _orbit_representatives(code: LinearCodeSpec, maps) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(k, set index, members) of the first set of each orbit that the
+    translations *maps* make on each superset's sets."""
+    representatives = []
+    for sup in code.supersets:
+        seen: set[tuple[int, ...]] = set()
+        for set_index, members in enumerate(sup.sets):
+            if members in seen:
+                continue
+            representatives.append((sup.k, set_index, members))
+            seen.add(members)
+            frontier = [members]
+            while frontier:
+                current = frontier.pop()
+                for translate in maps:
+                    image = tuple(sorted(translate[m] for m in current))
+                    if image not in seen:
+                        seen.add(image)
+                        frontier.append(image)
+    return representatives
+
+
+def _every_sigma_zero_on_orbits(code: LinearCodeSpec) -> bool:
+    """_every_sigma_zero on a code with checked translations. They carry
+    symbol 0 to every symbol, and a decoding set has N members, so
+    sigma(k, J, S, x) = N*H(X_0 | W_J) - Lw - H(X_0 | W_{J+k})."""
+    p = code.params
+    ora = oracle_for(code)
+    for k in range(1, p.K + 1):
+        rest = [j for j in range(1, p.K + 1) if j != k]
+        for size in range(len(rest) + 1):
+            for given in itertools.combinations(rest, size):
+                without_k = frozenset(given)
+                if p.N * ora.entropy((0,), without_k) - p.Lw != ora.entropy((0,), without_k | {k}):
+                    return False
+    return True
+
+
+def _tree_audit(
+    code: LinearCodeSpec, budget: int, samples: int, seed: int
+) -> tuple[int, bool, Callable[[], list[NaryTree]]]:
+    """A battery's one trees_for_audit(code, budget, samples, seed) as
+    (tree count, exhaustive, a function returning the trees). On a code
+    with checked translations whose trees fit the budget, they are counted
+    here and made only when a check falls back to enumeration."""
+    make = functools.cache(lambda: trees_for_audit(code, budget, samples, seed)[0])
+    if _translations(code) is not None:
+        _check_audit_options(budget, samples)
+        count = _tree_count(code, budget)
+        if count is not None:
+            return count, True, make
+    trees, exhaustive = trees_for_audit(code, budget, samples, seed)
+    return len(trees), exhaustive, lambda: trees
+
+
 # --- the battery ------------------------------------------------------------
 
 # report row names of the checks whose row is not named after the check
 _ROW_NAMES = {"tree": "tree-leaf-distinctness", "converse": "converse-tightness"}
+# the checks that first look at one representative per translation orbit
+_ORBIT_CHECKS = ("correctness", "properties", "tree", "converse")
 
 
 def require_known_checks(names: Iterable[str]) -> None:
@@ -640,10 +790,10 @@ def run_checks(
     option of a named check, raises ValueError before any check runs."""
     require_known_checks(names)
     p = code.params
-    audit = None  # the one trees_for_audit outcome: its value or its error
+    audit = None  # the one _tree_audit outcome: its value or its error
     if "tree" in names or "converse" in names:
         try:
-            audit = trees_for_audit(code, budget=tree_budget, samples=samples, seed=seed)
+            audit = _tree_audit(code, tree_budget, samples, seed)
         except TreeConstructionError as exc:
             audit = exc
     if "corruption" in names:
@@ -659,15 +809,27 @@ def run_checks(
 
 
 def _check_rows(code: LinearCodeSpec, name: str, audit, delta) -> list[CheckResult]:
-    """The report rows of one known check, given the battery's tree audit and delta."""
+    """The report rows of one known check, given the battery's tree audit
+    and delta. On a code with checked translations, correctness,
+    properties, tree and converse first look at one representative per
+    orbit, and enumerate only when one of those fails."""
     p = code.params
+    maps = _translations(code) if name in _ORBIT_CHECKS else None
     if name == "correctness":
+        if maps is not None:
+            result = check_correctness(code, _orbit_representatives(code, maps))
+            if result.passed:
+                return [result]
         return [check_correctness(code)]
     if name == "smoothness":
         return [CheckResult(name, check_smoothness(code))]
     if name == "universality":
         return [CheckResult(name, check_universality(code))]
     if name == "properties":
+        if maps is not None:
+            report = check_capacity_properties(code, (0,), _orbit_representatives(code, maps))
+            if not report.failed():
+                return list(report.results.values())
         return list(check_capacity_properties(code).results.values())
     if name == "min-distance":
         result = min_distance(code)
@@ -685,18 +847,22 @@ def _check_rows(code: LinearCodeSpec, name: str, audit, delta) -> list[CheckResu
     else:
         if isinstance(audit, TreeConstructionError):
             raise audit
-        audited, exhaustive = audit
+        count, exhaustive, trees = audit
+        witnesses = []
         if name == "tree":
-            witnesses = _leaf_witnesses(code, audited)
-        else:
-            witnesses = converse_witnesses(code, audited, exhaustive)
+            # a translation carries the trees from root 0 onto those from
+            # every other root, node by node
+            if maps is None or not exhaustive or _leaf_witnesses(code, _trees_from(code, (0,))):
+                witnesses = _leaf_witnesses(code, trees())
+        elif maps is None or not _every_sigma_zero_on_orbits(code):
+            witnesses = converse_witnesses(code, trees(), exhaustive)
         passed = not witnesses
-        details = {"trees": len(audited), "exhaustive": exhaustive}
+        details = {"trees": count, "exhaustive": exhaustive}
         name = _ROW_NAMES[name]
     return [CheckResult(name, passed, [] if passed else witnesses, details)]
 
 
-def _leaf_witnesses(code: LinearCodeSpec, trees: Sequence[NaryTree]) -> list[dict]:
+def _leaf_witnesses(code: LinearCodeSpec, trees: Iterable[NaryTree]) -> list[dict]:
     """The trees, in order, with a repeated leaf, each with its smallest
     repeated symbol: the tree-leaf-distinctness check's witnesses."""
     witnesses = []

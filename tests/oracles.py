@@ -14,7 +14,9 @@ reference for ``verify.corruption_trial``. One column_mask per generator
 row is the reference for ``construct.build_sldc``, and ``json.dumps`` with
 sorted keys the reference for the document writer in ``codespec``.
 The seeded mutants at the end are inputs that every verify row must
-answer as it does today.
+answer as it does today; the symmetric edits among them keep every
+translation symmetry of a built code, so a check that reads one
+representative per translation orbit has to meet their failures itself.
 """
 
 import itertools
@@ -27,7 +29,7 @@ from math import log2
 import numpy as np
 
 from smoothldc.entropy import _distinct, _same, oracle_for
-from smoothldc.codespec import LinearCodeSpec
+from smoothldc.codespec import DecodingSuperset, LinearCodeSpec
 from smoothldc.gf2 import BitVector, column_mask
 from smoothldc.verify import CheckResult, CorruptionReport, PropertyReport, check_universality
 
@@ -299,6 +301,78 @@ def generator_bit_flips(code, seed, draws=64):
             params=p,
             symbol_gens=gens,
             supersets=code.supersets,
+            groups=code.groups,
+            digits=code.digits,
+            labels=code.labels,
+            column_order=code.column_order,
+        )
+
+
+def symmetric_edits(code, seed, draws=32):
+    """Yield edits of a built code that every translation of Z_N^K keeps.
+
+    First, one generator bit flipped in every translate: each of *draws*
+    seeded draws picks a row gamma0 and a column (k, g, b) of the symbol
+    with digits 0, and the symbol with digits d gets the same flip at row
+    gamma0 - d and column (k, g - d, b). A draw is kept, in draw order,
+    when every symbol still has exactly Lx nonzero rows. Then, for each
+    source k of a code with K >= 2, the code with k's columns cleared in
+    every row; a row that this would leave zero takes the first bit of its
+    own sub-symbol in the next source instead. Then, for every ordered pair
+    of sources k != k2, the code whose superset of W_k holds the sets of
+    W_k2, the lines along coordinate k2."""
+    p = code.params
+    width = p.K * p.Lw
+    index = {d: m for m, d in enumerate(code.digits)}
+
+    def minus(a, b):
+        return index[tuple((x - y) % p.N for x, y in zip(a, b))]
+
+    rng = random.Random(seed)
+    for _ in range(draws):
+        gamma0 = code.digits[rng.randrange(p.M)]
+        c = rng.randrange(width)
+        kk, g, b = c // p.Lw, code.digits[c % p.Lw // (p.N - 1)], c % (p.N - 1)
+        gens = []
+        for d, gen in zip(code.digits, code.symbol_gens):
+            r = minus(gamma0, d)
+            col = kk * p.Lw + minus(g, d) * (p.N - 1) + b
+            flipped = gen[r] ^ (1 << (width - 1 - col))
+            gens.append(gen[:r] + (flipped,) + gen[r + 1 :])
+        if any(sum(map(bool, gen)) != p.Lx for gen in gens):
+            continue
+        yield LinearCodeSpec(
+            params=p,
+            symbol_gens=gens,
+            supersets=code.supersets,
+            groups=code.groups,
+            digits=code.digits,
+            labels=code.labels,
+            column_order=code.column_order,
+        )
+    for k in range(p.K if p.K >= 2 else 0):
+        block = ((1 << p.Lw) - 1) << ((p.K - 1 - k) * p.Lw)
+        # row gamma's first bit of sub-symbol gamma in the next source
+        spare = [1 << (width - 1 - (k + 1) % p.K * p.Lw - gamma * (p.N - 1)) for gamma in range(p.M)]
+        gens = [
+            tuple(r & ~block or (r and spare[gamma]) for gamma, r in enumerate(gen)) for gen in code.symbol_gens
+        ]
+        yield LinearCodeSpec(
+            params=p,
+            symbol_gens=gens,
+            supersets=code.supersets,
+            groups=code.groups,
+            digits=code.digits,
+            labels=code.labels,
+            column_order=code.column_order,
+        )
+    for k, k2 in itertools.permutations(range(1, p.K + 1), 2):
+        supersets = list(code.supersets)
+        supersets[k - 1] = DecodingSuperset(k=k, sets=code.supersets[k2 - 1].sets)
+        yield LinearCodeSpec(
+            params=p,
+            symbol_gens=code.symbol_gens,
+            supersets=supersets,
             groups=code.groups,
             digits=code.digits,
             labels=code.labels,

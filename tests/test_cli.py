@@ -244,20 +244,22 @@ class TestVerifyReports:
         return counts
 
     # the traced benchmark pins the (2,3) counts in smoke mode and times
-    # (3,3); tier-1 sees a drift at either size first
+    # (3,3); tier-1 sees a drift at either size first. A built code is
+    # checked on translation orbits: an exhaustive audit then counts its
+    # trees and makes none, so trees_for_audit is not called.
     def test_call_pattern_of_a_2_3_battery(self, capsys, tmp_path, monkeypatch):
         counts = self.battery_calls(capsys, tmp_path, monkeypatch, "2", "3")
-        assert counts == {"entropy": 256, "rank_words": 124, "trees_for_audit": 1}
+        assert counts == {"entropy": 69, "rank_words": 35, "trees_for_audit": 0}
 
     def test_call_pattern_of_a_3_3_battery(self, capsys, tmp_path, monkeypatch):
         counts = self.battery_calls(capsys, tmp_path, monkeypatch, "3", "3")
-        assert counts == {"entropy": 1323, "rank_words": 594, "trees_for_audit": 1}
+        assert counts == {"entropy": 141, "rank_words": 74, "trees_for_audit": 0}
 
-    # a sampled audit: the converse check sums the 100 sampled trees and
-    # asks for no more ranks than the trees need
+    # a sampled audit: the 100 sampled trees are made for the leaf check,
+    # and the converse check reads only H(X_0 | W_J) for every J
     def test_call_pattern_of_a_3_4_battery(self, capsys, tmp_path, monkeypatch):
         counts = self.battery_calls(capsys, tmp_path, monkeypatch, "3", "4")
-        assert counts == {"entropy": 6490, "rank_words": 3046, "trees_for_audit": 1}
+        assert counts == {"entropy": 256, "rank_words": 124, "trees_for_audit": 1}
 
     def test_non_universal_code_reports_tree_failures(self, capsys, tmp_path):
         doc = write_code(capsys, tmp_path, ("fixture", "fig1", "non-universal"))
@@ -327,6 +329,16 @@ class TestMalformedDocuments:
         code, out, err = run_cli(capsys, "verify", str(doc))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err
+
+    def test_repeated_digit_vector_exits_2(self, capsys, tmp_path):
+        doc = write_code(capsys, tmp_path, ("build", "2", "2"))
+        body = json.loads(doc.read_text())
+        body["symbols"][1]["digits"] = body["symbols"][0]["digits"]
+        del body["content_hash"]
+        doc.write_text(json.dumps(body))
+        code, out, err = run_cli(capsys, "verify", str(doc))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "symbol 1 digits [0, 0]: repeat those of symbol 0" in err
 
     def test_deeply_nested_json(self, capsys, tmp_path):
         doc = tmp_path / "deep.json"

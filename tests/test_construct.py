@@ -435,8 +435,9 @@ class TestSpecValidation:
             ([(0, 0), (0, 2), (1, 0), (1, 1)], r"^symbol 1 digits \[0, 2\]: must be K = 2 digits in \[0, 2\)$"),
             ([(0, -1), (0, 1), (1, 0), (1, 1)], r"^symbol 0 digits \[0, -1\]"),
             ([(0, True), (0, 1), (1, 0), (1, 1)], r"^symbol 0 digits \[0, True\]"),
+            ([(0, 0), (0, 1), (0, 1), (1, 1)], r"^symbol 2 digits \[0, 1\]: repeat those of symbol 1$"),
         ],
-        ids=["count", "short", "too-big", "negative", "bool"],
+        ids=["count", "short", "too-big", "negative", "bool", "repeated"],
     )
     def test_digits_are_k_digits_below_n(self, codes, digits, message):
         code = codes["eq28"]

@@ -8,9 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import generator_bit_flips, reference_converse, reference_corruption, reference_properties
+from oracles import (
+    brute_force_conditional_entropy,
+    generator_bit_flips,
+    reference_converse,
+    reference_corruption,
+    reference_properties,
+    symmetric_edits,
+)
 from smoothldc import verify
-from smoothldc.codespec import DecodingSuperset, LinearCodeSpec
+from smoothldc.codespec import COLUMN_ORDER_TRANSCRIBED, DecodingSuperset, LinearCodeSpec
 from smoothldc.construct import build_sldc, load_fixture
 from smoothldc.entropy import RankOracle, oracle_for
 from smoothldc.verify import (
@@ -655,3 +662,134 @@ class TestMutantCorpus:
                 if old != new
             ]
             assert len(changed) == 1 and changed[0].bit_count() == 1
+
+
+# One digest per built code over every verify row of its seed-7 symmetric
+# edits: 20, 27, 29 and 32 translated bit flips (18, 22, 24 and 32 of them
+# fail some default row), then K source drops (each failing correctness,
+# p1 to p3 and converse-tightness), then K(K-1) superset swaps (each
+# failing correctness, p2a, p2b and tree-leaf-distinctness). All checks up
+# to M = 9, the default checks at (3,3). Recorded before verify read
+# translation orbits.
+SYMMETRIC_EDIT_DIGESTS = {
+    (2, 2): "44b4cc8be436998eee2e3b2f2eee7d105617a38314f401b373ed772ad3ee8e57",
+    (2, 3): "6e3d01b55414d8ecf698918daf3d12a7f1736d53604e94c5a799f94d854fdbc0",
+    (3, 2): "6263ae094afbbce4145b8d21236f93219be6986b14bcccfa689a5bcc5093fd05",
+    (3, 3): "db5db9e502c25b60a75818b67f2779851fcb155993ed9dacb5a06ccd7f8b960a",
+}
+
+
+class TestSymmetricEdits:
+    @pytest.mark.parametrize("nk", list(SYMMETRIC_EDIT_DIGESTS), ids=str)
+    def test_every_row_of_every_symmetric_edit_pinned(self, codes, nk):
+        code = codes[nk]
+        checks = ALL_CHECKS if code.params.M <= 9 else verify.DEFAULT_CHECKS
+        reports = [
+            [row.as_dict() for row in verify.run_checks(mutant, checks)]
+            for mutant in symmetric_edits(code, seed=7)
+        ]
+        body = json.dumps(reports, sort_keys=True, default=str).encode()
+        assert hashlib.sha256(body).hexdigest() == SYMMETRIC_EDIT_DIGESTS[nk]
+
+
+# built codes of at most 27 symbols
+ORBIT_SIZES = [(2, 1), (2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)]
+
+
+def built(codes, nk):
+    return codes[nk] if nk in codes else build_sldc(*nk)
+
+
+def without_digits(code):
+    """code with no digit vectors and its labels kept, so no translation
+    is checked and verify enumerates as it does for any loaded code."""
+    return LinearCodeSpec(
+        params=code.params,
+        symbol_gens=code.symbol_gens,
+        supersets=code.supersets,
+        groups=code.groups,
+        labels=[code.label(m) for m in range(code.params.M)],
+        column_order=code.column_order,
+    )
+
+
+def small_queries(code):
+    """Every (A, J) with 1 <= |A| <= 2 and J any set of sources."""
+    p = code.params
+    sources = range(1, p.K + 1)
+    for a in itertools.chain(itertools.combinations(range(p.M), 1), itertools.combinations(range(p.M), 2)):
+        for size in range(p.K + 1):
+            for j in itertools.combinations(sources, size):
+                yield a, j
+
+
+def same_reports(code):
+    """run_checks on code equals run_checks on its copy without digits,
+    with the default tree budget and with a sampled audit."""
+    checks = ALL_CHECKS if code.params.M <= 9 else verify.DEFAULT_CHECKS
+    plain = without_digits(code)
+    for options in ({}, {"tree_budget": 5, "samples": 20, "seed": 3}):
+        got = [row.as_dict() for row in verify.run_checks(code, checks, **options)]
+        assert got == [row.as_dict() for row in verify.run_checks(plain, checks, **options)]
+
+
+class TestTranslationOrbits:
+    @pytest.mark.parametrize("nk", ORBIT_SIZES, ids=str)
+    def test_translations_keep_every_small_entropy(self, codes, nk):
+        code = built(codes, nk)
+        maps = verify._translations(code)
+        assert maps is not None and len(maps) == code.params.K
+        ora = oracle_for(code)
+        for a, j in small_queries(code):
+            h = ora.entropy(a, j)
+            assert all(ora.entropy([t[m] for m in a], j) == h for t in maps), (a, j)
+
+    @pytest.mark.parametrize("nk", [(2, 1), (2, 2)], ids=str)
+    def test_rank_entropies_are_the_brute_force_ones(self, codes, nk):
+        code = codes[nk]
+        ora = oracle_for(code)
+        maps = verify._translations(code)
+        for a, j in small_queries(code):
+            h = brute_force_conditional_entropy(code, a, j)
+            assert ora.entropy(a, j) == h
+            assert all(brute_force_conditional_entropy(code, [t[m] for m in a], j) == h for t in maps)
+
+    def test_unit_translations_add_e_j(self, codes):
+        code = codes[(3, 2)]
+        maps = verify._translations(code)
+        for j, translate in enumerate(maps):
+            for m, d in enumerate(code.digits):
+                step = tuple(int(i == j) for i in range(len(d)))
+                assert code.digits[translate[m]] == tuple((x + e) % 3 for x, e in zip(d, step))
+
+    @pytest.mark.parametrize("nk", ORBIT_SIZES, ids=str)
+    def test_reports_equal_the_enumerated_ones(self, codes, nk):
+        same_reports(built(codes, nk))
+
+    @pytest.mark.parametrize("nk", list(SYMMETRIC_EDIT_DIGESTS), ids=str)
+    def test_symmetric_edits_keep_the_symmetry_and_the_reports(self, codes, nk):
+        for mutant in symmetric_edits(codes[nk], seed=7):
+            assert verify._translations(mutant) is not None
+            same_reports(mutant)
+
+    def test_no_translations_without_a_checked_symmetry(self, codes):
+        for name in FIXTURE_NAMES:
+            assert verify._translations(codes[name]) is None, name
+        for nk in MUTANT_REPORT_DIGESTS:
+            for mutant in generator_bit_flips(codes[nk], seed=7):
+                assert verify._translations(mutant) is None
+        code = codes[(2, 3)]
+        sets = [list(members) for members in code.supersets[0].sets]
+        sets[0][0], sets[1][1] = sets[1][1], sets[0][0]  # X_000 and X_101, both of group 0, trade sets
+        edited = [DecodingSuperset(k=1, sets=tuple(tuple(sorted(s)) for s in sets)), *code.supersets[1:]]
+        assert verify._translations(with_supersets(code, edited)) is None
+        transcribed = LinearCodeSpec(
+            params=code.params,
+            symbol_gens=code.symbol_gens,
+            supersets=code.supersets,
+            groups=code.groups,
+            digits=code.digits,
+            column_order=COLUMN_ORDER_TRANSCRIBED,
+        )
+        assert verify._translations(transcribed) is None
+        assert verify._translations(without_digits(code)) is None
