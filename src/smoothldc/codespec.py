@@ -85,7 +85,7 @@ class LinearCodeSpec:
         self.symbol_gens = tuple(map(tuple, symbol_gens))
         self.supersets = tuple(supersets)
         self.groups = tuple(groups) if groups is not None else None
-        self.digits = tuple(digits) if digits is not None else None
+        self.digits = tuple(map(tuple, digits)) if digits is not None else None
         self.labels = tuple(labels) if labels is not None else None
         self.column_order = column_order
         self._validate()
@@ -135,8 +135,8 @@ class LinearCodeSpec:
             for m, d in enumerate(self.digits):
                 if len(d) != p.K or not all(type(x) is int and 0 <= x < p.N for x in d):
                     raise CodeSpecError(f"symbol {m} digits {list(d)}: must be K = {p.K} digits in [0, {p.N})")
-                if first.setdefault(tuple(d), m) != m:
-                    raise CodeSpecError(f"symbol {m} digits {list(d)}: repeat those of symbol {first[tuple(d)]}")
+                if first.setdefault(d, m) != m:
+                    raise CodeSpecError(f"symbol {m} digits {list(d)}: repeat those of symbol {first[d]}")
 
     # transcribed codes keep their X1..XM labels so reports read naturally
     def label(self, m: int) -> str:

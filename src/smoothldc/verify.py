@@ -15,13 +15,14 @@ digit vector by t maps X_p's generator rows onto X_{p+t}'s under a column
 permutation that keeps every source block, so H(X_A | W_J) is constant on
 translation orbits (symmetry reduction, as in Emerson & Sistla, "Symmetry
 and Model Checking", 1996). ``run_checks`` checks that symmetry on the
-rows and decoding sets themselves (``_translations``), and when it holds
-first runs correctness, properties, tree and converse on one
-representative per orbit: one set per superset orbit, symbol 0, the trees
-rooted at symbol 0. A check whose representatives all pass has no
-witnesses to report; any other check, and every check of a code without
-the symmetry, enumerates every set, symbol and tree, so each report is the
-one the full enumeration writes.
+rows and decoding sets themselves (``_translations``). Correctness,
+properties, tree and converse come from one row function over a view of
+the code: decoding sets to read, and for each symbol a symbol with the
+same entropies. A code with the symmetry is first read on one set per
+superset orbit with symbol 0 standing for every symbol; any other code on
+every set with each symbol for itself, the full enumeration. A row the
+reduced view fails is taken from the full view, so each report is the one
+the full enumeration writes.
 """
 
 from __future__ import annotations
@@ -476,7 +477,7 @@ class ConverseAudit:
 
 def audit_converse_chain(code: LinearCodeSpec, tree: NaryTree) -> ConverseAudit:
     p = code.params
-    totals = _level_totals(_Entropies(oracle_for(code)), tree)
+    totals = _level_totals(oracle_for(code), tree)
     levels = tuple(
         LevelAudit(depth=depth, message=tree.permutation[depth - 1], lhs_bits=totals[depth],
                    rhs_bits=totals[depth] - slack)
@@ -486,28 +487,14 @@ def audit_converse_chain(code: LinearCodeSpec, tree: NaryTree) -> ConverseAudit:
     return ConverseAudit(levels=levels, total_bits=totals[p.K], bound_bits=bound)
 
 
-class _Entropies(dict):
-    """H(X_m | W_J) keyed (J, m), J a frozenset of sources, each asked of the
-    oracle on its first lookup; one audit shares it across all its trees."""
-
-    def __init__(self, ora):
-        super().__init__()
-        self.ora = ora
-
-    def __missing__(self, key: tuple[frozenset[int], int]) -> int:
-        given, m = key
-        value = self[key] = self.ora.entropy((m,), given)
-        return value
-
-
-def _level_totals(entropies: _Entropies, tree: NaryTree) -> list[int]:
+def _level_totals(ora, tree: NaryTree) -> list[int]:
     """Per depth d = 0..K, the sum of H(X_label | W_perm[d:]) over the
     tree's depth-d labels."""
     perm = tree.permutation
     totals = []
     for depth in range(len(perm) + 1):
         given = frozenset(perm[depth:])
-        totals.append(sum(entropies[given, m] for m in tree.labels_at_depth(depth)))
+        totals.append(sum(ora.entropy((m,), given) for m in tree.labels_at_depth(depth)))
     return totals
 
 
@@ -519,43 +506,38 @@ def _level_slacks(p: CodeParams, totals: list[int]) -> list[int]:
     ]
 
 
-def _every_sigma_zero(code: LinearCodeSpec, entropies: _Entropies) -> bool:
+def _every_sigma_zero(code: LinearCodeSpec, sets, orbit_of: Sequence[int]) -> bool:
     """Whether sigma(k, J, S, x) = sum over m in S of H(X_m | W_J), less Lw
-    and H(X_x | W_{J+k}), is 0 for every source k, every J of the other
-    sources, every decoding set S of k and every x in S."""
+    and H(X_x | W_{J+k}), is 0 for every (k, set index, S) of *sets*, every
+    J of the sources other than k and every x in S, where H(X_m | W_J) is
+    read as H(X_orbit_of[m] | W_J).
+
+    A tree's level-d slack is the sum of sigma over its depth-d sets, with
+    k = perm[d-1] and J = perm[d:]: the level totals telescope into one
+    sigma per set and its parent node. So when every sigma is 0 every tree
+    is tight, and the converse row reads no tree."""
     p = code.params
-    for sup in code.supersets:
-        rest = [j for j in range(1, p.K + 1) if j != sup.k]
+    ora = oracle_for(code)
+    for k, _, members in sets:
+        rest = [j for j in range(1, p.K + 1) if j != k]
         for size in range(len(rest) + 1):
             for given in itertools.combinations(rest, size):
                 without_k = frozenset(given)
-                with_k = without_k | {sup.k}
-                for members in sup.sets:
-                    target = sum(entropies[without_k, m] for m in members) - p.Lw
-                    if any(entropies[with_k, x] != target for x in members):
-                        return False
+                with_k = without_k | {k}
+                target = sum(ora.entropy((orbit_of[m],), without_k) for m in members) - p.Lw
+                if any(ora.entropy((orbit_of[x],), with_k) != target for x in members):
+                    return False
     return True
 
 
-def converse_witnesses(code: LinearCodeSpec, trees: Sequence[NaryTree], exhaustive: bool) -> list[dict]:
+def converse_witnesses(code: LinearCodeSpec, trees: Iterable[NaryTree]) -> list[dict]:
     """The trees, in order, whose converse chain has slack at some level,
-    each with its total slack: the converse-tightness check's witnesses.
-
-    A tree's level-d slack is the sum of sigma (see _every_sigma_zero) over
-    its depth-d sets, with k = perm[d-1] and J = perm[d:]: the level totals
-    telescope into one sigma per set and its parent node. So when every
-    sigma is 0 every tree is tight. That check reads H(X_m | W_J) for all M
-    symbols and all 2^K sets J, which an exhaustive audit of a universal
-    code reads anyway, so only an exhaustive audit tries it first; a
-    sampled one reads fewer and sums each tree's levels directly.
-    """
-    entropies = _Entropies(oracle_for(code))
-    if exhaustive and _every_sigma_zero(code, entropies):
-        return []
+    each with its total slack: the converse-tightness check's witnesses."""
     p = code.params
+    ora = oracle_for(code)
     witnesses = []
     for tree in trees:
-        slacks = _level_slacks(p, _level_totals(entropies, tree))
+        slacks = _level_slacks(p, _level_totals(ora, tree))
         if any(slacks):
             witnesses.append(
                 {"permutation": list(tree.permutation), "root": code.label(tree.root),
@@ -651,18 +633,29 @@ def corruption_trial(code: LinearCodeSpec, delta) -> CorruptionReport:
 
 # --- translation orbits -----------------------------------------------------
 
-# code -> its _unit_translations; no value refers to its code
-_symmetries: "weakref.WeakKeyDictionary[LinearCodeSpec, tuple | None]" = weakref.WeakKeyDictionary()
+# code -> (its _unit_translations, and when they are not None the view
+# of it that _check_rows reads first); no value refers to its code
+_symmetries: "weakref.WeakKeyDictionary[LinearCodeSpec, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _symmetry(code: LinearCodeSpec) -> tuple:
+    """(_unit_translations(code), its reduced view or None), worked out
+    once per code. The reduced view is one decoding set per orbit and
+    symbol 0 standing for every symbol: the translations carry symbol 0 to
+    each one, and the trees from root 0 onto those from every other root,
+    node by node."""
+    if code not in _symmetries:
+        maps = _unit_translations(code)
+        view = None if maps is None else (_orbit_representatives(code, maps), (0,) * code.params.M)
+        _symmetries[code] = maps, view
+    return _symmetries[code]
 
 
 def _translations(code: LinearCodeSpec) -> tuple[tuple[int, ...], ...] | None:
     """For each coordinate j, the map of symbol indices m -> the symbol
     whose digits are m's plus e_j mod N, when the code is checked to be
-    symmetric under these translations, and otherwise None. Worked out once
-    per code."""
-    if code not in _symmetries:
-        _symmetries[code] = _unit_translations(code)
-    return _symmetries[code]
+    symmetric under these translations, and otherwise None."""
+    return _symmetry(code)[0]
 
 
 def _unit_translations(code: LinearCodeSpec) -> tuple[tuple[int, ...], ...] | None:
@@ -724,44 +717,38 @@ def _orbit_representatives(code: LinearCodeSpec, maps) -> list[tuple[int, int, t
     return representatives
 
 
-def _every_sigma_zero_on_orbits(code: LinearCodeSpec) -> bool:
-    """_every_sigma_zero on a code with checked translations. They carry
-    symbol 0 to every symbol, and a decoding set has N members, so
-    sigma(k, J, S, x) = N*H(X_0 | W_J) - Lw - H(X_0 | W_{J+k})."""
-    p = code.params
-    ora = oracle_for(code)
-    for k in range(1, p.K + 1):
-        rest = [j for j in range(1, p.K + 1) if j != k]
-        for size in range(len(rest) + 1):
-            for given in itertools.combinations(rest, size):
-                without_k = frozenset(given)
-                if p.N * ora.entropy((0,), without_k) - p.Lw != ora.entropy((0,), without_k | {k}):
-                    return False
-    return True
-
-
 def _tree_audit(
     code: LinearCodeSpec, budget: int, samples: int, seed: int
-) -> tuple[int, bool, Callable[[], list[NaryTree]]]:
+) -> tuple[int, bool, Callable[[tuple[int, ...]], list[NaryTree]]]:
     """A battery's one trees_for_audit(code, budget, samples, seed) as
-    (tree count, exhaustive, a function returning the trees). On a code
-    with checked translations whose trees fit the budget, they are counted
-    here and made only when a check falls back to enumeration."""
-    make = functools.cache(lambda: trees_for_audit(code, budget, samples, seed)[0])
-    if _translations(code) is not None:
-        _check_audit_options(budget, samples)
-        count = _tree_count(code, budget)
-        if count is not None:
-            return count, True, make
-    trees, exhaustive = trees_for_audit(code, budget, samples, seed)
-    return len(trees), exhaustive, lambda: trees
+    (tree count, exhaustive, trees). trees(roots) lists the trees a row
+    reads: those of an exhaustive audit rooted in *roots*, a tuple of
+    symbols, and every tree of a sampled one. A universal code's trees are
+    counted here and made only when a row asks for them; trees_for_audit
+    makes those from every root."""
+    _check_audit_options(budget, samples)
+    made = functools.cache(lambda: trees_for_audit(code, budget, samples, seed))
+    if check_universality(code):
+        count = _tree_count(code, budget)  # None past the budget
+    else:
+        # made now, so a node that no set holds raises before any row
+        listed, exhaustive = made()
+        count = len(listed) if exhaustive else None
+
+    @functools.cache
+    def trees(roots: tuple[int, ...]) -> list[NaryTree]:
+        if count is None or len(roots) == code.params.M:
+            return made()[0]
+        return list(_trees_from(code, roots))
+
+    return samples if count is None else count, count is not None, trees
 
 
 # --- the battery ------------------------------------------------------------
 
 # report row names of the checks whose row is not named after the check
 _ROW_NAMES = {"tree": "tree-leaf-distinctness", "converse": "converse-tightness"}
-# the checks that first look at one representative per translation orbit
+# the checks that read a view of the code (see _check_rows)
 _ORBIT_CHECKS = ("correctness", "properties", "tree", "converse")
 
 
@@ -781,8 +768,9 @@ def run_checks(
     delta=None,
 ) -> list[CheckResult]:
     """The report rows of the named checks, in order: one per check, and
-    five (p1 to p3) for "properties". "tree" and "converse" share one
-    trees_for_audit(code, tree_budget, samples, seed). A check that cannot
+    five (p1 to p3) for "properties". "tree" and "converse" share the
+    trees of one trees_for_audit(code, tree_budget, samples, seed), made
+    only if a row reads them (see _tree_audit). A check that cannot
     run on this code (no tree of a non-universal code, min-distance or
     corruption past DISTANCE_BUDGET symbols) fails with an {"error": ...}
     witness. *delta* is the corruption fraction, by default the largest
@@ -799,38 +787,41 @@ def run_checks(
     if "corruption" in names:
         # by default the largest corruption budget below 1/N with an integral count
         delta = Fraction(max(-(-p.M // p.N) - 1, 0), p.M) if delta is None else _corruption_fraction(delta)
+    every = (list(_every_set(code)), tuple(range(p.M)))  # the full view: see _check_rows
     results = []
     for name in names:
         try:
-            results.extend(_check_rows(code, name, audit, delta))
+            # an orbit check of a code with checked translations reads its
+            # reduced view first, and takes each row that fails there from
+            # the full view, so it is the row full enumeration writes
+            view = _symmetry(code)[1] if name in _ORBIT_CHECKS else None
+            rows = _check_rows(code, name, audit, delta, *(view or every))
+            if view and not all(row.passed for row in rows):
+                again = _check_rows(code, name, audit, delta, *every)
+                rows = [row if row.passed else full for row, full in zip(rows, again)]
+            results.extend(rows)
         except (TreeConstructionError, BudgetError) as exc:
             results.append(CheckResult(_ROW_NAMES.get(name, name), False, [{"error": str(exc)}]))
     return results
 
 
-def _check_rows(code: LinearCodeSpec, name: str, audit, delta) -> list[CheckResult]:
+def _check_rows(code: LinearCodeSpec, name: str, audit, delta, sets, orbit_of) -> list[CheckResult]:
     """The report rows of one known check, given the battery's tree audit
-    and delta. On a code with checked translations, correctness,
-    properties, tree and converse first look at one representative per
-    orbit, and enumerate only when one of those fails."""
+    and delta. Correctness, properties, tree and converse read a view of
+    the code: the decoding sets *sets*, as (k, set index, members), and for
+    each symbol m a symbol orbit_of[m] with the same entropies. The symbols
+    orbit_of names are the ones p1 reads and the roots of an exhaustive
+    audit's trees. The full view is every set with each symbol for itself."""
     p = code.params
-    maps = _translations(code) if name in _ORBIT_CHECKS else None
+    symbols = tuple(sorted(set(orbit_of)))
     if name == "correctness":
-        if maps is not None:
-            result = check_correctness(code, _orbit_representatives(code, maps))
-            if result.passed:
-                return [result]
-        return [check_correctness(code)]
+        return [check_correctness(code, sets)]
     if name == "smoothness":
         return [CheckResult(name, check_smoothness(code))]
     if name == "universality":
         return [CheckResult(name, check_universality(code))]
     if name == "properties":
-        if maps is not None:
-            report = check_capacity_properties(code, (0,), _orbit_representatives(code, maps))
-            if not report.failed():
-                return list(report.results.values())
-        return list(check_capacity_properties(code).results.values())
+        return list(check_capacity_properties(code, symbols, sets).results.values())
     if name == "min-distance":
         result = min_distance(code)
         passed = result.distance * p.N >= p.M
@@ -848,14 +839,12 @@ def _check_rows(code: LinearCodeSpec, name: str, audit, delta) -> list[CheckResu
         if isinstance(audit, TreeConstructionError):
             raise audit
         count, exhaustive, trees = audit
-        witnesses = []
         if name == "tree":
-            # a translation carries the trees from root 0 onto those from
-            # every other root, node by node
-            if maps is None or not exhaustive or _leaf_witnesses(code, _trees_from(code, (0,))):
-                witnesses = _leaf_witnesses(code, trees())
-        elif maps is None or not _every_sigma_zero_on_orbits(code):
-            witnesses = converse_witnesses(code, trees(), exhaustive)
+            witnesses = _leaf_witnesses(code, trees(symbols))
+        elif _every_sigma_zero(code, sets, orbit_of):
+            witnesses = []
+        else:
+            witnesses = converse_witnesses(code, trees(symbols))
         passed = not witnesses
         details = {"trees": count, "exhaustive": exhaustive}
         name = _ROW_NAMES[name]

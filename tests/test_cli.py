@@ -246,20 +246,21 @@ class TestVerifyReports:
     # the traced benchmark pins the (2,3) counts in smoke mode and times
     # (3,3); tier-1 sees a drift at either size first. A built code is
     # checked on translation orbits: an exhaustive audit then counts its
-    # trees and makes none, so trees_for_audit is not called.
+    # trees and makes only those rooted at symbol 0, so trees_for_audit is
+    # not called.
     def test_call_pattern_of_a_2_3_battery(self, capsys, tmp_path, monkeypatch):
         counts = self.battery_calls(capsys, tmp_path, monkeypatch, "2", "3")
-        assert counts == {"entropy": 69, "rank_words": 35, "trees_for_audit": 0}
+        assert counts == {"entropy": 93, "rank_words": 35, "trees_for_audit": 0}
 
     def test_call_pattern_of_a_3_3_battery(self, capsys, tmp_path, monkeypatch):
         counts = self.battery_calls(capsys, tmp_path, monkeypatch, "3", "3")
-        assert counts == {"entropy": 141, "rank_words": 74, "trees_for_audit": 0}
+        assert counts == {"entropy": 189, "rank_words": 74, "trees_for_audit": 0}
 
     # a sampled audit: the 100 sampled trees are made for the leaf check,
     # and the converse check reads only H(X_0 | W_J) for every J
     def test_call_pattern_of_a_3_4_battery(self, capsys, tmp_path, monkeypatch):
         counts = self.battery_calls(capsys, tmp_path, monkeypatch, "3", "4")
-        assert counts == {"entropy": 256, "rank_words": 124, "trees_for_audit": 1}
+        assert counts == {"entropy": 384, "rank_words": 124, "trees_for_audit": 1}
 
     def test_non_universal_code_reports_tree_failures(self, capsys, tmp_path):
         doc = write_code(capsys, tmp_path, ("fixture", "fig1", "non-universal"))

@@ -448,9 +448,9 @@ def sigma(code, k, given, members, x):
     return sum(ora.entropy((m,), j) for m in members) - code.params.Lw - ora.entropy((x,), j | {k})
 
 
-def same_converse(code, trees, exhaustive):
+def same_converse(code, trees):
     """converse_witnesses agrees with the label-by-label reference."""
-    got = converse_witnesses(code, trees, exhaustive)
+    got = converse_witnesses(code, trees)
     assert got == reference_converse(code, trees)
     return got
 
@@ -461,19 +461,19 @@ class TestConverseWitnesses:
         code = codes[nk] if nk in codes else build_sldc(*nk)
         trees, exhaustive = trees_for_audit(code)
         assert exhaustive
-        assert same_converse(code, trees, exhaustive) == []
+        assert same_converse(code, trees) == []
 
     @pytest.mark.parametrize("nk", [(5, 3), (3, 4)], ids=str)
     def test_built_codes_sampled(self, nk):
         code = build_sldc(*nk)
         trees, exhaustive = trees_for_audit(code)
         assert not exhaustive
-        assert same_converse(code, trees, exhaustive) == []
+        assert same_converse(code, trees) == []
 
     @pytest.mark.parametrize("name", [(2, 3), (3, 3), *FIXTURE_NAMES], ids=str)
     def test_small_budget(self, codes, name):
         trees, exhaustive = trees_for_audit(codes[name], budget=5, samples=40, seed=9)
-        same_converse(codes[name], trees, exhaustive)
+        same_converse(codes[name], trees)
 
     @pytest.mark.parametrize(
         "name, count", [("fig1", 36), ("fig2", 24), ("intro_nonsmooth", 248), ("eq28", 0), ("fig4", 0)]
@@ -481,21 +481,29 @@ class TestConverseWitnesses:
     def test_fixtures(self, codes, name, count):
         trees, exhaustive = trees_for_audit(codes[name])
         assert exhaustive
-        assert len(same_converse(codes[name], trees, exhaustive)) == count
+        assert len(same_converse(codes[name], trees)) == count
 
     @given(random_linear_codes(), st.sampled_from([verify.DEFAULT_TREE_BUDGET, 5]))
     def test_random_linear_codes(self, code, budget):
         trees, exhaustive = trees_for_audit(code, budget=budget, samples=40, seed=9)
-        same_converse(code, trees, exhaustive)
+        same_converse(code, trees)
 
-    def test_tight_exhaustive_audit_reads_no_tree(self, codes):
-        class Unread(list):
-            def __iter__(self):
-                raise AssertionError("a tree was read")
+    @pytest.mark.parametrize(
+        "options, details",
+        [({}, {"trees": 162, "exhaustive": True}), ({"tree_budget": 5}, {"trees": 100, "exhaustive": False})],
+        ids=["exhaustive", "sampled"],
+    )
+    def test_tight_battery_builds_no_tree(self, codes, monkeypatch, options, details):
+        # every sigma is 0, so neither audit kind needs a tree; without
+        # digits no translation is checked and every set is read
+        def no_tree(*args, **kwargs):
+            raise AssertionError("a tree was built")
 
-        assert converse_witnesses(codes[(3, 3)], Unread(), True) == []
-        with pytest.raises(AssertionError, match="read"):
-            converse_witnesses(codes[(3, 3)], Unread(), False)
+        monkeypatch.setattr(verify, "NaryTree", no_tree)
+        rows = verify.run_checks(without_digits(codes[(3, 3)]), ["converse"], **options)
+        assert [row.as_dict() for row in rows] == [
+            {"name": "converse-tightness", "passed": True, "witnesses": [], "details": details}
+        ]
 
     @pytest.mark.parametrize("name", ["fig1", "fig2", "intro_nonsmooth", (2, 3)], ids=str)
     def test_audit_converse_chain_agrees(self, codes, name):
@@ -733,6 +741,16 @@ def same_reports(code):
         assert got == [row.as_dict() for row in verify.run_checks(plain, checks, **options)]
 
 
+def sigma_views(code):
+    """_every_sigma_zero on the code's reduced view, and on every set with
+    each symbol standing for itself."""
+    every = list(verify._every_set(code))
+    return (
+        verify._every_sigma_zero(code, *verify._symmetry(code)[1]),
+        verify._every_sigma_zero(code, every, range(code.params.M)),
+    )
+
+
 class TestTranslationOrbits:
     @pytest.mark.parametrize("nk", ORBIT_SIZES, ids=str)
     def test_translations_keep_every_small_entropy(self, codes, nk):
@@ -771,6 +789,35 @@ class TestTranslationOrbits:
         for mutant in symmetric_edits(codes[nk], seed=7):
             assert verify._translations(mutant) is not None
             same_reports(mutant)
+
+    def test_digit_lists_read_as_digit_tuples(self, codes):
+        code = codes[(2, 2)]
+        listed = LinearCodeSpec(
+            params=code.params,
+            symbol_gens=code.symbol_gens,
+            supersets=code.supersets,
+            groups=code.groups,
+            digits=[list(d) for d in code.digits],
+            column_order=code.column_order,
+        )
+        assert verify._translations(listed) == verify._translations(code)
+        got = [row.as_dict() for row in verify.run_checks(listed, ALL_CHECKS)]
+        assert got == [row.as_dict() for row in verify.run_checks(code, ALL_CHECKS)]
+
+    @pytest.mark.parametrize("nk", ORBIT_SIZES, ids=str)
+    def test_sigma_on_representatives_is_the_full_sigma(self, codes, nk):
+        code = built(codes, nk)
+        assert sigma_views(code) == (True, True)
+
+    @pytest.mark.parametrize("nk", list(SYMMETRIC_EDIT_DIGESTS), ids=str)
+    def test_sigma_on_representatives_of_symmetric_edits(self, codes, nk):
+        mutants = list(symmetric_edits(codes[nk], seed=7))
+        views = [sigma_views(mutant) for mutant in mutants]
+        assert all(reduced == full for reduced, full in views)
+        k = nk[1]
+        # the K source drops come before the K(K-1) superset swaps
+        drops = views[len(views) - k * k : len(views) - k * (k - 1)]
+        assert drops == [(False, False)] * k
 
     def test_no_translations_without_a_checked_symmetry(self, codes):
         for name in FIXTURE_NAMES:
