@@ -2,6 +2,9 @@
 
 Exit codes: 0 all requested checks passed / operation succeeded, 1 a check
 or retrieval failed (verdict in output), 2 usage or I/O error.
+
+Each command imports verify, netsim and pir only if it runs them, so a
+database server compiles no check and verify loads no network code.
 """
 
 from __future__ import annotations
@@ -11,11 +14,14 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import capacity, construct, netsim, pir, verify
+from . import capacity, construct
 from .codespec import dump_document, from_document, load_document, to_document
 from .gf2 import BitVector
-from .verify import ALL_CHECKS, DEFAULT_CHECKS
+
+if TYPE_CHECKING:
+    from . import verify
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -69,6 +75,8 @@ def cmd_fixture(args) -> int:
 
 
 def _run_checks(code, names, args) -> list[verify.CheckResult]:
+    from . import verify
+
     return verify.run_checks(code, names, args.tree_budget, args.samples, args.seed, args.delta)
 
 
@@ -93,6 +101,12 @@ def render_report(results: list[verify.CheckResult], fmt: str) -> str:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
+    if args.checks is None:
+        args.checks = ",".join(verify.DEFAULT_CHECKS)
+    if args.tree_budget is None:
+        args.tree_budget = verify.DEFAULT_TREE_BUDGET
     names = [c.strip() for c in args.checks.split(",") if c.strip()]
     if not names:
         raise ValueError("no checks requested")
@@ -111,6 +125,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pir_audit(args) -> int:
+    from . import pir, verify
+
     code = _load_code(args.file)
     scheme = pir.scheme_from_sldc(code)
     privacy = pir.privacy_audit(scheme)
@@ -126,6 +142,8 @@ def cmd_pir_audit(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    from . import netsim, pir
+
     code = _load_code(args.file)
     scheme = pir.scheme_from_sldc(code)
     width = code.params.K * code.params.Lw
@@ -140,6 +158,8 @@ def cmd_serve(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
+    from . import netsim, pir
+
     code = _load_code(args.file)
     scheme = pir.scheme_from_sldc(code)
     endpoints = [e.strip() for e in args.endpoints.split(",") if e.strip()]
@@ -184,10 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification battery on a code-spec file")
     p.add_argument("file")
-    p.add_argument("--checks", default=",".join(DEFAULT_CHECKS),
-                   help=f"comma-separated subset of: {', '.join(ALL_CHECKS)}")
+    # defaults resolved in cmd_verify, so that parsing imports no verify
+    p.add_argument("--checks", default=None,
+                   help="comma-separated check names (default: the default battery)")
     p.add_argument("--format", default="text", help="text or json")
-    p.add_argument("--tree-budget", type=int, default=verify.DEFAULT_TREE_BUDGET)
+    p.add_argument("--tree-budget", type=int, default=None)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta", type=_fraction, default=None,

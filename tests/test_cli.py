@@ -138,6 +138,24 @@ class TestBuildVerify:
             cli.main(["capacity", "--n", "2", "--k", "3", "--frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_defaults_are_the_default_battery(self, capsys, tmp_path, fmt):
+        out_file = tmp_path / "c23.json"
+        run_cli(capsys, "build", "--n", "2", "--k", "3", "--out", str(out_file))
+        implicit = run_cli(capsys, "verify", str(out_file), "--format", fmt)
+        explicit = run_cli(
+            capsys, "verify", str(out_file), "--format", fmt,
+            "--checks", ",".join(verify.DEFAULT_CHECKS), "--tree-budget", str(verify.DEFAULT_TREE_BUDGET),
+        )
+        assert implicit == explicit and implicit[0] == 0
+
+    @pytest.mark.parametrize("command", ["verify", "serve"])
+    def test_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: smoothldc {command}")
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
         run_cli(capsys, "build", "--n", "2", "--k", "3", "--out", str(f1))
@@ -170,7 +188,7 @@ class TestBuildVerify:
         assert len(calls) == 1
 
 
-ALL_CHECKS = ",".join(cli.ALL_CHECKS)
+ALL_CHECKS = ",".join(verify.ALL_CHECKS)
 # SHA-256 of the stdout of `verify DOC --checks ... --format json`, recorded
 # before the rank oracle gained its raw-key cache. (3,3) leaves corruption
 # out, as it did when an over-budget corruption check printed no report;
@@ -485,6 +503,46 @@ class TestServeRetrieve:
         )
         assert code == 2
         assert "nope" in err and "retrieval failed" not in err
+
+
+class TestImportBoundary:
+    """A command imports verify, netsim and pir only if it runs them."""
+
+    LAZY = ("smoothldc.netsim", "smoothldc.pir", "smoothldc.verify")
+
+    @pytest.mark.parametrize(
+        "argv, exit_code, loaded, err",
+        [
+            (None, None, [], ""),
+            # a messages file one byte short: serve exits before it listens
+            (["serve", "{doc}", "--db", "1", "--messages", "{short}"], 2,
+             ["smoothldc.netsim", "smoothldc.pir"], "got 2"),
+            (["verify", "{doc}"], 0, ["smoothldc.verify"], ""),
+        ],
+        ids=["import", "serve", "verify"],
+    )
+    def test_command_imports_only_what_it_runs(self, capsys, tmp_path, argv, exit_code, loaded, err):
+        doc, short = tmp_path / "c23.json", tmp_path / "short.bin"
+        run_cli(capsys, "build", "--n", "2", "--k", "3", "--out", str(doc))
+        short.write_bytes(b"\x5a" * 2)  # K*Lw = 24 bits need 3 bytes
+        if argv is not None:
+            argv = [a.format(doc=doc, short=short) for a in argv]
+        script = textwrap.dedent(
+            f"""
+            import json, sys
+            from smoothldc import cli
+
+            rc = None if {argv!r} is None else cli.main({argv!r})
+            print(json.dumps([rc, sorted(m for m in {self.LAZY!r} if m in sys.modules)]))
+            """
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env=package_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == [exit_code, loaded]
+        assert err in result.stderr
 
 
 class TestWithoutNumpy:
