@@ -25,16 +25,21 @@ def rows_to_hex(rows: Iterable[int], width: int) -> list[str]:
     return [(row << pad).to_bytes(need, "big").hex() for row in rows]
 
 
-def rows_from_hex(texts: Iterable[str], width: int) -> list[int]:
-    """Parse hex rows of *width* bits, ignoring pad bits; TypeError or ValueError."""
+def rows_from_bytes(blobs: Iterable[bytes], width: int) -> list[int]:
+    """Parse serialized rows of *width* bits, each exactly ceil(width/8)
+    bytes, ignoring pad bits; ValueError for any other length."""
     need, pad = _layout(width)
     rows = []
-    for text in texts:
-        data = bytes.fromhex(text)
+    for data in blobs:
         if len(data) != need:
             raise ValueError(f"need exactly {need} bytes for {width} bits, got {len(data)}")
         rows.append(int.from_bytes(data, "big") >> pad)
     return rows
+
+
+def rows_from_hex(texts: Iterable[str], width: int) -> list[int]:
+    """Parse hex rows of *width* bits, ignoring pad bits; TypeError or ValueError."""
+    return rows_from_bytes(map(bytes.fromhex, texts), width)
 
 
 class BitVector:
@@ -68,11 +73,11 @@ class BitVector:
     @classmethod
     def from_bytes(cls, data: bytes, length: int) -> "BitVector":
         """Parse exactly ceil(length/8) bytes; pad bits are ignored."""
-        return cls.from_hex(data.hex(), length)
+        return cls(length, rows_from_bytes((data,), length)[0])
 
     @classmethod
     def from_hex(cls, text: str, length: int) -> "BitVector":
-        return cls(length, rows_from_hex((text,), length)[0])
+        return cls.from_bytes(bytes.fromhex(text), length)
 
     def to_bits(self) -> list[int]:
         return [(self.value >> (self.length - 1 - j)) & 1 for j in range(self.length)]

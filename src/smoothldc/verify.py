@@ -15,7 +15,7 @@ digit vector by t maps X_p's generator rows onto X_{p+t}'s under a column
 permutation that keeps every source block, so H(X_A | W_J) is constant on
 translation orbits (symmetry reduction, as in Emerson & Sistla, "Symmetry
 and Model Checking", 1996). ``run_checks`` checks that symmetry on the
-rows and decoding sets themselves (``_translations``). Correctness,
+rows and decoding sets themselves (``_unit_translations``). Correctness,
 properties, tree and converse come from one row function over a view of
 the code: decoding sets to read, and for each symbol a symbol with the
 same entropies. A code with the symmetry is first read on one set per
@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .capacity import CodeParams
 from .codespec import COLUMN_ORDER_CANONICAL, LinearCodeSpec
 from .entropy import _distinct, _same, oracle_for
 
@@ -371,13 +370,16 @@ def sample_trees(code: LinearCodeSpec, count: int, seed: int = 0) -> list[NaryTr
     return trees
 
 
-def _trees_per_permutation(code: LinearCodeSpec) -> Iterator[int]:
-    """How many trees enumerate_trees yields for each permutation, in its
-    order, counted without building one. A node x at the depth of source
-    symbol k has T(x) = sum over the sets S of k holding x of the product of
-    T(m) one depth down over m in S, and every leaf has T = 1. A symbol in
-    no set of k gets T = 0 here, where enumerate_trees raises instead."""
+def _tree_count(code: LinearCodeSpec, budget: int) -> int | None:
+    """How many trees enumerate_trees yields, counted without building one,
+    or None once the running count over its permutations passes *budget*.
+    For one permutation, a node x at the depth of source symbol k has
+    T(x) = sum over the sets S of k holding x of the product of T(m) one
+    depth down over m in S, every leaf has T = 1, and the trees number the
+    sum of T over the roots. A symbol in no set of k gets T = 0 here, where
+    enumerate_trees raises instead."""
     p = code.params
+    total = 0
     for perm in itertools.permutations(range(1, p.K + 1)):
         below = [1] * p.M
         for k in reversed(perm):
@@ -387,45 +389,43 @@ def _trees_per_permutation(code: LinearCodeSpec) -> Iterator[int]:
                 for x in members:
                     here[x] += ways
             below = here
-        yield sum(below)
-
-
-def _tree_count(code: LinearCodeSpec, budget: int) -> int | None:
-    """How many trees enumerate_trees yields, or None once the running
-    count per permutation passes *budget*."""
-    total = 0
-    for total in itertools.accumulate(_trees_per_permutation(code)):
+        total += sum(below)
         if total > budget:
             return None
     return total
 
 
-def _check_audit_options(budget: int, samples: int) -> None:
+def _audit_count(code: LinearCodeSpec, budget: int, samples: int) -> int | None:
+    """The tree count of an audit, _tree_count(code, budget): None when
+    *samples* seeded draws stand in for the trees.
+
+    An audit of no trees would pass without looking at one, so *samples*
+    must be at least 1 and *budget* at least 0. The tree is defined for
+    universal codes only, so TreeConstructionError names the first source
+    symbol k, then the first symbol, that no decoding set of k holds,
+    whatever the budget and seed."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if budget < 0:
         raise ValueError(f"tree budget must be at least 0, got {budget}")
+    for k in range(1, code.params.K + 1):
+        counts = membership_counts(code, k)
+        if 0 in counts:
+            raise TreeConstructionError(
+                f"no decoding set of source symbol {k} contains {code.label(counts.index(0))}"
+            )
+    return _tree_count(code, budget)
 
 
 def trees_for_audit(
     code: LinearCodeSpec, budget: int = DEFAULT_TREE_BUDGET, samples: int = 100, seed: int = 0
 ) -> tuple[list[NaryTree], bool]:
     """All realizations when there are at most *budget* of them, otherwise
-    *samples* seeded draws. Returns (trees, exhaustive).
-
-    A universal code's trees are counted first and built only within the
-    budget. A non-universal code is enumerated up to the budget, so it
-    raises TreeConstructionError wherever enumerate_trees first meets a
-    symbol with no qualifying set.
-
-    An audit of no trees would pass without looking at one, so *samples*
-    must be at least 1 and *budget* at least 0."""
-    _check_audit_options(budget, samples)
-    if not check_universality(code) or _tree_count(code, budget) is not None:
-        trees = list(itertools.islice(enumerate_trees(code), budget + 1))
-        if len(trees) <= budget:
-            return trees, True
-    return sample_trees(code, samples, seed), False
+    *samples* seeded draws. Returns (trees, exhaustive). The trees are
+    counted first (see _audit_count) and built only within the budget."""
+    if _audit_count(code, budget, samples) is None:
+        return sample_trees(code, samples, seed), False
+    return list(enumerate_trees(code)), True
 
 
 def leaf_distinctness(tree: NaryTree) -> tuple[bool, int | None]:
@@ -480,8 +480,8 @@ def audit_converse_chain(code: LinearCodeSpec, tree: NaryTree) -> ConverseAudit:
     totals = _level_totals(oracle_for(code), tree)
     levels = tuple(
         LevelAudit(depth=depth, message=tree.permutation[depth - 1], lhs_bits=totals[depth],
-                   rhs_bits=totals[depth] - slack)
-        for depth, slack in enumerate(_level_slacks(p, totals), start=1)
+                   rhs_bits=p.N ** (depth - 1) * p.Lw + totals[depth - 1])
+        for depth in range(1, p.K + 1)
     )
     bound = sum(p.N**d for d in range(p.K)) * p.Lw + totals[0]
     return ConverseAudit(levels=levels, total_bits=totals[p.K], bound_bits=bound)
@@ -496,14 +496,6 @@ def _level_totals(ora, tree: NaryTree) -> list[int]:
         given = frozenset(perm[depth:])
         totals.append(sum(ora.entropy((m,), given) for m in tree.labels_at_depth(depth)))
     return totals
-
-
-def _level_slacks(p: CodeParams, totals: list[int]) -> list[int]:
-    """Slack of the chain at depths 1..K: the depth-d total less
-    N^(d-1)*Lw and the depth-(d-1) total. They sum to the total slack."""
-    return [
-        totals[depth] - p.N ** (depth - 1) * p.Lw - totals[depth - 1] for depth in range(1, p.K + 1)
-    ]
 
 
 def _every_sigma_zero(code: LinearCodeSpec, sets, orbit_of: Sequence[int]) -> bool:
@@ -533,15 +525,13 @@ def _every_sigma_zero(code: LinearCodeSpec, sets, orbit_of: Sequence[int]) -> bo
 def converse_witnesses(code: LinearCodeSpec, trees: Iterable[NaryTree]) -> list[dict]:
     """The trees, in order, whose converse chain has slack at some level,
     each with its total slack: the converse-tightness check's witnesses."""
-    p = code.params
-    ora = oracle_for(code)
     witnesses = []
     for tree in trees:
-        slacks = _level_slacks(p, _level_totals(ora, tree))
-        if any(slacks):
+        audit = audit_converse_chain(code, tree)
+        if not audit.tight:
             witnesses.append(
                 {"permutation": list(tree.permutation), "root": code.label(tree.root),
-                 "total_slack_bits": sum(slacks)}
+                 "total_slack_bits": audit.total_slack}
             )
     return witnesses
 
@@ -633,33 +623,29 @@ def corruption_trial(code: LinearCodeSpec, delta) -> CorruptionReport:
 
 # --- translation orbits -----------------------------------------------------
 
-# code -> (its _unit_translations, and when they are not None the view
-# of it that _check_rows reads first); no value refers to its code
-_symmetries: "weakref.WeakKeyDictionary[LinearCodeSpec, tuple]" = weakref.WeakKeyDictionary()
+# code -> the view of it that _check_rows reads first, or None; no value
+# refers to its code
+_symmetries: "weakref.WeakKeyDictionary[LinearCodeSpec, tuple | None]" = weakref.WeakKeyDictionary()
 
 
-def _symmetry(code: LinearCodeSpec) -> tuple:
-    """(_unit_translations(code), its reduced view or None), worked out
-    once per code. The reduced view is one decoding set per orbit and
-    symbol 0 standing for every symbol: the translations carry symbol 0 to
-    each one, and the trees from root 0 onto those from every other root,
-    node by node."""
+def _symmetry(code: LinearCodeSpec) -> tuple | None:
+    """The reduced view of a code whose _unit_translations are not None,
+    and otherwise None, worked out once per code. The reduced view is one
+    decoding set per orbit and symbol 0 standing for every symbol: the
+    translations carry symbol 0 to each one, and the trees from root 0
+    onto those from every other root, node by node."""
     if code not in _symmetries:
         maps = _unit_translations(code)
-        view = None if maps is None else (_orbit_representatives(code, maps), (0,) * code.params.M)
-        _symmetries[code] = maps, view
+        _symmetries[code] = None if maps is None else (_orbit_representatives(code, maps), (0,) * code.params.M)
     return _symmetries[code]
 
 
-def _translations(code: LinearCodeSpec) -> tuple[tuple[int, ...], ...] | None:
-    """For each coordinate j, the map of symbol indices m -> the symbol
-    whose digits are m's plus e_j mod N, when the code is checked to be
-    symmetric under these translations, and otherwise None."""
-    return _symmetry(code)[0]
-
-
 def _unit_translations(code: LinearCodeSpec) -> tuple[tuple[int, ...], ...] | None:
-    """The unit translations of a code whose digit vectors are all of
+    """For each coordinate j, the map of symbol indices m -> the symbol
+    whose digits are m's plus e_j mod N, or None unless the code is checked
+    to be symmetric under these translations.
+
+    They are the unit translations of a code whose digit vectors are all of
     Z_N^K (they are distinct, so M = N^K makes them a bijection) and whose
     columns are in the canonical order with Lw = M(N-1), provided that for
     each e_j every symbol's rows, under the column shuffle moving each
@@ -723,25 +709,21 @@ def _tree_audit(
     """A battery's one trees_for_audit(code, budget, samples, seed) as
     (tree count, exhaustive, trees). trees(roots) lists the trees a row
     reads: those of an exhaustive audit rooted in *roots*, a tuple of
-    symbols, and every tree of a sampled one. A universal code's trees are
-    counted here and made only when a row asks for them; trees_for_audit
-    makes those from every root."""
-    _check_audit_options(budget, samples)
-    made = functools.cache(lambda: trees_for_audit(code, budget, samples, seed))
-    if check_universality(code):
-        count = _tree_count(code, budget)  # None past the budget
-    else:
-        # made now, so a node that no set holds raises before any row
-        listed, exhaustive = made()
-        count = len(listed) if exhaustive else None
+    symbols, and every tree of a sampled one. The trees are counted here
+    (see _audit_count) and made only when a row asks for them;
+    trees_for_audit makes those from every root."""
+    count = _audit_count(code, budget, samples)  # None past the budget
+    every = tuple(range(code.params.M))
 
     @functools.cache
     def trees(roots: tuple[int, ...]) -> list[NaryTree]:
-        if count is None or len(roots) == code.params.M:
-            return made()[0]
+        if roots == every:
+            return trees_for_audit(code, budget, samples, seed)[0]
         return list(_trees_from(code, roots))
 
-    return samples if count is None else count, count is not None, trees
+    if count is None:
+        return samples, False, lambda roots: trees(every)
+    return count, True, trees
 
 
 # --- the battery ------------------------------------------------------------
@@ -794,7 +776,7 @@ def run_checks(
             # an orbit check of a code with checked translations reads its
             # reduced view first, and takes each row that fails there from
             # the full view, so it is the row full enumeration writes
-            view = _symmetry(code)[1] if name in _ORBIT_CHECKS else None
+            view = _symmetry(code) if name in _ORBIT_CHECKS else None
             rows = _check_rows(code, name, audit, delta, *(view or every))
             if view and not all(row.passed for row in rows):
                 again = _check_rows(code, name, audit, delta, *every)

@@ -16,7 +16,8 @@ sorted keys the reference for the document writer in ``codespec``.
 The seeded mutants at the end are inputs that every verify row must
 answer as it does today; the symmetric edits among them keep every
 translation symmetry of a built code, so a check that reads one
-representative per translation orbit has to meet their failures itself.
+representative per translation orbit has to meet their failures itself,
+and the decoding-set edits leave some codes non-universal.
 """
 
 import itertools
@@ -369,6 +370,45 @@ def symmetric_edits(code, seed, draws=32):
     for k, k2 in itertools.permutations(range(1, p.K + 1), 2):
         supersets = list(code.supersets)
         supersets[k - 1] = DecodingSuperset(k=k, sets=code.supersets[k2 - 1].sets)
+        yield LinearCodeSpec(
+            params=p,
+            symbol_gens=code.symbol_gens,
+            supersets=supersets,
+            groups=code.groups,
+            digits=code.digits,
+            labels=code.labels,
+            column_order=code.column_order,
+        )
+
+
+def decoding_set_edits(code, seed, draws=32):
+    """Yield the codes made by one seeded edit of one superset's decoding
+    sets. Each of *draws* draws picks a source k, two sets A and B of its
+    superset, and an edit, kept in draw order:
+
+    - a trade: a member x of A outside B and a member y of B outside A of
+      x's group swap sets. Every symbol stays in as many sets, so the code
+      stays universal. A draw with no such y is skipped.
+    - a copy: A is replaced with a copy of B, so A's members outside B are
+      in no set of k and the code is no longer universal."""
+    p = code.params
+    rng = random.Random(seed)
+    for _ in range(draws):
+        k = rng.randrange(1, p.K + 1)
+        sets = list(code.supersets[k - 1].sets)
+        a, b = rng.sample(range(len(sets)), 2)
+        if rng.random() < 0.5:
+            x = rng.choice([m for m in sets[a] if m not in sets[b]])
+            partners = [m for m in sets[b] if m not in sets[a] and code.groups[m] == code.groups[x]]
+            if not partners:
+                continue
+            y = rng.choice(partners)
+            sets[a] = tuple(sorted(y if m == x else m for m in sets[a]))
+            sets[b] = tuple(sorted(x if m == y else m for m in sets[b]))
+        else:
+            sets[a] = sets[b]
+        supersets = list(code.supersets)
+        supersets[k - 1] = DecodingSuperset(k=k, sets=tuple(sets))
         yield LinearCodeSpec(
             params=p,
             symbol_gens=code.symbol_gens,

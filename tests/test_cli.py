@@ -165,13 +165,14 @@ class TestBuildVerify:
         _, out2, _ = run_cli(capsys, "verify", str(f2))
         assert out1 == out2
 
+    # a non-universal code is refused from its decoding sets, before any tree
     @pytest.mark.parametrize(
-        "source, exit_code, status",
-        [(("fixture", "eq28"), 0, "PASS"), (("fixture", "fig1", "non-universal"), 1, "FAIL")],
+        "source, exit_code, status, enumerations",
+        [(("fixture", "eq28"), 0, "PASS", 1), (("fixture", "fig1", "non-universal"), 1, "FAIL", 0)],
         ids=["eq28", "fig1-non-universal"],
     )
     def test_tree_and_converse_share_one_tree_enumeration(
-        self, capsys, tmp_path, monkeypatch, source, exit_code, status
+        self, capsys, tmp_path, monkeypatch, source, exit_code, status, enumerations
     ):
         calls = []
         enumerate_once = verify.trees_for_audit
@@ -185,7 +186,7 @@ class TestBuildVerify:
         code, out, _ = run_cli(capsys, "verify", str(out_file))
         assert code == exit_code
         assert f"tree-leaf-distinctness: {status}" in out and f"converse-tightness: {status}" in out
-        assert len(calls) == 1
+        assert len(calls) == enumerations
 
 
 ALL_CHECKS = ",".join(verify.ALL_CHECKS)
@@ -293,6 +294,17 @@ class TestVerifyReports:
         check = json.loads(out)["checks"][0]
         assert check["passed"] is False and check["witnesses"][0]["error"].startswith("no decoding set")
 
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    @pytest.mark.parametrize("budget", ["0", "5", "512"])
+    def test_non_universal_witness_is_the_first_missing_symbol(self, capsys, tmp_path, budget, seed):
+        # X2, X3 and X6 are in no set of W_2: the first of them is named,
+        # whatever the budget and seed
+        doc = write_code(capsys, tmp_path, ("fixture", "fig1", "non-universal"))
+        code, out, _ = run_cli(capsys, "verify", str(doc), "--tree-budget", budget, "--seed", seed)
+        assert code == 1
+        stuck = '  witness: {"error": "no decoding set of source symbol 2 contains X2"}'
+        assert out.splitlines()[-2:] == ["tree-leaf-distinctness: FAIL" + stuck, "converse-tightness: FAIL" + stuck]
+
     @pytest.mark.parametrize("source", [("fixture", "fig1"), ("build", "2", "3")], ids="-".join)
     def test_library_battery_is_the_cli_report(self, capsys, tmp_path, source):
         from smoothldc.codespec import from_document, load_document
@@ -341,6 +353,10 @@ class TestMalformedDocuments:
             (lambda d: {**d, "symbols": [{**d["symbols"][0], "rows": [128]}] + d["symbols"][1:]}, "row"),
             (lambda d: {**d, "params": {**d["params"], "M": 1}}, "params"),
             (lambda d: {**d, "symbols": [{**s, "rows": []} for s in d["symbols"]]}, "no generator rows"),
+            (lambda d: {**d, "supersets": [[[0, 6]] + d["supersets"][0][1:]] + d["supersets"][1:]},
+             "decoding set (0, 6) for k=1 must be sorted and within [0, 6)"),
+            (lambda d: {**d, "symbols": d["symbols"][:3] + [{**d["symbols"][3], "group": 0}] + d["symbols"][4:]},
+             "decoding set (0, 3) is not a group transversal (groups [0, 0])"),
         ],
     )
     def test_exit_2_without_traceback(self, capsys, tmp_path, mutate, message):
@@ -422,6 +438,22 @@ class TestServeRetrieve:
         )
         assert result.returncode == 2
         assert "21 bytes" in result.stderr and f"got {size}" in result.stderr
+
+    @pytest.mark.parametrize("db", ["0", "3"])
+    def test_database_index_out_of_range_is_usage_error(self, capsys, tmp_path, db):
+        spec = tmp_path / "c23.json"
+        messages = tmp_path / "messages.bin"
+        run_cli(capsys, "build", "--n", "2", "--k", "3", "--out", str(spec))
+        messages.write_bytes(b"\x5a" * 3)  # K*Lw = 24 bits
+        # a subprocess, so a server that wrongly starts fails by timeout
+        result = subprocess.run(
+            [sys.executable, "-m", "smoothldc", "serve", str(spec), "--db", db,
+             "--messages", str(messages)],
+            capture_output=True, text=True, timeout=60, env=package_env(),
+        )
+        assert result.returncode == 2
+        assert "database index must be in [1, 2]" in result.stderr
+        assert "listening on" not in result.stdout + result.stderr
 
     def test_end_to_end_subprocesses(self, tmp_path):
         spec = tmp_path / "c22.json"

@@ -9,6 +9,7 @@ from smoothldc.gf2 import (
     column_mask,
     rank_words,
     row_parities,
+    rows_from_bytes,
     rows_from_hex,
     rows_to_hex,
     solve_columns,
@@ -199,6 +200,7 @@ class TestRowCodec:
         texts = rows_to_hex(rows, width)
         assert texts == [BitVector(width, row).to_hex() for row in rows]
         assert rows_from_hex(texts, width) == rows
+        assert rows_from_bytes([BitVector(width, row).to_bytes() for row in rows], width) == rows
 
     # int(text, 16) would also take "0x80", "+80", "8_0" and " 80"; the
     # codec takes what bytes.fromhex takes, whitespace between bytes

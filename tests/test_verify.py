@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_force_conditional_entropy,
+    decoding_set_edits,
     generator_bit_flips,
     reference_converse,
     reference_corruption,
@@ -17,7 +18,12 @@ from oracles import (
     symmetric_edits,
 )
 from smoothldc import verify
-from smoothldc.codespec import COLUMN_ORDER_TRANSCRIBED, DecodingSuperset, LinearCodeSpec
+from smoothldc.codespec import (
+    COLUMN_ORDER_CANONICAL,
+    COLUMN_ORDER_TRANSCRIBED,
+    DecodingSuperset,
+    LinearCodeSpec,
+)
 from smoothldc.construct import build_sldc, load_fixture
 from smoothldc.entropy import RankOracle, oracle_for
 from smoothldc.verify import (
@@ -35,6 +41,7 @@ from smoothldc.verify import (
     corruption_trial,
     enumerate_trees,
     leaf_distinctness,
+    membership_counts,
     min_distance,
     sample_trees,
     trees_for_audit,
@@ -296,7 +303,9 @@ class TestTreeCounting:
     @pytest.mark.parametrize("name", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), *FIXTURE_NAMES], ids=str)
     def test_count_equals_enumeration(self, codes, name):
         code = codes[name] if name in codes else build_sldc(*name)
-        assert sum(verify._trees_per_permutation(code)) == len(list(enumerate_trees(code)))
+        count = len(list(enumerate_trees(code)))
+        assert verify._tree_count(code, count) == count
+        assert verify._tree_count(code, count - 1) is None
 
     @pytest.mark.parametrize("key", list(SAMPLED_TREE_DIGESTS), ids=str)
     def test_sampled_trees_unchanged(self, key):
@@ -700,6 +709,63 @@ class TestSymmetricEdits:
         assert hashlib.sha256(body).hexdigest() == SYMMETRIC_EDIT_DIGESTS[nk]
 
 
+# One digest per built code over every verify row of its seed-7 decoding
+# set edits: 14, 17, 18 and 14 trades (each universal, each failing some
+# default row), then 18, 15, 14 and 18 copies (each non-universal), in draw
+# order. All checks up to M = 9, the default checks at (3,3). Recorded
+# before the tree audit refused a non-universal code from its sets alone.
+SET_EDIT_DIGESTS = {
+    (2, 2): "5a479a0c1dffa0affcf919c194ae9bb535dee26b4f4a1e8d87d2aea82f2c88c1",
+    (2, 3): "dd55103e078d4d815ccae52f11c6cadf9c42abddeb2183ecd1c210b94e496432",
+    (3, 2): "3f5b999e7cefc10015a7c55b5200dd2933ec4c404611cac0334302e890abce70",
+    (3, 3): "6ee778652a2e0e2b72a1641f4994cb10fbfa3a75a1f8861d838ec50065ec3c10",
+}
+
+
+class TestDecodingSetEdits:
+    @pytest.mark.parametrize("nk", list(SET_EDIT_DIGESTS), ids=str)
+    def test_every_row_of_every_set_edit_pinned(self, codes, nk):
+        code = codes[nk]
+        checks = ALL_CHECKS if code.params.M <= 9 else verify.DEFAULT_CHECKS
+        reports = [
+            [row.as_dict() for row in verify.run_checks(mutant, checks)]
+            for mutant in decoding_set_edits(code, seed=7)
+        ]
+        body = json.dumps(reports, sort_keys=True, default=str).encode()
+        assert hashlib.sha256(body).hexdigest() == SET_EDIT_DIGESTS[nk]
+
+    @pytest.mark.parametrize("nk", list(SET_EDIT_DIGESTS), ids=str)
+    def test_trades_stay_universal_and_fail_a_row(self, codes, nk):
+        code = codes[nk]
+        sources = range(1, code.params.K + 1)
+        for mutant in decoding_set_edits(code, seed=7):
+            traded = all(membership_counts(mutant, k) == membership_counts(code, k) for k in sources)
+            assert check_universality(mutant) == traded
+            if traded:
+                rows = verify.run_checks(mutant, verify.DEFAULT_CHECKS)
+                assert not all(row.passed for row in rows)
+
+    @pytest.mark.parametrize("budget, seed", [(0, 0), (0, 1), (5, 1), (512, 0)], ids=str)
+    def test_refusal_names_the_first_source_then_the_first_symbol(self, codes, monkeypatch, budget, seed):
+        # copies leave X_101 and X_111 out of W_2's sets, X_000 and X_001 out
+        # of W_3's; the code is refused from its sets, before any tree
+        code = codes[(2, 3)]
+        w2, w3 = list(code.supersets[1].sets), list(code.supersets[2].sets)
+        w2[3], w3[0] = w2[2], w3[1]
+        edited = [code.supersets[0], DecodingSuperset(k=2, sets=tuple(w2)), DecodingSuperset(k=3, sets=tuple(w3))]
+        bad = with_supersets(code, edited)
+
+        def no_tree(*args, **kwargs):
+            raise AssertionError("a tree was built")
+
+        monkeypatch.setattr(verify, "NaryTree", no_tree)
+        error = "no decoding set of source symbol 2 contains X_101"
+        rows = verify.run_checks(bad, ["tree", "converse"], tree_budget=budget, seed=seed)
+        assert [row.witnesses for row in rows] == [[{"error": error}]] * 2
+        with pytest.raises(TreeConstructionError, match=error):
+            trees_for_audit(bad, budget=budget, seed=seed)
+
+
 # built codes of at most 27 symbols
 ORBIT_SIZES = [(2, 1), (2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)]
 
@@ -746,7 +812,7 @@ def sigma_views(code):
     each symbol standing for itself."""
     every = list(verify._every_set(code))
     return (
-        verify._every_sigma_zero(code, *verify._symmetry(code)[1]),
+        verify._every_sigma_zero(code, *verify._symmetry(code)),
         verify._every_sigma_zero(code, every, range(code.params.M)),
     )
 
@@ -755,7 +821,7 @@ class TestTranslationOrbits:
     @pytest.mark.parametrize("nk", ORBIT_SIZES, ids=str)
     def test_translations_keep_every_small_entropy(self, codes, nk):
         code = built(codes, nk)
-        maps = verify._translations(code)
+        maps = verify._unit_translations(code)
         assert maps is not None and len(maps) == code.params.K
         ora = oracle_for(code)
         for a, j in small_queries(code):
@@ -766,7 +832,7 @@ class TestTranslationOrbits:
     def test_rank_entropies_are_the_brute_force_ones(self, codes, nk):
         code = codes[nk]
         ora = oracle_for(code)
-        maps = verify._translations(code)
+        maps = verify._unit_translations(code)
         for a, j in small_queries(code):
             h = brute_force_conditional_entropy(code, a, j)
             assert ora.entropy(a, j) == h
@@ -774,7 +840,7 @@ class TestTranslationOrbits:
 
     def test_unit_translations_add_e_j(self, codes):
         code = codes[(3, 2)]
-        maps = verify._translations(code)
+        maps = verify._unit_translations(code)
         for j, translate in enumerate(maps):
             for m, d in enumerate(code.digits):
                 step = tuple(int(i == j) for i in range(len(d)))
@@ -787,7 +853,7 @@ class TestTranslationOrbits:
     @pytest.mark.parametrize("nk", list(SYMMETRIC_EDIT_DIGESTS), ids=str)
     def test_symmetric_edits_keep_the_symmetry_and_the_reports(self, codes, nk):
         for mutant in symmetric_edits(codes[nk], seed=7):
-            assert verify._translations(mutant) is not None
+            assert verify._unit_translations(mutant) is not None
             same_reports(mutant)
 
     def test_digit_lists_read_as_digit_tuples(self, codes):
@@ -800,7 +866,7 @@ class TestTranslationOrbits:
             digits=[list(d) for d in code.digits],
             column_order=code.column_order,
         )
-        assert verify._translations(listed) == verify._translations(code)
+        assert verify._unit_translations(listed) == verify._unit_translations(code)
         got = [row.as_dict() for row in verify.run_checks(listed, ALL_CHECKS)]
         assert got == [row.as_dict() for row in verify.run_checks(code, ALL_CHECKS)]
 
@@ -821,15 +887,15 @@ class TestTranslationOrbits:
 
     def test_no_translations_without_a_checked_symmetry(self, codes):
         for name in FIXTURE_NAMES:
-            assert verify._translations(codes[name]) is None, name
+            assert verify._unit_translations(codes[name]) is None, name
         for nk in MUTANT_REPORT_DIGESTS:
             for mutant in generator_bit_flips(codes[nk], seed=7):
-                assert verify._translations(mutant) is None
+                assert verify._unit_translations(mutant) is None
         code = codes[(2, 3)]
         sets = [list(members) for members in code.supersets[0].sets]
         sets[0][0], sets[1][1] = sets[1][1], sets[0][0]  # X_000 and X_101, both of group 0, trade sets
         edited = [DecodingSuperset(k=1, sets=tuple(tuple(sorted(s)) for s in sets)), *code.supersets[1:]]
-        assert verify._translations(with_supersets(code, edited)) is None
+        assert verify._unit_translations(with_supersets(code, edited)) is None
         transcribed = LinearCodeSpec(
             params=code.params,
             symbol_gens=code.symbol_gens,
@@ -838,5 +904,16 @@ class TestTranslationOrbits:
             digits=code.digits,
             column_order=COLUMN_ORDER_TRANSCRIBED,
         )
-        assert verify._translations(transcribed) is None
-        assert verify._translations(without_digits(code)) is None
+        assert verify._unit_translations(transcribed) is None
+        assert verify._unit_translations(without_digits(code)) is None
+        # six distinct digit vectors in canonical column order, but M = 6 != 2^3
+        fig1 = codes["fig1"]
+        shaped = LinearCodeSpec(
+            params=fig1.params,
+            symbol_gens=fig1.symbol_gens,
+            supersets=fig1.supersets,
+            groups=fig1.groups,
+            digits=list(itertools.product(range(2), repeat=3))[:6],
+            column_order=COLUMN_ORDER_CANONICAL,
+        )
+        assert verify._unit_translations(shaped) is None
