@@ -20,6 +20,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import construct
+from .capacity import pir_capacity
 from .codespec import LinearCodeSpec, to_document
 from .gf2 import BitVector
 
@@ -235,3 +236,22 @@ def cost_metrics(scheme: PirScheme) -> CostMetrics:
         download_bits=p.Lx,
         rate=Fraction(p.Lw, p.N * p.Lx),
     )
+
+
+def cost_witnesses(scheme: PirScheme, costs: CostMetrics) -> list[dict]:
+    """What contradicts the capacity claims under the maximum-download
+    metric: a rate above pir_capacity(N, K), or, at that rate, a database
+    with fewer than N^(K-1) possible queries, less than the (K-1) log2 N
+    bits of upload a capacity-achieving scheme needs. Empty if none."""
+    p = scheme.code.params
+    bound = pir_capacity(p.N, p.K)
+    if costs.rate > bound:
+        return [{"rate": str(costs.rate), "capacity": str(bound)}]
+    if costs.rate < bound:
+        return []
+    least = p.N ** (p.K - 1)
+    return [
+        {"database": n, "query_space": scheme.query_space(n), "at_least": least}
+        for n in range(1, scheme.n_databases + 1)
+        if scheme.query_space(n) < least
+    ]

@@ -10,6 +10,13 @@ Every check is exact: entropies come from the rank oracle, probabilities
 are rationals, and all enumeration orders are fixed so witnesses are
 deterministic (the lexicographically smallest witness is reported first).
 
+``check_options`` holds every option rule of a battery (check names, tree
+budget, corruption fraction); ``run_checks`` applies it before any check
+runs. The tree and converse rows share one tree audit: the trees of a
+universal code are counted once, and read exhaustively within the tree
+budget, or as TREE_SAMPLES seeded draws past it; a non-universal code is
+refused from its decoding sets, before any tree.
+
 A built code is symmetric under the translations of Z_N^K: moving every
 digit vector by t maps X_p's generator rows onto X_{p+t}'s under a column
 permutation that keeps every source block, so H(X_A | W_J) is constant on
@@ -41,6 +48,7 @@ from .entropy import _distinct, _same, oracle_for
 
 DISTANCE_BUDGET = 24
 DEFAULT_TREE_BUDGET = 512
+TREE_SAMPLES = 100  # trees a sampled tree audit draws, past the budget
 
 DEFAULT_CHECKS = ("correctness", "smoothness", "universality", "properties", "tree", "converse")
 ALL_CHECKS = DEFAULT_CHECKS + ("min-distance", "corruption")
@@ -115,10 +123,17 @@ def check_smoothness(code: LinearCodeSpec) -> bool:
 
 def check_universality(code: LinearCodeSpec) -> bool:
     """Universality: every symbol appears at least once in every superset."""
+    return _uncovered(code) is None
+
+
+def _uncovered(code: LinearCodeSpec) -> tuple[int, int] | None:
+    """(k, m) for the first source symbol k, then the first symbol m, that
+    no decoding set of k holds; None for a universal code."""
     for k in range(1, code.params.K + 1):
-        if min(membership_counts(code, k)) == 0:
-            return False
-    return True
+        counts = membership_counts(code, k)
+        if 0 in counts:
+            return k, counts.index(0)
+    return None
 
 
 # --- properties of capacity-achieving codes --------------------------------
@@ -395,37 +410,15 @@ def _tree_count(code: LinearCodeSpec, budget: int) -> int | None:
     return total
 
 
-def _audit_count(code: LinearCodeSpec, budget: int, samples: int) -> int | None:
-    """The tree count of an audit, _tree_count(code, budget): None when
-    *samples* seeded draws stand in for the trees.
-
-    An audit of no trees would pass without looking at one, so *samples*
-    must be at least 1 and *budget* at least 0. The tree is defined for
-    universal codes only, so TreeConstructionError names the first source
-    symbol k, then the first symbol, that no decoding set of k holds,
-    whatever the budget and seed."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    if budget < 0:
-        raise ValueError(f"tree budget must be at least 0, got {budget}")
-    for k in range(1, code.params.K + 1):
-        counts = membership_counts(code, k)
-        if 0 in counts:
-            raise TreeConstructionError(
-                f"no decoding set of source symbol {k} contains {code.label(counts.index(0))}"
-            )
-    return _tree_count(code, budget)
-
-
 def trees_for_audit(
-    code: LinearCodeSpec, budget: int = DEFAULT_TREE_BUDGET, samples: int = 100, seed: int = 0
+    code: LinearCodeSpec, budget: int = DEFAULT_TREE_BUDGET, seed: int = 0
 ) -> tuple[list[NaryTree], bool]:
     """All realizations when there are at most *budget* of them, otherwise
-    *samples* seeded draws. Returns (trees, exhaustive). The trees are
-    counted first (see _audit_count) and built only within the budget."""
-    if _audit_count(code, budget, samples) is None:
-        return sample_trees(code, samples, seed), False
-    return list(enumerate_trees(code)), True
+    TREE_SAMPLES seeded draws. Returns (trees, exhaustive): the trees of
+    every root that a battery's tree audit reads (see _tree_audit)."""
+    check_options(["tree"], budget)
+    _, exhaustive, trees = _tree_audit(code, budget, seed)
+    return trees(tuple(range(code.params.M))), exhaustive
 
 
 def leaf_distinctness(tree: NaryTree) -> tuple[bool, int | None]:
@@ -581,14 +574,6 @@ class CorruptionReport:
     guarantee_void: bool  # delta >= 1/N, the survival bound does not apply
 
 
-def _corruption_fraction(delta) -> Fraction:
-    """delta as the exact fraction a corruption trial uses; ValueError outside [0, 1]."""
-    delta = delta if isinstance(delta, Fraction) else Fraction(delta).limit_denominator(10**6)
-    if not 0 <= delta <= 1:
-        raise ValueError("delta must lie in [0, 1]")
-    return delta
-
-
 def corruption_trial(code: LinearCodeSpec, delta) -> CorruptionReport:
     """Success probability of a uniformly random decoding-set choice when a
     delta fraction of symbols is corrupted.
@@ -599,7 +584,7 @@ def corruption_trial(code: LinearCodeSpec, delta) -> CorruptionReport:
     the pattern; the report carries the minimum over patterns per message.
     """
     p = code.params
-    delta = _corruption_fraction(delta)
+    delta = check_options(["corruption"], delta=delta)
     if p.M > DISTANCE_BUDGET:
         raise BudgetError(f"exact corruption enumeration needs M <= {DISTANCE_BUDGET}, got {p.M}")
     corrupted = int(delta * p.M)
@@ -704,26 +689,26 @@ def _orbit_representatives(code: LinearCodeSpec, maps) -> list[tuple[int, int, t
 
 
 def _tree_audit(
-    code: LinearCodeSpec, budget: int, samples: int, seed: int
+    code: LinearCodeSpec, budget: int, seed: int
 ) -> tuple[int, bool, Callable[[tuple[int, ...]], list[NaryTree]]]:
-    """A battery's one trees_for_audit(code, budget, samples, seed) as
-    (tree count, exhaustive, trees). trees(roots) lists the trees a row
-    reads: those of an exhaustive audit rooted in *roots*, a tuple of
-    symbols, and every tree of a sampled one. The trees are counted here
-    (see _audit_count) and made only when a row asks for them;
-    trees_for_audit makes those from every root."""
-    count = _audit_count(code, budget, samples)  # None past the budget
-    every = tuple(range(code.params.M))
+    """A battery's tree audit as (tree count, exhaustive, trees). The trees
+    are counted here, once, and made only when a row asks for them:
+    trees(roots) lists those of an exhaustive audit rooted in *roots*, a
+    tuple of symbols, and the TREE_SAMPLES seeded draws of a sampled one,
+    whatever the roots.
 
-    @functools.cache
-    def trees(roots: tuple[int, ...]) -> list[NaryTree]:
-        if roots == every:
-            return trees_for_audit(code, budget, samples, seed)[0]
-        return list(_trees_from(code, roots))
-
+    The tree is defined for universal codes only, so TreeConstructionError
+    names the first source symbol k, then the first symbol, that no
+    decoding set of k holds, whatever the budget and seed."""
+    missing = _uncovered(code)
+    if missing:
+        k, m = missing
+        raise TreeConstructionError(f"no decoding set of source symbol {k} contains {code.label(m)}")
+    count = _tree_count(code, budget)  # None past the budget
     if count is None:
-        return samples, False, lambda roots: trees(every)
-    return count, True, trees
+        sampled = functools.cache(lambda: sample_trees(code, TREE_SAMPLES, seed))
+        return TREE_SAMPLES, False, lambda roots: sampled()
+    return count, True, functools.cache(lambda roots: list(_trees_from(code, roots)))
 
 
 # --- the battery ------------------------------------------------------------
@@ -734,41 +719,47 @@ _ROW_NAMES = {"tree": "tree-leaf-distinctness", "converse": "converse-tightness"
 _ORBIT_CHECKS = ("correctness", "properties", "tree", "converse")
 
 
-def require_known_checks(names: Iterable[str]) -> None:
-    """Raise ValueError for the first name that is not in ALL_CHECKS."""
+def check_options(names: Sequence[str], tree_budget: int = DEFAULT_TREE_BUDGET, delta=None) -> Fraction | None:
+    """Raise ValueError for the first bad option of a battery: no check
+    named, a name not in ALL_CHECKS, a negative tree budget, or a delta
+    outside [0, 1]. Returns delta as the exact fraction a corruption trial
+    uses, or None when it is None."""
+    if not names:
+        raise ValueError("no checks requested")
     for name in names:
         if name not in ALL_CHECKS:
             raise ValueError(f"unknown check {name!r}; valid: {', '.join(ALL_CHECKS)}")
+    if tree_budget < 0:
+        raise ValueError(f"tree budget must be at least 0, got {tree_budget}")
+    if delta is None:
+        return None
+    delta = delta if isinstance(delta, Fraction) else Fraction(delta).limit_denominator(10**6)
+    if not 0 <= delta <= 1:
+        raise ValueError(f"delta must lie in [0, 1], got {delta}")
+    return delta
 
 
 def run_checks(
     code: LinearCodeSpec,
     names: Sequence[str],
     tree_budget: int = DEFAULT_TREE_BUDGET,
-    samples: int = 100,
     seed: int = 0,
     delta=None,
 ) -> list[CheckResult]:
     """The report rows of the named checks, in order: one per check, and
-    five (p1 to p3) for "properties". "tree" and "converse" share the
-    trees of one trees_for_audit(code, tree_budget, samples, seed), made
-    only if a row reads them (see _tree_audit). A check that cannot
+    five (p1 to p3) for "properties". "tree" and "converse" share one tree
+    audit (see _tree_audit): every tree when there are at most *tree_budget*
+    of them, otherwise TREE_SAMPLES drawn with *seed*. A check that cannot
     run on this code (no tree of a non-universal code, min-distance or
     corruption past DISTANCE_BUDGET symbols) fails with an {"error": ...}
     witness. *delta* is the corruption fraction, by default the largest
-    below 1/N with an integral count. An unknown check name, or a bad
-    option of a named check, raises ValueError before any check runs."""
-    require_known_checks(names)
+    below 1/N with an integral count. Bad options (see check_options) raise
+    ValueError before any check runs."""
+    delta = check_options(names, tree_budget, delta)
     p = code.params
-    audit = None  # the one _tree_audit outcome: its value or its error
-    if "tree" in names or "converse" in names:
-        try:
-            audit = _tree_audit(code, tree_budget, samples, seed)
-        except TreeConstructionError as exc:
-            audit = exc
-    if "corruption" in names:
-        # by default the largest corruption budget below 1/N with an integral count
-        delta = Fraction(max(-(-p.M // p.N) - 1, 0), p.M) if delta is None else _corruption_fraction(delta)
+    if delta is None:
+        delta = Fraction(max(-(-p.M // p.N) - 1, 0), p.M)
+    tree_audit = functools.cache(functools.partial(_tree_audit, code, tree_budget, seed))
     every = (list(_every_set(code)), tuple(range(p.M)))  # the full view: see _check_rows
     results = []
     for name in names:
@@ -777,9 +768,9 @@ def run_checks(
             # reduced view first, and takes each row that fails there from
             # the full view, so it is the row full enumeration writes
             view = _symmetry(code) if name in _ORBIT_CHECKS else None
-            rows = _check_rows(code, name, audit, delta, *(view or every))
+            rows = _check_rows(code, name, tree_audit, delta, *(view or every))
             if view and not all(row.passed for row in rows):
-                again = _check_rows(code, name, audit, delta, *every)
+                again = _check_rows(code, name, tree_audit, delta, *every)
                 rows = [row if row.passed else full for row, full in zip(rows, again)]
             results.extend(rows)
         except (TreeConstructionError, BudgetError) as exc:
@@ -787,13 +778,14 @@ def run_checks(
     return results
 
 
-def _check_rows(code: LinearCodeSpec, name: str, audit, delta, sets, orbit_of) -> list[CheckResult]:
-    """The report rows of one known check, given the battery's tree audit
-    and delta. Correctness, properties, tree and converse read a view of
-    the code: the decoding sets *sets*, as (k, set index, members), and for
-    each symbol m a symbol orbit_of[m] with the same entropies. The symbols
-    orbit_of names are the ones p1 reads and the roots of an exhaustive
-    audit's trees. The full view is every set with each symbol for itself."""
+def _check_rows(code: LinearCodeSpec, name: str, tree_audit, delta, sets, orbit_of) -> list[CheckResult]:
+    """The report rows of one known check, given delta and the battery's
+    tree audit, called when a row first needs it. Correctness, properties,
+    tree and converse read a view of the code: the decoding sets *sets*, as
+    (k, set index, members), and for each symbol m a symbol orbit_of[m]
+    with the same entropies. The symbols orbit_of names are the ones p1
+    reads and the roots of an exhaustive audit's trees. The full view is
+    every set with each symbol for itself."""
     p = code.params
     symbols = tuple(sorted(set(orbit_of)))
     if name == "correctness":
@@ -818,9 +810,7 @@ def _check_rows(code: LinearCodeSpec, name: str, audit, delta, sets, orbit_of) -
         details = {"delta": str(report.delta), "corrupted": report.corrupted_count,
                    "min_success": str(report.min_success)}
     else:
-        if isinstance(audit, TreeConstructionError):
-            raise audit
-        count, exhaustive, trees = audit
+        count, exhaustive, trees = tree_audit()
         if name == "tree":
             witnesses = _leaf_witnesses(code, trees(symbols))
         elif _every_sigma_zero(code, sets, orbit_of):

@@ -12,7 +12,9 @@ chain the reference for ``verify.converse_witnesses``. The corruption
 trial that lists every pattern and scans it once per superset is the
 reference for ``verify.corruption_trial``. One column_mask per generator
 row is the reference for ``construct.build_sldc``, and ``json.dumps`` with
-sorted keys the reference for the document writer in ``codespec``.
+sorted keys the reference for the document writer in ``codespec``, and
+``reference_replies``, read straight off the wire protocol, the reference
+for a database server's replies.
 The seeded mutants at the end are inputs that every verify row must
 answer as it does today; the symmetric edits among them keep every
 translation symmetry of a built code, so a check that reads one
@@ -278,6 +280,42 @@ def reference_json(value, indent=None) -> bytes:
     if indent is None:
         return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return json.dumps(value, sort_keys=True, indent=indent).encode("utf-8")
+
+
+def _wire_frame(frame_type: int, payload: bytes = b"") -> bytes:
+    return (len(payload) + 1).to_bytes(4, "big") + bytes([frame_type]) + payload
+
+
+def reference_replies(stream: bytes, hash: bytes, answers) -> bytes:
+    """The bytes a database server sends back to a client that sends
+    *stream* and then half-closes; answers[q] is the ANSWER payload of query
+    q. Frames are answered in order. The first gets HELLO-ACK (0x11) for a
+    HELLO (0x10) of *hash*, HASH-MISMATCH (0x12) for another 32-byte HELLO;
+    each later QUERY (0x20) its ANSWER (0x21), or ERROR 0x01 past the
+    answers. Any other type or payload size, a length outside [1, 2^20] and
+    EOF inside a frame body get ERROR 0x02; these and HASH-MISMATCH end the
+    replies. EOF between frames or inside a header ends them quietly."""
+    malformed = _wire_frame(0x7F, b"\x02")
+    replies, pos, greeted = b"", 0, False
+    while len(stream) - pos >= 4:
+        length = int.from_bytes(stream[pos : pos + 4], "big")
+        if not 1 <= length <= 1 << 20 or len(stream) - pos - 4 < length:
+            return replies + malformed
+        frame_type, payload = stream[pos + 4], stream[pos + 5 : pos + 4 + length]
+        pos += 4 + length
+        if not greeted:
+            if frame_type != 0x10 or len(payload) != 32:
+                return replies + malformed
+            if payload != hash:
+                return replies + _wire_frame(0x12)
+            replies += _wire_frame(0x11)
+            greeted = True
+        elif frame_type != 0x20 or len(payload) != 4:
+            return replies + malformed
+        else:
+            q = int.from_bytes(payload, "big")
+            replies += _wire_frame(0x21, answers[q]) if q < len(answers) else _wire_frame(0x7F, b"\x01")
+    return replies
 
 
 def generator_bit_flips(code, seed, draws=64):

@@ -24,7 +24,10 @@ def package_env():
 
 
 def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # a usage error argparse itself reports
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -104,20 +107,20 @@ class TestBuildVerify:
     def test_unknown_format_is_usage_error(self, capsys, tmp_path):
         out_file = tmp_path / "c22.json"
         run_cli(capsys, "build", "--n", "2", "--k", "2", "--out", str(out_file))
-        assert run_cli(capsys, "verify", str(out_file), "--format", "xml")[0] == 2
+        code, out, err = run_cli(capsys, "verify", str(out_file), "--format", "xml")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith("argument --format: invalid choice: 'xml' (choose from 'text', 'json')")
 
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("verify", "--format", "yaml"), "unknown format 'yaml'"),
+            (("verify", "--format", "yaml"), "argument --format: invalid choice: 'yaml'"),
             (("verify", "--checks", "properties,tree,converse,bogus"), "unknown check 'bogus'"),
-            (("pir-audit", "--format", "yaml"), "unknown format 'yaml'"),
-            # an audit of no trees would pass vacuously
-            (("verify", "--tree-budget", "0", "--samples", "0"), "--samples must be at least 1, got 0"),
-            (("verify", "--samples", "-5"), "--samples must be at least 1, got -5"),
-            (("verify", "--tree-budget", "-1"), "--tree-budget must be at least 0, got -1"),
-            (("verify", "--delta", "3/2"), "--delta must lie in [0, 1], got 3/2"),
-            (("verify", "--delta=-1/3"), "--delta must lie in [0, 1], got -1/3"),
+            (("pir-audit", "--format", "yaml"), "argument --format: invalid choice: 'yaml'"),
+            (("verify", "--samples", "5"), "unrecognized arguments: --samples 5"),
+            (("verify", "--tree-budget", "-1"), "tree budget must be at least 0, got -1"),
+            (("verify", "--delta", "3/2"), "delta must lie in [0, 1], got 3/2"),
+            (("verify", "--delta=-1/3"), "delta must lie in [0, 1], got -1/3"),
         ],
     )
     def test_usage_errors_come_before_any_work(self, capsys, tmp_path, monkeypatch, argv, message):
@@ -128,7 +131,8 @@ class TestBuildVerify:
             monkeypatch.setattr(owner, name, lambda *args, name=name: ran.append(name))
         code, out, err = run_cli(capsys, argv[0], str(out_file), *argv[1:])
         assert (code, out, ran) == (2, "", [])
-        assert err.startswith(f"error: {message}")
+        # "error: ..." from main, "smoothldc verify: error: ..." from argparse
+        assert err.splitlines()[-1].partition("error: ")[2].startswith(message)
 
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         assert run_cli(capsys, "verify", str(tmp_path / "absent.json"))[0] == 2
@@ -175,13 +179,13 @@ class TestBuildVerify:
         self, capsys, tmp_path, monkeypatch, source, exit_code, status, enumerations
     ):
         calls = []
-        enumerate_once = verify.trees_for_audit
+        enumerate_once = verify._trees_from
 
         def counting(*args, **kwargs):
             calls.append(args)
             return enumerate_once(*args, **kwargs)
 
-        monkeypatch.setattr(verify, "trees_for_audit", counting)
+        monkeypatch.setattr(verify, "_trees_from", counting)
         out_file = write_code(capsys, tmp_path, source)
         code, out, _ = run_cli(capsys, "verify", str(out_file))
         assert code == exit_code
@@ -244,7 +248,7 @@ class TestVerifyReports:
     @staticmethod
     def battery_calls(capsys, tmp_path, monkeypatch, n, k) -> dict:
         """Calls a default verify of the built (n,k) code makes."""
-        counts = {"entropy": 0, "rank_words": 0, "trees_for_audit": 0}
+        counts = {"entropy": 0, "rank_words": 0, "trees_for_audit": 0, "tree_count": 0}
 
         def counting(owner, name, key):
             real = getattr(owner, name)
@@ -259,27 +263,28 @@ class TestVerifyReports:
         counting(entropy.RankOracle, "entropy", "entropy")
         counting(entropy, "rank_words", "rank_words")
         counting(verify, "trees_for_audit", "trees_for_audit")
+        counting(verify, "_tree_count", "tree_count")
         assert run_cli(capsys, "verify", str(doc))[0] == 0
         return counts
 
     # the traced benchmark pins the (2,3) counts in smoke mode and times
-    # (3,3); tier-1 sees a drift at either size first. A built code is
-    # checked on translation orbits: an exhaustive audit then counts its
-    # trees and makes only those rooted at symbol 0, so trees_for_audit is
-    # not called.
+    # (3,3); tier-1 sees a drift at either size first. A battery counts its
+    # trees once and makes them itself, so trees_for_audit is not called.
+    # A built code is checked on translation orbits: an exhaustive audit
+    # makes only the trees rooted at symbol 0.
     def test_call_pattern_of_a_2_3_battery(self, capsys, tmp_path, monkeypatch):
         counts = self.battery_calls(capsys, tmp_path, monkeypatch, "2", "3")
-        assert counts == {"entropy": 93, "rank_words": 35, "trees_for_audit": 0}
+        assert counts == {"entropy": 93, "rank_words": 35, "trees_for_audit": 0, "tree_count": 1}
 
     def test_call_pattern_of_a_3_3_battery(self, capsys, tmp_path, monkeypatch):
         counts = self.battery_calls(capsys, tmp_path, monkeypatch, "3", "3")
-        assert counts == {"entropy": 189, "rank_words": 74, "trees_for_audit": 0}
+        assert counts == {"entropy": 189, "rank_words": 74, "trees_for_audit": 0, "tree_count": 1}
 
     # a sampled audit: the 100 sampled trees are made for the leaf check,
     # and the converse check reads only H(X_0 | W_J) for every J
     def test_call_pattern_of_a_3_4_battery(self, capsys, tmp_path, monkeypatch):
         counts = self.battery_calls(capsys, tmp_path, monkeypatch, "3", "4")
-        assert counts == {"entropy": 384, "rank_words": 124, "trees_for_audit": 1}
+        assert counts == {"entropy": 384, "rank_words": 124, "trees_for_audit": 0, "tree_count": 1}
 
     def test_non_universal_code_reports_tree_failures(self, capsys, tmp_path):
         doc = write_code(capsys, tmp_path, ("fixture", "fig1", "non-universal"))
@@ -414,6 +419,36 @@ class TestPirAudit:
         assert "privacy: PASS" in out
         assert "deniability: PASS" in out
         assert '"rate": "4/7"' in out
+
+    def test_rate_above_capacity_fails_costs(self, capsys, tmp_path):
+        # fig4 with one row dropped from every symbol claims rate 8/(2*6)
+        doc = write_code(capsys, tmp_path, ("fixture", "fig4"))
+        body = json.loads(doc.read_text())
+        body["params"]["Lx"] = 6
+        for symbol in body["symbols"]:
+            symbol["rows"].pop()
+        del body["content_hash"]
+        doc.write_text(json.dumps(body))
+        code, out, _ = run_cli(capsys, "pir-audit", str(doc))
+        assert code == 1
+        assert out.splitlines() == [
+            "privacy: PASS  {\"uniform\": true}",
+            "deniability: PASS",
+            "costs: FAIL  witness: {\"capacity\": \"4/7\", \"rate\": \"2/3\"}",
+        ]
+
+    @pytest.mark.parametrize(
+        "source",
+        [("fixture", name) for name in ("fig1", "fig2", "intro_nonsmooth", "eq28", "fig4")]
+        + [("build", *nk) for nk in ("21", "22", "23", "32", "33", "42", "24", "53", "34")],
+        ids="-".join,
+    )
+    def test_every_accepted_code_meets_the_capacity_claims(self, capsys, tmp_path, source):
+        code, out, err = run_cli(capsys, "pir-audit", str(write_code(capsys, tmp_path, source)))
+        if "no group metadata" in err:  # fig2 and intro_nonsmooth
+            assert code == 2
+        else:
+            assert code == 0 and "costs: PASS" in out
 
     def test_ungroupable_code_is_error(self, capsys, tmp_path):
         out_file = tmp_path / "fig2.json"

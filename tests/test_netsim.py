@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import os
 import random
 import socket
@@ -12,9 +13,11 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smoothldc
-from oracles import message_slice
+from oracles import message_slice, reference_replies
 from smoothldc import pir
 from smoothldc.codespec import content_hash, to_document
 from smoothldc.construct import build_sldc, random_message
@@ -244,6 +247,58 @@ class TestServer:
         finally:
             for peer in peers:
                 peer.close()
+
+
+def client_streams(digest: bytes):
+    """Byte streams a client may send: well-formed and malformed frames,
+    bad lengths and stray bytes, most of them after a good HELLO."""
+    frame = lambda frame_type, payload: struct.pack(">IB", len(payload) + 1, frame_type) + payload
+    query = st.integers(0, 5).map(lambda q: frame(FRAME_QUERY, struct.pack(">I", q)))  # 4 and 5 are out of range
+    hello = st.sampled_from([digest, b"\0" * 32, digest[:31]]).map(lambda h: frame(FRAME_HELLO, h))
+    other = st.builds(frame, st.integers(0, 255), st.binary(max_size=6))
+    bad_length = st.sampled_from([0, MAX_FRAME + 1, 0xFFFFFFFF]).map(lambda n: struct.pack(">I", n))
+    piece = st.one_of(query, query, hello, other, bad_length, st.binary(min_size=1, max_size=6))
+    return st.builds(
+        lambda greet, pieces: (frame(FRAME_HELLO, digest) if greet else b"") + b"".join(pieces),
+        st.booleans() | st.just(True),
+        st.lists(piece, max_size=8),
+    )
+
+
+def exchange(endpoint: str, stream: bytes, sizes) -> bytes:
+    """Send stream in chunks of the given sizes, in turn, then half-close
+    and read every reply until the server closes."""
+    replies = bytearray()
+    with connect(endpoint) as sock:
+        try:
+            pos = 0
+            for size in itertools.cycle(sizes):
+                if pos >= len(stream):
+                    break
+                sock.sendall(stream[pos : pos + size])
+                pos += size
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:  # the server closed after an error: its replies are sent
+            pass
+        try:
+            while chunk := sock.recv(1 << 16):
+                replies += chunk
+        except ConnectionResetError:
+            pass
+    return bytes(replies)
+
+
+class TestByteStream:
+    @settings(max_examples=200)
+    @given(data=st.data(), sizes=st.lists(st.integers(1, 8), min_size=1, max_size=16))
+    def test_replies_equal_the_reference(self, live, data, sizes):
+        scheme, msg, endpoints = live
+        digest = scheme_hash(scheme)
+        stream = data.draw(client_streams(digest))
+        answers = [answer(scheme, 1, q, msg).to_bytes() for q in range(scheme.query_space(1))]
+        threads = threading.active_count()
+        assert exchange(endpoints[0], stream, sizes) == reference_replies(stream, digest, answers)
+        assert threading.active_count() == threads
 
 
 class TestServerLifecycle:

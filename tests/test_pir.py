@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -14,6 +15,7 @@ from smoothldc.pir import (
     SchemeError,
     answer,
     cost_metrics,
+    cost_witnesses,
     deniability_audit,
     gen_query,
     privacy_audit,
@@ -320,6 +322,13 @@ class TestCostMetrics:
             costs = cost_metrics(scheme)
             assert costs.rate == pir_capacity(n, k)
             assert costs.upload_bits == pytest.approx(min_upload_bits(n, k), abs=1e-12)
+            assert cost_witnesses(scheme, costs) == []
+
+    def test_capacity_with_a_short_query_space_is_named(self, grid_schemes):
+        # at the (2,3) capacity each database needs N^(K-1) = 4 queries
+        scheme = grid_schemes[(2, 3)]
+        short = dataclasses.replace(scheme, databases=(scheme.databases[0][:3], scheme.databases[1]))
+        assert cost_witnesses(short, cost_metrics(short)) == [{"database": 1, "query_space": 3, "at_least": 4}]
 
     def test_scheme_level_smoothness(self, grid_schemes):
         # each answer is served by the same number of sets for every message

@@ -267,15 +267,14 @@ class TestTreeConstruction:
         assert a == b
 
     def test_trees_for_audit_falls_back_to_sampling(self, codes):
-        trees, exhaustive = trees_for_audit(codes["intro_nonsmooth"], budget=10, samples=17)
+        trees, exhaustive = trees_for_audit(codes["intro_nonsmooth"], budget=10)
         assert not exhaustive
-        assert len(trees) == 17
+        assert len(trees) == verify.TREE_SAMPLES
 
-    @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"samples": -3}, {"budget": -1}], ids=str)
+    @pytest.mark.parametrize("kwargs", [{"budget": -1}], ids=str)
     def test_audit_of_no_trees_is_value_error(self, codes, kwargs):
-        # at budget 5 the (2,3) code's 48 trees would be sampled
         with pytest.raises(ValueError, match="at least"):
-            trees_for_audit(codes[(2, 3)], **{"budget": 5, "samples": 40, **kwargs})
+            trees_for_audit(codes[(2, 3)], **kwargs)
 
     def test_negative_sample_count_is_value_error(self, codes):
         with pytest.raises(ValueError, match="at least 0"):
@@ -289,7 +288,8 @@ def tree_digest(trees):
 
 
 # tree_digest of trees_for_audit(code, budget, samples, seed), all sampled,
-# recorded while trees_for_audit still built budget + 1 trees first
+# recorded while trees_for_audit still built budget + 1 trees first and
+# took a sample count; see sampled_trees for how each key is read now
 SAMPLED_TREE_DIGESTS = {
     ((5, 3), 512, 100, 0): "58d46437cfaa0c402e04e6479a35746c4b7a86657f263456b38f6f02be91fb3c",
     ((5, 3), 5, 40, 9): "4a5492e6daa0aa4694793019d7edfa31e992031f819d29408ed426b35215d2e5",
@@ -297,6 +297,19 @@ SAMPLED_TREE_DIGESTS = {
     ((2, 3), 5, 40, 9): "daa03469ed51bcfe8fddc67158c22912037de72238c9b1b4fbe9b59393466382",
     ("intro_nonsmooth", 5, 40, 9): "dccb9cf52f5a53790f3dc04cf2e340ec2cc1186098fcbe243ad355051d95afaf",
 }
+
+
+def sampled_trees(key):
+    """The code of a SAMPLED_TREE_DIGESTS key and its sampled trees: those
+    of trees_for_audit when it takes TREE_SAMPLES of them, and otherwise
+    sample_trees, which draws them the same way."""
+    name, budget, samples, seed = key
+    code = load_fixture(name) if isinstance(name, str) else build_sldc(*name)
+    if samples != verify.TREE_SAMPLES:
+        return code, sample_trees(code, samples, seed)
+    trees, exhaustive = trees_for_audit(code, budget=budget, seed=seed)
+    assert not exhaustive
+    return code, trees
 
 
 class TestTreeCounting:
@@ -309,22 +322,19 @@ class TestTreeCounting:
 
     @pytest.mark.parametrize("key", list(SAMPLED_TREE_DIGESTS), ids=str)
     def test_sampled_trees_unchanged(self, key):
-        name, budget, samples, seed = key
-        code = load_fixture(name) if isinstance(name, str) else build_sldc(*name)
-        trees, exhaustive = trees_for_audit(code, budget=budget, samples=samples, seed=seed)
-        assert (len(trees), exhaustive) == (samples, False)
+        _, trees = sampled_trees(key)
+        assert len(trees) == key[2]
         assert tree_digest(trees) == SAMPLED_TREE_DIGESTS[key]
 
     @pytest.mark.parametrize("key", list(SAMPLED_TREE_DIGESTS), ids=str)
     def test_each_sampled_tree_equals_build_nary_tree(self, key):
-        name, budget, samples, seed = key
-        code = load_fixture(name) if isinstance(name, str) else build_sldc(*name)
-        for tree in trees_for_audit(code, budget=budget, samples=samples, seed=seed)[0]:
+        code, trees = sampled_trees(key)
+        for tree in trees:
             assert tree == build_nary_tree(code, tree.permutation, tree.root, list(tree.choices))
 
     def test_over_budget_builds_no_tree_to_count(self, monkeypatch):
         code = build_sldc(5, 3)  # 750 trees
-        monkeypatch.setattr(verify, "enumerate_trees", None)  # any call raises TypeError
+        monkeypatch.setattr(verify, "_trees_from", None)  # any call raises TypeError
         trees, exhaustive = trees_for_audit(code)
         assert (len(trees), exhaustive) == (100, False)
         with pytest.raises(TypeError):
@@ -335,6 +345,15 @@ class TestTreeCounting:
         trees, exhaustive = trees_for_audit(code, budget=162)
         assert exhaustive and trees == list(enumerate_trees(code))
         assert not trees_for_audit(code, budget=161)[1]
+
+    @pytest.mark.parametrize("name", ["fig1", "eq28", "intro_nonsmooth", (3, 3), (3, 4)], ids=str)
+    def test_a_battery_counts_its_trees_once(self, codes, monkeypatch, name):
+        code = codes[name] if name in codes else build_sldc(*name)
+        calls = []
+        count = verify._tree_count
+        monkeypatch.setattr(verify, "_tree_count", lambda *args: calls.append(args) or count(*args))
+        verify.run_checks(code, verify.DEFAULT_CHECKS)
+        assert len(calls) == 1
 
 
 # SHA-256 of repr([(permutation, root, sets_by_depth), ...]) over
@@ -481,7 +500,7 @@ class TestConverseWitnesses:
 
     @pytest.mark.parametrize("name", [(2, 3), (3, 3), *FIXTURE_NAMES], ids=str)
     def test_small_budget(self, codes, name):
-        trees, exhaustive = trees_for_audit(codes[name], budget=5, samples=40, seed=9)
+        trees, exhaustive = trees_for_audit(codes[name], budget=5, seed=9)
         same_converse(codes[name], trees)
 
     @pytest.mark.parametrize(
@@ -494,7 +513,7 @@ class TestConverseWitnesses:
 
     @given(random_linear_codes(), st.sampled_from([verify.DEFAULT_TREE_BUDGET, 5]))
     def test_random_linear_codes(self, code, budget):
-        trees, exhaustive = trees_for_audit(code, budget=budget, samples=40, seed=9)
+        trees, exhaustive = trees_for_audit(code, budget=budget, seed=9)
         same_converse(code, trees)
 
     @pytest.mark.parametrize(
@@ -635,10 +654,13 @@ class TestBatteryOptions:
         "names, options, message",
         [
             (["correctness", "properties", "corruption"], {"delta": Fraction(3, 2)}, "delta must lie in"),
-            (["properties", "tree"], {"samples": 0}, "samples must be at least 1"),
             (["properties", "tree"], {"tree_budget": -1}, "tree budget must be at least 0"),
+            # every option is checked, whichever checks are named
+            (["correctness", "properties"], {"delta": -0.5}, r"delta must lie in \[0, 1\], got -1/2"),
+            (["correctness", "properties"], {"tree_budget": -1}, "tree budget must be at least 0, got -1"),
+            ([], {}, "no checks requested"),
         ],
-        ids=["delta", "samples", "tree-budget"],
+        ids=["delta", "tree-budget", "delta-unnamed", "tree-budget-unnamed", "no-checks"],
     )
     def test_bad_option_fails_before_any_entropy_query(self, codes, monkeypatch, names, options, message):
         calls = []
@@ -802,7 +824,7 @@ def same_reports(code):
     with the default tree budget and with a sampled audit."""
     checks = ALL_CHECKS if code.params.M <= 9 else verify.DEFAULT_CHECKS
     plain = without_digits(code)
-    for options in ({}, {"tree_budget": 5, "samples": 20, "seed": 3}):
+    for options in ({}, {"tree_budget": 5, "seed": 3}):
         got = [row.as_dict() for row in verify.run_checks(code, checks, **options)]
         assert got == [row.as_dict() for row in verify.run_checks(plain, checks, **options)]
 
