@@ -77,7 +77,7 @@ def cmd_fixture(args) -> int:
 def _run_checks(code, names, args) -> list[verify.CheckResult]:
     from . import verify
 
-    return verify.run_checks(code, names, args.tree_budget, args.seed, args.delta)
+    return verify.run_checks(code, names, args.tree_budget, args.delta)
 
 
 def render_report(results: list[verify.CheckResult], fmt: str) -> str:
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated check names (default: the default battery)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--tree-budget", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="accepted and ignored: every row is exact")
     p.add_argument("--delta", type=_fraction, default=None,
                    help="corruption fraction for the corruption check (default: largest"
                         " integral fraction below 1/N)")

@@ -12,10 +12,11 @@ deterministic (the lexicographically smallest witness is reported first).
 
 ``check_options`` holds every option rule of a battery (check names, tree
 budget, corruption fraction); ``run_checks`` applies it before any check
-runs. The tree and converse rows share one tree audit: the trees of a
-universal code are counted once, and read exhaustively within the tree
-budget, or as TREE_SAMPLES seeded draws past it; a non-universal code is
-refused from its decoding sets, before any tree.
+runs. The tree and converse rows share one tree audit, exact at any size:
+a memoized walk counts the trees of a universal code and decides their
+leaves without building one, and sigma decides the converse. A failing
+row lists every failing tree within the tree budget, the first past it;
+a non-universal code is refused from its decoding sets, before any tree.
 
 A built code is symmetric under the translations of Z_N^K: moving every
 digit vector by t maps X_p's generator rows onto X_{p+t}'s under a column
@@ -34,21 +35,21 @@ the full enumeration writes.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
-import random
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .codespec import COLUMN_ORDER_CANONICAL, LinearCodeSpec
 from .entropy import _distinct, _same, oracle_for
 
 DISTANCE_BUDGET = 24
 DEFAULT_TREE_BUDGET = 512
-TREE_SAMPLES = 100  # trees a sampled tree audit draws, past the budget
+WALK_STATES = 1 << 18  # (suffix, node) states a tree walk may hold (see _tree_audit)
 
 DEFAULT_CHECKS = ("correctness", "smoothness", "universality", "properties", "tree", "converse")
 ALL_CHECKS = DEFAULT_CHECKS + ("min-distance", "corruption")
@@ -349,8 +350,8 @@ def build_nary_tree(
 
 def enumerate_trees(code: LinearCodeSpec) -> Iterator[NaryTree]:
     """All tree realizations: every permutation, root, and qualifying-set
-    choice, in lexicographic order. May be combinatorially large; slice it
-    or fall back to sample_trees.
+    choice, in lexicographic order, built one at a time. There may be
+    millions; _tree_audit counts them without building one.
 
     Each tree equals build_nary_tree(code, perm, root, list(tree.choices)).
     """
@@ -365,74 +366,21 @@ def _trees_from(code: LinearCodeSpec, roots: Sequence[int]) -> Iterator[NaryTree
             yield from _grow(code, index, perm, root, lambda node, options: options.items())
 
 
-def sample_trees(code: LinearCodeSpec, count: int, seed: int = 0) -> list[NaryTree]:
-    """Seeded random tree realizations (permutation, root, and choices)."""
-    if count < 0:
-        raise ValueError(f"tree count must be at least 0, got {count}")
-    rng = random.Random(seed)
-
-    def pick(node, options):
-        set_id = rng.choice(list(options))
-        return ((set_id, options[set_id]),)
-
-    p = code.params
-    index = _sets_containing(code)
-    trees = []
-    for _ in range(count):
-        perm = list(range(1, p.K + 1))
-        rng.shuffle(perm)
-        trees.extend(_grow(code, index, tuple(perm), rng.randrange(p.M), pick))
-    return trees
-
-
-def _tree_count(code: LinearCodeSpec, budget: int) -> int | None:
-    """How many trees enumerate_trees yields, counted without building one,
-    or None once the running count over its permutations passes *budget*.
-    For one permutation, a node x at the depth of source symbol k has
-    T(x) = sum over the sets S of k holding x of the product of T(m) one
-    depth down over m in S, every leaf has T = 1, and the trees number the
-    sum of T over the roots. A symbol in no set of k gets T = 0 here, where
-    enumerate_trees raises instead."""
-    p = code.params
-    total = 0
-    for perm in itertools.permutations(range(1, p.K + 1)):
-        below = [1] * p.M
-        for k in reversed(perm):
-            here = [0] * p.M
-            for members in code.supersets[k - 1].sets:
-                ways = math.prod(below[m] for m in members)
-                for x in members:
-                    here[x] += ways
-            below = here
-        total += sum(below)
-        if total > budget:
-            return None
-    return total
-
-
-def trees_for_audit(
-    code: LinearCodeSpec, budget: int = DEFAULT_TREE_BUDGET, seed: int = 0
-) -> tuple[list[NaryTree], bool]:
-    """All realizations when there are at most *budget* of them, otherwise
-    TREE_SAMPLES seeded draws. Returns (trees, exhaustive): the trees of
-    every root that a battery's tree audit reads (see _tree_audit)."""
+def trees_for_audit(code: LinearCodeSpec, budget: int = DEFAULT_TREE_BUDGET) -> list[NaryTree]:
+    """Every tree realization, in enumeration order, when there are at most
+    *budget* of them, and a BudgetError past it."""
     check_options(["tree"], budget)
-    _, exhaustive, trees = _tree_audit(code, budget, seed)
-    return trees(tuple(range(code.params.M))), exhaustive
+    count, _, trees, limit = _tree_audit(code, budget)
+    if limit:
+        raise BudgetError(f"{count} trees exceed the tree budget of {budget}")
+    return trees(tuple(range(code.params.M)))
 
 
 def leaf_distinctness(tree: NaryTree) -> tuple[bool, int | None]:
     """Whether all leaf labels are distinct; if not, the smallest repeated
     symbol index (lexicographically smallest witness wins)."""
-    seen: set[int] = set()
-    duplicates: set[int] = set()
-    for label in tree.leaves:
-        if label in seen:
-            duplicates.add(label)
-        seen.add(label)
-    if duplicates:
-        return False, min(duplicates)
-    return True, None
+    repeated = [label for label, times in collections.Counter(tree.leaves).items() if times > 1]
+    return (False, min(repeated)) if repeated else (True, None)
 
 
 @dataclass(frozen=True)
@@ -491,16 +439,20 @@ def _level_totals(ora, tree: NaryTree) -> list[int]:
     return totals
 
 
-def _every_sigma_zero(code: LinearCodeSpec, sets, orbit_of: Sequence[int]) -> bool:
-    """Whether sigma(k, J, S, x) = sum over m in S of H(X_m | W_J), less Lw
-    and H(X_x | W_{J+k}), is 0 for every (k, set index, S) of *sets*, every
-    J of the sources other than k and every x in S, where H(X_m | W_J) is
-    read as H(X_orbit_of[m] | W_J).
+def _sigmas(code: LinearCodeSpec, sets, orbit_of: Sequence[int]) -> Iterator[int]:
+    """sigma(k, J, S, x) = sum over m in S of H(X_m | W_J), less Lw and
+    H(X_x | W_{J+k}), for every (k, set index, S) of *sets*, every J of the
+    sources other than k and every x in S, in that order, where
+    H(X_m | W_J) is read as H(X_orbit_of[m] | W_J).
 
     A tree's level-d slack is the sum of sigma over its depth-d sets, with
     k = perm[d-1] and J = perm[d:]: the level totals telescope into one
     sigma per set and its parent node. So when every sigma is 0 every tree
-    is tight, and the converse row reads no tree."""
+    is tight. If S decodes W_k, the sum is at least H(X_S | W_J) =
+    Lw + H(X_S | W_{J+k}), so sigma >= 0, and in a correct code a tree has
+    slack exactly when one of its sets has sigma > 0. Each such set is in
+    a tree: the one from root x that consumes the sources outside J+k
+    first (x stays first in each set it takes), then S at k's depth."""
     p = code.params
     ora = oracle_for(code)
     for k, _, members in sets:
@@ -510,23 +462,18 @@ def _every_sigma_zero(code: LinearCodeSpec, sets, orbit_of: Sequence[int]) -> bo
                 without_k = frozenset(given)
                 with_k = without_k | {k}
                 target = sum(ora.entropy((orbit_of[m],), without_k) for m in members) - p.Lw
-                if any(ora.entropy((orbit_of[x],), with_k) != target for x in members):
-                    return False
-    return True
+                for x in members:
+                    yield target - ora.entropy((orbit_of[x],), with_k)
 
 
 def converse_witnesses(code: LinearCodeSpec, trees: Iterable[NaryTree]) -> list[dict]:
     """The trees, in order, whose converse chain has slack at some level,
     each with its total slack: the converse-tightness check's witnesses."""
-    witnesses = []
-    for tree in trees:
-        audit = audit_converse_chain(code, tree)
-        if not audit.tight:
-            witnesses.append(
-                {"permutation": list(tree.permutation), "root": code.label(tree.root),
-                 "total_slack_bits": audit.total_slack}
-            )
-    return witnesses
+    return [
+        {"permutation": list(tree.permutation), "root": code.label(tree.root), "total_slack_bits": audit.total_slack}
+        for tree in trees
+        if not (audit := audit_converse_chain(code, tree)).tight
+    ]
 
 
 # --- erasures and corruption ------------------------------------------------
@@ -688,35 +635,81 @@ def _orbit_representatives(code: LinearCodeSpec, maps) -> list[tuple[int, int, t
     return representatives
 
 
-def _tree_audit(
-    code: LinearCodeSpec, budget: int, seed: int
-) -> tuple[int, bool, Callable[[tuple[int, ...]], list[NaryTree]]]:
-    """A battery's tree audit as (tree count, exhaustive, trees). The trees
-    are counted here, once, and made only when a row asks for them:
-    trees(roots) lists those of an exhaustive audit rooted in *roots*, a
-    tuple of symbols, and the TREE_SAMPLES seeded draws of a sampled one,
-    whatever the roots.
+def _tree_audit(code: LinearCodeSpec, budget: int) -> tuple:
+    """A battery's tree audit as (count, distinct, trees, limit): how many
+    trees the code has, whether each has distinct leaves, trees(roots) for
+    those rooted in *roots* in enumeration order, and how many failing
+    trees a failing row lists: all (None) within *budget*, one past it.
 
-    The tree is defined for universal codes only, so TreeConstructionError
-    names the first source symbol k, then the first symbol, that no
-    decoding set of k holds, whatever the budget and seed."""
+    A memoized walk decides count and leaves without building a tree:
+    walk(sources, y) is (the number of subtrees of node y with the tuple
+    *sources* left to consume, the bitset of their leaves, whether each
+    has distinct leaves). They do exactly when, for each set of sources[0]
+    holding y, each member's do and the members' leaves are disjoint: a
+    repeat parts below two members of some set, and a leaf two members
+    reach ends two independent subtrees. The walk starts from every
+    permutation and each root of the code's first view (see _symmetry),
+    counted once per symbol it stands for. From every root it visits every
+    (suffix, node), so past WALK_STATES of those it is refused unstarted.
+
+    One permutation stands for all K! when the code's translations are
+    checked and each superset partitions the symbols. Then the one set of
+    k holding y is y + H_k, for H_k the set holding 0 (a translation
+    carries H_k there), and H_k is a subgroup (h + H_k holds h, so it is
+    H_k). So y has one subtree, with leaves y + h_1 + ... + h_r, h_i in the
+    H of sources[i-1]: that sumset, and whether it is direct, ignore order.
+
+    A non-universal code has no tree: TreeConstructionError names the first
+    source k, then the first symbol, that no set of k holds (_uncovered)."""
+    p = code.params
     missing = _uncovered(code)
     if missing:
         k, m = missing
         raise TreeConstructionError(f"no decoding set of source symbol {k} contains {code.label(m)}")
-    count = _tree_count(code, budget)  # None past the budget
-    if count is None:
-        sampled = functools.cache(lambda: sample_trees(code, TREE_SAMPLES, seed))
-        return TREE_SAMPLES, False, lambda roots: sampled()
-    return count, True, functools.cache(lambda roots: list(_trees_from(code, roots)))
+    index = _sets_containing(code)
+    view = _symmetry(code)
+    if view and all(membership_counts(code, k) == [1] * p.M for k in range(1, p.K + 1)):
+        perms = [tuple(range(1, p.K + 1))]
+    else:
+        perms = list(itertools.permutations(range(1, p.K + 1)))
+        states = sum(math.perm(p.K, d) for d in range(p.K + 1)) * p.M
+        if states > WALK_STATES:
+            raise BudgetError(f"walking the trees takes {states} states, more than {WALK_STATES}")
+
+    @functools.cache
+    def walk(sources, y):
+        if not sources:
+            return 1, 1 << y, True
+        count, leaves, distinct = 0, 0, True
+        for members in index[sources[0] - 1][y].values():
+            below = [walk(sources[1:], m) for m in members]
+            count += math.prod(trees for trees, _, _ in below)
+            reach = 0
+            for _, bits, ok in below:
+                distinct = distinct and ok and not reach & bits
+                reach |= bits
+            leaves |= reach
+        return count, leaves, distinct
+
+    roots = collections.Counter(view[1] if view else range(p.M))
+    count, distinct = 0, True
+    for perm in perms:
+        for root, times in roots.items():
+            trees, _, ok = walk(perm, root)
+            count, distinct = count + trees * times, distinct and ok
+    count *= math.factorial(p.K) // len(perms)
+    if count > budget:
+        return count, distinct, lambda roots: _trees_from(code, roots), 1
+    return count, distinct, functools.cache(lambda roots: list(_trees_from(code, roots))), None
 
 
 # --- the battery ------------------------------------------------------------
 
 # report row names of the checks whose row is not named after the check
 _ROW_NAMES = {"tree": "tree-leaf-distinctness", "converse": "converse-tightness"}
-# the checks that read a view of the code (see _check_rows)
-_ORBIT_CHECKS = ("correctness", "properties", "tree", "converse")
+# the checks that read a view of the code (see _check_rows); the tree row's
+# verdict holds on every view, so its witnesses are read from every root
+_ORBIT_CHECKS = ("correctness", "properties", "converse")
 
 
 def check_options(names: Sequence[str], tree_budget: int = DEFAULT_TREE_BUDGET, delta=None) -> Fraction | None:
@@ -743,23 +736,23 @@ def run_checks(
     code: LinearCodeSpec,
     names: Sequence[str],
     tree_budget: int = DEFAULT_TREE_BUDGET,
-    seed: int = 0,
     delta=None,
 ) -> list[CheckResult]:
     """The report rows of the named checks, in order: one per check, and
     five (p1 to p3) for "properties". "tree" and "converse" share one tree
-    audit (see _tree_audit): every tree when there are at most *tree_budget*
-    of them, otherwise TREE_SAMPLES drawn with *seed*. A check that cannot
-    run on this code (no tree of a non-universal code, min-distance or
-    corruption past DISTANCE_BUDGET symbols) fails with an {"error": ...}
-    witness. *delta* is the corruption fraction, by default the largest
-    below 1/N with an integral count. Bad options (see check_options) raise
-    ValueError before any check runs."""
+    audit (see _tree_audit), exact at any size, whose failing rows list
+    every failing tree up to *tree_budget* trees, the first one past it. A
+    check that cannot run on this code (a non-universal tree, more than
+    WALK_STATES walk states, an incorrect code's converse past the tree
+    budget, min-distance or corruption past DISTANCE_BUDGET symbols) fails
+    with an {"error": ...} witness. *delta* is the corruption fraction, by
+    default the largest below 1/N with an integral count. Bad options (see
+    check_options) raise ValueError before any check runs."""
     delta = check_options(names, tree_budget, delta)
     p = code.params
     if delta is None:
         delta = Fraction(max(-(-p.M // p.N) - 1, 0), p.M)
-    tree_audit = functools.cache(functools.partial(_tree_audit, code, tree_budget, seed))
+    tree_audit = functools.cache(functools.partial(_tree_audit, code, tree_budget))
     every = (list(_every_set(code)), tuple(range(p.M)))  # the full view: see _check_rows
     results = []
     for name in names:
@@ -784,7 +777,7 @@ def _check_rows(code: LinearCodeSpec, name: str, tree_audit, delta, sets, orbit_
     tree and converse read a view of the code: the decoding sets *sets*, as
     (k, set index, members), and for each symbol m a symbol orbit_of[m]
     with the same entropies. The symbols orbit_of names are the ones p1
-    reads and the roots of an exhaustive audit's trees. The full view is
+    reads and the roots of the trees a failing row lists. The full view is
     every set with each symbol for itself."""
     p = code.params
     symbols = tuple(sorted(set(orbit_of)))
@@ -810,15 +803,19 @@ def _check_rows(code: LinearCodeSpec, name: str, tree_audit, delta, sets, orbit_
         details = {"delta": str(report.delta), "corrupted": report.corrupted_count,
                    "min_success": str(report.min_success)}
     else:
-        count, exhaustive, trees = tree_audit()
+        count, distinct, trees, limit = tree_audit()
         if name == "tree":
-            witnesses = _leaf_witnesses(code, trees(symbols))
-        elif _every_sigma_zero(code, sets, orbit_of):
-            witnesses = []
+            failing, row = not distinct, _leaf_witnesses
         else:
-            witnesses = converse_witnesses(code, trees(symbols))
+            sigmas = _sigmas(code, sets, orbit_of)
+            failing, row = next(filter(None, sigmas), 0), converse_witnesses
+            # a sigma below 0 (an incorrect code) names no slack tree: only all trees can
+            if failing and limit and min(failing, *sigmas) < 0:
+                raise BudgetError(f"a sigma below 0 (an incorrect code) leaves converse slack to all {count} trees")
+        found = (w for tree in trees(symbols) for w in row(code, [tree])) if failing else ()
+        witnesses = list(itertools.islice(found, limit))
         passed = not witnesses
-        details = {"trees": count, "exhaustive": exhaustive}
+        details = {"trees": count, "exhaustive": True}
         name = _ROW_NAMES[name]
     return [CheckResult(name, passed, [] if passed else witnesses, details)]
 
@@ -826,12 +823,9 @@ def _check_rows(code: LinearCodeSpec, name: str, tree_audit, delta, sets, orbit_
 def _leaf_witnesses(code: LinearCodeSpec, trees: Iterable[NaryTree]) -> list[dict]:
     """The trees, in order, with a repeated leaf, each with its smallest
     repeated symbol: the tree-leaf-distinctness check's witnesses."""
-    witnesses = []
-    for tree in trees:
-        ok, dup = leaf_distinctness(tree)
-        if not ok:
-            witnesses.append(
-                {"permutation": list(tree.permutation), "root": code.label(tree.root),
-                 "duplicate": code.label(dup)}
-            )
-    return witnesses
+    return [
+        {"permutation": list(tree.permutation), "root": code.label(tree.root), "duplicate": code.label(dup)}
+        for tree in trees
+        for ok, dup in [leaf_distinctness(tree)]
+        if not ok
+    ]

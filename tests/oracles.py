@@ -19,11 +19,13 @@ The seeded mutants at the end are inputs that every verify row must
 answer as it does today; the symmetric edits among them keep every
 translation symmetry of a built code, so a check that reads one
 representative per translation orbit has to meet their failures itself,
-and the decoding-set edits leave some codes non-universal.
+and the decoding-set edits leave some codes non-universal. The subgroup
+codes keep that symmetry too, with decoding sets that need not be lines.
 """
 
 import itertools
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -452,6 +454,39 @@ def decoding_set_edits(code, seed, draws=32):
             symbol_gens=code.symbol_gens,
             supersets=supersets,
             groups=code.groups,
+            digits=code.digits,
+            labels=code.labels,
+            column_order=code.column_order,
+        )
+
+
+def subgroup_codes(code, seed, draws=16):
+    """Yield copies of a built code whose decoding sets are the cosets of
+    other subgroups of order N. Each of *draws* seeded draws picks, for
+    every source k, an element g_k of Z_N^K of order N, and W_k's superset
+    becomes the cosets of <g_k>, ascending. The rows stay the built ones,
+    so every translation of Z_N^K keeps the code. The groups are kept when
+    every sum(g_k) is a unit mod N, which makes each coset a transversal of
+    them, and dropped otherwise."""
+    p = code.params
+    index = {d: m for m, d in enumerate(code.digits)}
+    generators = [d for d in code.digits if math.gcd(p.N, *d) == 1]
+    rng = random.Random(seed)
+    for _ in range(draws):
+        supersets, transversal = [], True
+        for k in range(1, p.K + 1):
+            g = rng.choice(generators)
+            cosets = {
+                tuple(sorted(index[tuple((x + j * y) % p.N for x, y in zip(d, g))] for j in range(p.N)))
+                for d in code.digits
+            }
+            supersets.append(DecodingSuperset(k=k, sets=tuple(sorted(cosets))))
+            transversal = transversal and math.gcd(sum(g), p.N) == 1
+        yield LinearCodeSpec(
+            params=p,
+            symbol_gens=code.symbol_gens,
+            supersets=supersets,
+            groups=code.groups if transversal else None,
             digits=code.digits,
             labels=code.labels,
             column_order=code.column_order,

@@ -24,12 +24,9 @@ from smoothldc.verify import (
     enumerate_trees,
     leaf_distinctness,
     min_distance,
-    sample_trees,
 )
 
 GRID = ((2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2))
-EXHAUSTIVE_TREE_LIMIT = 27  # code length up to which trees are fully enumerated
-SAMPLED_TREES = 100
 
 
 def report(criterion: int, text: str) -> None:
@@ -62,10 +59,7 @@ def test_criterion_02_construction_battery():
 def test_criterion_03_converse_tightness():
     for n, k in GRID:
         code = build_sldc(n, k)
-        if code.params.M <= EXHAUSTIVE_TREE_LIMIT:
-            trees = list(enumerate_trees(code))
-        else:
-            trees = sample_trees(code, SAMPLED_TREES, seed=0)
+        trees = list(enumerate_trees(code))
         assert trees
         for tree in trees:
             audit = audit_converse_chain(code, tree)

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import smoothldc
+from oracles import generator_bit_flips
 from smoothldc import cli, entropy, pir, verify
-from smoothldc.codespec import CodeSpecError, load_document
-from smoothldc.construct import random_message
+from smoothldc.codespec import CodeSpecError, dump_document, load_document, to_document
+from smoothldc.construct import build_sldc, random_message
 from smoothldc.gf2 import BitVector
 
 
@@ -169,11 +170,16 @@ class TestBuildVerify:
         _, out2, _ = run_cli(capsys, "verify", str(f2))
         assert out1 == out2
 
-    # a non-universal code is refused from its decoding sets, before any tree
+    # a passing code needs no tree: the walk decides the leaves and sigma
+    # the converse; a non-universal code is refused from its decoding sets
     @pytest.mark.parametrize(
         "source, exit_code, status, enumerations",
-        [(("fixture", "eq28"), 0, "PASS", 1), (("fixture", "fig1", "non-universal"), 1, "FAIL", 0)],
-        ids=["eq28", "fig1-non-universal"],
+        [
+            (("fixture", "eq28"), 0, "PASS", 0),
+            (("fixture", "fig1"), 1, "FAIL", 1),
+            (("fixture", "fig1", "non-universal"), 1, "FAIL", 0),
+        ],
+        ids=["eq28", "fig1", "fig1-non-universal"],
     )
     def test_tree_and_converse_share_one_tree_enumeration(
         self, capsys, tmp_path, monkeypatch, source, exit_code, status, enumerations
@@ -248,7 +254,7 @@ class TestVerifyReports:
     @staticmethod
     def battery_calls(capsys, tmp_path, monkeypatch, n, k) -> dict:
         """Calls a default verify of the built (n,k) code makes."""
-        counts = {"entropy": 0, "rank_words": 0, "trees_for_audit": 0, "tree_count": 0}
+        counts = {"entropy": 0, "rank_words": 0, "trees_for_audit": 0, "tree_audit": 0}
 
         def counting(owner, name, key):
             real = getattr(owner, name)
@@ -263,28 +269,27 @@ class TestVerifyReports:
         counting(entropy.RankOracle, "entropy", "entropy")
         counting(entropy, "rank_words", "rank_words")
         counting(verify, "trees_for_audit", "trees_for_audit")
-        counting(verify, "_tree_count", "tree_count")
+        counting(verify, "_tree_audit", "tree_audit")
         assert run_cli(capsys, "verify", str(doc))[0] == 0
         return counts
 
     # the traced benchmark pins the (2,3) counts in smoke mode and times
-    # (3,3); tier-1 sees a drift at either size first. A battery counts its
-    # trees once and makes them itself, so trees_for_audit is not called.
-    # A built code is checked on translation orbits: an exhaustive audit
-    # makes only the trees rooted at symbol 0.
+    # (3,3); tier-1 sees a drift at either size first. A battery runs one
+    # tree audit, which walks the trees without making one, so
+    # trees_for_audit is not called.
     def test_call_pattern_of_a_2_3_battery(self, capsys, tmp_path, monkeypatch):
         counts = self.battery_calls(capsys, tmp_path, monkeypatch, "2", "3")
-        assert counts == {"entropy": 93, "rank_words": 35, "trees_for_audit": 0, "tree_count": 1}
+        assert counts == {"entropy": 93, "rank_words": 35, "trees_for_audit": 0, "tree_audit": 1}
 
     def test_call_pattern_of_a_3_3_battery(self, capsys, tmp_path, monkeypatch):
         counts = self.battery_calls(capsys, tmp_path, monkeypatch, "3", "3")
-        assert counts == {"entropy": 189, "rank_words": 74, "trees_for_audit": 0, "tree_count": 1}
+        assert counts == {"entropy": 189, "rank_words": 74, "trees_for_audit": 0, "tree_audit": 1}
 
-    # a sampled audit: the 100 sampled trees are made for the leaf check,
-    # and the converse check reads only H(X_0 | W_J) for every J
+    # past the tree budget: the converse check reads only H(X_0 | W_J)
+    # for every J
     def test_call_pattern_of_a_3_4_battery(self, capsys, tmp_path, monkeypatch):
         counts = self.battery_calls(capsys, tmp_path, monkeypatch, "3", "4")
-        assert counts == {"entropy": 384, "rank_words": 124, "trees_for_audit": 0, "tree_count": 1}
+        assert counts == {"entropy": 384, "rank_words": 124, "trees_for_audit": 0, "tree_audit": 1}
 
     def test_non_universal_code_reports_tree_failures(self, capsys, tmp_path):
         doc = write_code(capsys, tmp_path, ("fixture", "fig1", "non-universal"))
@@ -309,6 +314,21 @@ class TestVerifyReports:
         assert code == 1
         stuck = '  witness: {"error": "no decoding set of source symbol 2 contains X2"}'
         assert out.splitlines()[-2:] == ["tree-leaf-distinctness: FAIL" + stuck, "converse-tightness: FAIL" + stuck]
+
+    # draws of generator_bit_flips(build_sldc(5, 3), seed=7) with converse
+    # slack in 10 of the 750 trees, which the 100 trees once sampled past
+    # the tree budget missed at --seed 0 (1, 17, 39, 62), 1 (35, 47) or
+    # 2 (1, 25, 39, 62); each is incorrect, so some sigma is below 0
+    MISSED_BY_SAMPLING = (1, 17, 25, 35, 39, 47, 62)
+
+    def test_converse_fails_past_the_budget_at_every_seed(self, capsys, tmp_path):
+        mutants = list(generator_bit_flips(build_sldc(5, 3), seed=7))
+        error = "a sigma below 0 (an incorrect code) leaves converse slack to all 750 trees"
+        for i in self.MISSED_BY_SAMPLING:
+            doc = tmp_path / f"flip-{i}.json"
+            doc.write_bytes(dump_document(to_document(mutants[i])))
+            outs = {run_cli(capsys, "verify", str(doc), "--checks", "converse", "--seed", seed) for seed in "012"}
+            assert outs == {(1, f'converse-tightness: FAIL  witness: {{"error": "{error}"}}\n', "")}, i
 
     @pytest.mark.parametrize("source", [("fixture", "fig1"), ("build", "2", "3")], ids="-".join)
     def test_library_battery_is_the_cli_report(self, capsys, tmp_path, source):

@@ -34,3 +34,10 @@ def test_layers_install_and_restore_every_target():
         assert cli._run_checks is not originals[cli, "_run_checks"]
     for (owner, name), original in originals.items():
         assert getattr(owner, name) is original, name
+
+
+def test_verify_still_accepts_the_seed_the_benchmark_passes():
+    # perfbench/workloads.py runs `verify <doc> --seed N`; the option
+    # changes nothing, but dropping it would fail every benchmark battery
+    args = cli.build_parser().parse_args(["verify", "code.json", "--seed", "7"])
+    assert (args.func, args.seed) == (cli.cmd_verify, 7)
