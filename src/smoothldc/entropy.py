@@ -31,52 +31,40 @@ class RankOracle:
         self.K, self.Lw, self.M = p.K, p.Lw, p.M
         self.width = p.K * p.Lw
         self._symbol_rows = code.symbol_gens
-        self._masks: dict[frozenset[int], int] = {}
-        # (symbols, sources) -> bits, under the key as passed and normalised
+        # (sorted symbols, frozenset of sources) -> bits, valid queries only
         self._cache: dict[tuple, int] = {}
 
     def _mask_without(self, conditioned: frozenset[int]) -> int:
-        mask = self._masks.get(conditioned)
-        if mask is None:
-            # source k owns columns (k-1)*Lw to k*Lw - 1: one block of Lw bits
-            block = (1 << self.Lw) - 1
-            mask = 0
-            for k in range(1, self.K + 1):
-                if k not in conditioned:
-                    mask |= block << (self.width - k * self.Lw)
-            self._masks[conditioned] = mask
+        # source k owns columns (k-1)*Lw to k*Lw - 1: one block of Lw bits
+        block = (1 << self.Lw) - 1
+        mask = 0
+        for k in range(1, self.K + 1):
+            if k not in conditioned:
+                mask |= block << (self.width - k * self.Lw)
         return mask
 
     def entropy(self, symbols: Iterable[int], given_messages: Iterable[int] = ()) -> int:
         """H(X_A | W_J) in bits.
 
-        A tuple of symbols with a tuple or frozenset of sources is first
-        looked up exactly as passed. Any other query, or a miss, is
-        validated and looked up as (sorted symbols, frozenset of sources),
-        and the value is stored under both keys.
+        Every query is looked up as (sorted symbols, frozenset of sources),
+        whatever form it is asked in. A miss is validated before its rank is
+        computed and stored, so an invalid query is never stored and always
+        raises.
         """
-        as_passed = type(symbols) is tuple and type(given_messages) in (tuple, frozenset)
-        if as_passed:
-            value = self._cache.get((symbols, given_messages))
-            if value is not None:
-                return value
-        a = tuple(sorted(set(symbols)))
-        j = frozenset(given_messages)
-        if a and (a[0] < 0 or a[-1] >= self.M):
-            raise IndexError(f"symbol index out of range [0, {self.M})")
-        if any(not 1 <= k <= self.K for k in j):
-            raise IndexError(f"source symbol index out of range [1, {self.K}]")
-        key = (a, j)
+        key = (tuple(sorted(set(symbols))), frozenset(given_messages))
         value = self._cache.get(key)
         if value is None:
+            a, j = key
+            if a and (a[0] < 0 or a[-1] >= self.M):
+                raise IndexError(f"symbol index out of range [0, {self.M})")
+            if any(not 1 <= k <= self.K for k in j):
+                raise IndexError(f"source symbol index out of range [1, {self.K}]")
             if a:
                 mask = self._mask_without(j)
                 value = rank_words([row & mask for i in a for row in self._symbol_rows[i]])
             else:
                 value = 0
             self._cache[key] = value
-        if as_passed:
-            self._cache[symbols, given_messages] = value
         return value
 
     def message_entropy_given(self, k: int, symbols: Iterable[int], given_messages: Iterable[int] = ()) -> int:

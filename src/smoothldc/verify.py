@@ -28,9 +28,11 @@ properties, tree and converse come from one row function over a view of
 the code: decoding sets to read, and for each symbol a symbol with the
 same entropies. A code with the symmetry is first read on one set per
 superset orbit with symbol 0 standing for every symbol; any other code on
-every set with each symbol for itself, the full enumeration. A row the
-reduced view fails is taken from the full view, so each report is the one
-the full enumeration writes.
+every set with each symbol for itself, the full enumeration. A tree or
+converse verdict holds on every view, and a failing row lists its trees
+from every root; a correctness or properties row the reduced view fails
+is read again on the full view. So each report is the one the full
+enumeration writes.
 """
 
 from __future__ import annotations
@@ -355,14 +357,9 @@ def enumerate_trees(code: LinearCodeSpec) -> Iterator[NaryTree]:
 
     Each tree equals build_nary_tree(code, perm, root, list(tree.choices)).
     """
-    return _trees_from(code, range(code.params.M))
-
-
-def _trees_from(code: LinearCodeSpec, roots: Sequence[int]) -> Iterator[NaryTree]:
-    """enumerate_trees' trees whose root is in *roots*, in its order."""
     index = _sets_containing(code)
     for perm in itertools.permutations(range(1, code.params.K + 1)):
-        for root in roots:
+        for root in range(code.params.M):
             yield from _grow(code, index, perm, root, lambda node, options: options.items())
 
 
@@ -373,7 +370,7 @@ def trees_for_audit(code: LinearCodeSpec, budget: int = DEFAULT_TREE_BUDGET) -> 
     count, _, trees, limit = _tree_audit(code, budget)
     if limit:
         raise BudgetError(f"{count} trees exceed the tree budget of {budget}")
-    return trees(tuple(range(code.params.M)))
+    return trees()
 
 
 def leaf_distinctness(tree: NaryTree) -> tuple[bool, int | None]:
@@ -637,9 +634,9 @@ def _orbit_representatives(code: LinearCodeSpec, maps) -> list[tuple[int, int, t
 
 def _tree_audit(code: LinearCodeSpec, budget: int) -> tuple:
     """A battery's tree audit as (count, distinct, trees, limit): how many
-    trees the code has, whether each has distinct leaves, trees(roots) for
-    those rooted in *roots* in enumeration order, and how many failing
-    trees a failing row lists: all (None) within *budget*, one past it.
+    trees the code has, whether each has distinct leaves, trees() for
+    every tree in enumeration order, and how many failing trees a failing
+    row lists: all (None) within *budget*, one past it.
 
     A memoized walk decides count and leaves without building a tree:
     walk(sources, y) is (the number of subtrees of node y with the tuple
@@ -699,16 +696,17 @@ def _tree_audit(code: LinearCodeSpec, budget: int) -> tuple:
             count, distinct = count + trees * times, distinct and ok
     count *= math.factorial(p.K) // len(perms)
     if count > budget:
-        return count, distinct, lambda roots: _trees_from(code, roots), 1
-    return count, distinct, functools.cache(lambda roots: list(_trees_from(code, roots))), None
+        return count, distinct, lambda: enumerate_trees(code), 1
+    return count, distinct, functools.cache(lambda: list(enumerate_trees(code))), None
 
 
 # --- the battery ------------------------------------------------------------
 
 # report row names of the checks whose row is not named after the check
 _ROW_NAMES = {"tree": "tree-leaf-distinctness", "converse": "converse-tightness"}
-# the checks that read a view of the code (see _check_rows); the tree row's
-# verdict holds on every view, so its witnesses are read from every root
+# the checks that read a view of the code (see _check_rows); sigma, like
+# the tree row's verdict, holds on every view, so a failing converse row is
+# read once and lists its trees from every root
 _ORBIT_CHECKS = ("correctness", "properties", "converse")
 
 
@@ -758,13 +756,12 @@ def run_checks(
     for name in names:
         try:
             # an orbit check of a code with checked translations reads its
-            # reduced view first, and takes each row that fails there from
-            # the full view, so it is the row full enumeration writes
+            # reduced view first; failing correctness or properties rows are
+            # read again on the full view, as a passing row is the same on both
             view = _symmetry(code) if name in _ORBIT_CHECKS else None
             rows = _check_rows(code, name, tree_audit, delta, *(view or every))
-            if view and not all(row.passed for row in rows):
-                again = _check_rows(code, name, tree_audit, delta, *every)
-                rows = [row if row.passed else full for row, full in zip(rows, again)]
+            if view and name != "converse" and not all(row.passed for row in rows):
+                rows = _check_rows(code, name, tree_audit, delta, *every)
             results.extend(rows)
         except (TreeConstructionError, BudgetError) as exc:
             results.append(CheckResult(_ROW_NAMES.get(name, name), False, [{"error": str(exc)}]))
@@ -777,10 +774,9 @@ def _check_rows(code: LinearCodeSpec, name: str, tree_audit, delta, sets, orbit_
     tree and converse read a view of the code: the decoding sets *sets*, as
     (k, set index, members), and for each symbol m a symbol orbit_of[m]
     with the same entropies. The symbols orbit_of names are the ones p1
-    reads and the roots of the trees a failing row lists. The full view is
-    every set with each symbol for itself."""
+    reads; a failing tree or converse row lists the trees from every root.
+    The full view is every set with each symbol for itself."""
     p = code.params
-    symbols = tuple(sorted(set(orbit_of)))
     if name == "correctness":
         return [check_correctness(code, sets)]
     if name == "smoothness":
@@ -788,7 +784,7 @@ def _check_rows(code: LinearCodeSpec, name: str, tree_audit, delta, sets, orbit_
     if name == "universality":
         return [CheckResult(name, check_universality(code))]
     if name == "properties":
-        return list(check_capacity_properties(code, symbols, sets).results.values())
+        return list(check_capacity_properties(code, sorted(set(orbit_of)), sets).results.values())
     if name == "min-distance":
         result = min_distance(code)
         passed = result.distance * p.N >= p.M
@@ -812,7 +808,7 @@ def _check_rows(code: LinearCodeSpec, name: str, tree_audit, delta, sets, orbit_
             # a sigma below 0 (an incorrect code) names no slack tree: only all trees can
             if failing and limit and min(failing, *sigmas) < 0:
                 raise BudgetError(f"a sigma below 0 (an incorrect code) leaves converse slack to all {count} trees")
-        found = (w for tree in trees(symbols) for w in row(code, [tree])) if failing else ()
+        found = (w for tree in trees() for w in row(code, [tree])) if failing else ()
         witnesses = list(itertools.islice(found, limit))
         passed = not witnesses
         details = {"trees": count, "exhaustive": True}

@@ -185,13 +185,13 @@ class TestBuildVerify:
         self, capsys, tmp_path, monkeypatch, source, exit_code, status, enumerations
     ):
         calls = []
-        enumerate_once = verify._trees_from
+        enumerate_once = verify.enumerate_trees
 
         def counting(*args, **kwargs):
             calls.append(args)
             return enumerate_once(*args, **kwargs)
 
-        monkeypatch.setattr(verify, "_trees_from", counting)
+        monkeypatch.setattr(verify, "enumerate_trees", counting)
         out_file = write_code(capsys, tmp_path, source)
         code, out, _ = run_cli(capsys, "verify", str(out_file))
         assert code == exit_code

@@ -172,8 +172,8 @@ class TestDistinctInformation:
 
 
 class TestRawKeyPath:
-    """Tuples and frozensets are cached as passed; every form of the same
-    query gives the brute-force answer, and a bad query always raises."""
+    """Every form of the same query gives the brute-force answer and is
+    cached once, under one key, and a bad query always raises."""
 
     @staticmethod
     def forms(a, j):
@@ -207,6 +207,12 @@ class TestRawKeyPath:
             assert ora.message_entropy_given(1, tuple(a), frozenset(j)) == ora.message_entropy_given(
                 1, list(a), list(j)
             )
+
+    def test_every_argument_form_shares_one_cache_entry(self):
+        ora = entropy.RankOracle(build_sldc(2, 2))
+        for symbols, given in self.forms([3, 0, 2], [2]):
+            ora.entropy(symbols, given)
+        assert len(ora._cache) == 1
 
     def test_bad_queries_raise_after_valid_ones_are_cached(self):
         code = build_sldc(2, 2)

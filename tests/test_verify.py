@@ -322,7 +322,7 @@ class TestTreeCounting:
 
     def test_over_budget_builds_no_tree_to_count(self, monkeypatch):
         code = build_sldc(5, 3)  # 750 trees
-        monkeypatch.setattr(verify, "_trees_from", None)  # any call raises TypeError
+        monkeypatch.setattr(verify, "enumerate_trees", None)  # any call raises TypeError
         rows = verify.run_checks(code, ["tree", "converse"])
         assert [(row.passed, row.details) for row in rows] == [(True, {"trees": 750, "exhaustive": True})] * 2
         with pytest.raises(TypeError):
@@ -934,6 +934,16 @@ class TestTranslationOrbits:
         for mutant in symmetric_edits(codes[nk], seed=7):
             assert verify._unit_translations(mutant) is not None
             same_reports(mutant)
+
+    def test_a_failing_converse_row_enumerates_its_trees_once(self, monkeypatch):
+        mutant = next(itertools.islice(symmetric_edits(build_sldc(2, 3), seed=7), 1, None))
+        expected = verify.run_checks(without_digits(mutant), ["converse"])[0].as_dict()
+        calls = []
+        real = verify.enumerate_trees
+        monkeypatch.setattr(verify, "enumerate_trees", lambda code: calls.append(code) or real(code))
+        [row] = verify.run_checks(mutant, ["converse"])
+        assert not row.passed and row.as_dict() == expected
+        assert calls == [mutant]
 
     def test_digit_lists_read_as_digit_tuples(self, codes):
         code = codes[(2, 2)]
