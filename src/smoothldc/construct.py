@@ -81,7 +81,9 @@ def build_sldc(n: int, k: int) -> LinearCodeSpec:
 
     Sub-coded-symbol gamma of symbol p is the GF(2) sum over source symbols
     of bit (p_k + g_k) mod N of sub-source-symbol gamma; symbol p belongs to
-    group sum(p) mod N.
+    group sum(p) mod N. So every row is one of M patterns, shifted: row
+    (p, gamma) is pattern[p + gamma mod N] >> gamma*(N-1), where pattern[b]
+    is sub-symbol 0's row when it reads bit b_k of each source.
     """
     if n < 2 or k < 1:
         raise ValueError("need N >= 2 and K >= 1")
@@ -93,21 +95,21 @@ def build_sldc(n: int, k: int) -> LinearCodeSpec:
     lx = m - 1
     width = k * lw
     all_digits = [index_to_digits(i, n, k) for i in range(m)]
-    # units[gamma][kk][bit]: the one-bit row of column kk*Lw + gamma*(N-1) + bit-1; bit 0 is 0
-    units = [
-        [(0,) + tuple(1 << (width - kk * lw - gamma * (n - 1) - b) for b in range(1, n)) for kk in range(k)]
-        for gamma in range(m)
-    ]
+    # pattern[b], b in index order: sub-symbol 0's row reading bit b_kk of
+    # each source kk, a one in column kk*Lw + b_kk-1; bit 0 has no column
+    pattern = [0]
+    for kk in range(k):
+        units = (0,) + tuple(1 << (width - 1 - kk * lw - b) for b in range(n - 1))
+        pattern = [row | unit for row in pattern for unit in units]
+    shifts = [gamma * (n - 1) for gamma in range(m)]
 
     gens = []
     for p in all_digits:
-        rows = []
-        for unit, g in zip(units, all_digits):
-            row = 0
-            for kk in range(k):
-                row |= unit[kk][(p[kk] + g[kk]) % n]
-            rows.append(row)
-        gens.append(rows)
+        at = [0]  # at[gamma]: the index of p + gamma mod N, one digit at a time
+        for d in p:
+            digit = [(d + g) % n for g in range(n)]
+            at = [i * n + e for i in at for e in digit]
+        gens.append([pattern[i] >> shift for i, shift in zip(at, shifts)])
 
     groups = [sum(p) % n for p in all_digits]
     params = CodeParams(N=n, K=k, M=m, Lw=lw, Lx=lx)

@@ -23,15 +23,19 @@ digit vector by t maps X_p's generator rows onto X_{p+t}'s under a column
 permutation that keeps every source block, so H(X_A | W_J) is constant on
 translation orbits (symmetry reduction, as in Emerson & Sistla, "Symmetry
 and Model Checking", 1996). ``run_checks`` checks that symmetry on the
-rows and decoding sets themselves (``_unit_translations``). Correctness,
-properties, tree and converse come from one row function over a view of
-the code: decoding sets to read, and for each symbol a symbol with the
-same entropies. A code with the symmetry is first read on one set per
-superset orbit with symbol 0 standing for every symbol; any other code on
-every set with each symbol for itself, the full enumeration. A tree or
-converse verdict holds on every view, and a failing row lists its trees
-from every root; a correctness or properties row the reduced view fails
-is read again on the full view. So each report is the one the full
+rows and decoding sets themselves (``_unit_translations``), along a
+spanning tree of Z_N^K: each symbol m != 0 must have as rows those of
+m - e_j, for j its last nonzero digit, under the column shuffle of e_j.
+The shuffles commute and each is the identity N times over, so by
+induction each symbol's rows, shuffled by any e_j, are its translate's.
+Correctness, properties, tree and converse come from one row function over
+a view of the code: decoding sets to read, and for each symbol a symbol
+with the same entropies. A code with the symmetry is first read on one
+set per superset orbit with symbol 0 standing for every symbol; any other
+code on every set with each symbol for itself, the full enumeration. A
+tree or converse verdict holds on every view, and a failing row lists its
+trees from every root; a correctness or properties row the reduced view
+fails is read again on the full view. So each report is the one the full
 enumeration writes.
 """
 
@@ -576,11 +580,18 @@ def _unit_translations(code: LinearCodeSpec) -> tuple[tuple[int, ...], ...] | No
 
     They are the unit translations of a code whose digit vectors are all of
     Z_N^K (they are distinct, so M = N^K makes them a bijection) and whose
-    columns are in the canonical order with Lw = M(N-1), provided that for
-    each e_j every symbol's rows, under the column shuffle moving each
-    source's sub-symbol gamma + e_j to gamma, are its translate's rows, and
-    every superset's sets map onto its own sets, both as multisets. The
-    shuffle keeps every source block, so then each translation keeps every
+    columns are in the canonical order with Lw = M(N-1), provided that
+    every superset's sets map onto its own sets under each translation, and
+    that each symbol m != 0 has as rows its parent's rows under shuffle_j
+    (see _column_shuffles), both as multisets. Here j is the last nonzero
+    digit of m and the parent is m - e_j: the parents make a spanning tree
+    of Z_N^K rooted at 0, so each generator row is shuffled once.
+
+    That is the condition on every symbol and every e_j: the shuffles
+    commute and shuffle_j N times is the identity, so by induction along
+    the tree the rows of m are the rows of 0 shuffled m_i times by each
+    shuffle_i, and shuffle_j of them are the rows of m + e_j. A shuffle
+    keeps every source block, so then each translation keeps every
     H(X_A | W_J) and carries decoding sets to decoding sets."""
     p = code.params
     if code.digits is None or code.column_order != COLUMN_ORDER_CANONICAL:
@@ -588,26 +599,46 @@ def _unit_translations(code: LinearCodeSpec) -> tuple[tuple[int, ...], ...] | No
     if p.M != p.N**p.K or p.Lw != p.M * (p.N - 1):
         return None
     index = {d: m for m, d in enumerate(code.digits)}
-    rows = [sorted(gen) for gen in code.symbol_gens]
     sets = [sorted(sup.sets) for sup in code.supersets]
-    sub = (1 << (p.N - 1)) - 1  # the N-1 columns of one sub-symbol
     maps = []
     for j in range(p.K):
-        step = p.N ** (p.K - 1 - j)  # gamma index distance of one unit of digit j
-        up, down = step * (p.N - 1), step * (p.N - 1) ** 2
-        # within a block, sub-symbol gamma sits (M-1-gamma)*(N-1) bits up
-        block = sum(sub << ((p.M - 1 - gamma) * (p.N - 1)) for gamma in range(p.M) if gamma // step % p.N)
-        moved = sum(block << (k * p.Lw) for k in range(p.K))  # digit j is not 0: to gamma - e_j
-        wraps = ((1 << (p.K * p.Lw)) - 1) ^ moved  # digit j is 0: to gamma + (N-1)e_j
         translate = tuple(index[d[:j] + ((d[j] + 1) % p.N,) + d[j + 1 :]] for d in code.digits)
-        for gen, target in zip(code.symbol_gens, translate):
-            if sorted([(r & moved) << up | (r & wraps) >> down for r in gen]) != rows[target]:
-                return None
         for sup, own in zip(code.supersets, sets):
             if sorted(tuple(sorted(translate[m] for m in s)) for s in sup.sets) != own:
                 return None
         maps.append(translate)
+    shuffles = _column_shuffles(p)
+    for m, d in enumerate(code.digits):
+        j = next((j for j in reversed(range(p.K)) if d[j]), None)
+        if j is None:
+            continue  # the root, 0
+        parent = index[d[:j] + (d[j] - 1,) + d[j + 1 :]]
+        if _shuffled(code.symbol_gens[parent], shuffles[j]) != sorted(code.symbol_gens[m]):
+            return None
     return tuple(maps)
+
+
+def _column_shuffles(p) -> list[tuple[int, int, int, int]]:
+    """For each coordinate j, shuffle_j: the column shuffle of a code in
+    the canonical order that moves each source's sub-symbol gamma + e_j to
+    gamma, as (moved, up, wraps, down). A row r goes to
+    (r & moved) << up | (r & wraps) >> down."""
+    sub = (1 << (p.N - 1)) - 1  # the N-1 columns of one sub-symbol
+    shuffles = []
+    for j in range(p.K):
+        step = p.N ** (p.K - 1 - j)  # gamma index distance of one unit of digit j
+        # within a block, sub-symbol gamma sits (M-1-gamma)*(N-1) bits up
+        block = sum(sub << ((p.M - 1 - gamma) * (p.N - 1)) for gamma in range(p.M) if gamma // step % p.N)
+        moved = sum(block << (k * p.Lw) for k in range(p.K))  # digit j is not 0: to gamma - e_j
+        wraps = ((1 << (p.K * p.Lw)) - 1) ^ moved  # digit j is 0: to gamma + (N-1)e_j
+        shuffles.append((moved, step * (p.N - 1), wraps, step * (p.N - 1) ** 2))
+    return shuffles
+
+
+def _shuffled(rows, shuffle) -> list[int]:
+    """*rows* under one shuffle of _column_shuffles, sorted."""
+    moved, up, wraps, down = shuffle
+    return sorted([(r & moved) << up | (r & wraps) >> down for r in rows])
 
 
 def _orbit_representatives(code: LinearCodeSpec, maps) -> list[tuple[int, int, tuple[int, ...]]]:

@@ -10,8 +10,10 @@ for ``construct.decode``. The pair-loop property battery is the reference
 for ``verify.check_capacity_properties``, and the label-by-label converse
 chain the reference for ``verify.converse_witnesses``. The corruption
 trial that lists every pattern and scans it once per superset is the
-reference for ``verify.corruption_trial``. One column_mask per generator
-row is the reference for ``construct.build_sldc``, and ``json.dumps`` with
+reference for ``verify.corruption_trial``. Shuffling every symbol's rows
+by every unit translation is the reference for the spanning-tree check
+``verify._unit_translations``. One column_mask per generator row is the
+reference for ``construct.build_sldc``, and ``json.dumps`` with
 sorted keys the reference for the document writer in ``codespec``, and
 ``reference_replies``, read straight off the wire protocol, the reference
 for a database server's replies.
@@ -34,7 +36,7 @@ from math import log2
 import numpy as np
 
 from smoothldc.entropy import _distinct, _same, oracle_for
-from smoothldc.codespec import DecodingSuperset, LinearCodeSpec
+from smoothldc.codespec import COLUMN_ORDER_CANONICAL, DecodingSuperset, LinearCodeSpec
 from smoothldc.gf2 import BitVector, column_mask
 from smoothldc.verify import CheckResult, CorruptionReport, PropertyReport, check_universality
 
@@ -318,6 +320,43 @@ def reference_replies(stream: bytes, hash: bytes, answers) -> bytes:
             q = int.from_bytes(payload, "big")
             replies += _wire_frame(0x21, answers[q]) if q < len(answers) else _wire_frame(0x7F, b"\x01")
     return replies
+
+
+def translations_by_every_generator(code):
+    """verify._unit_translations, checked by every unit translation: for
+    each coordinate j, the map of symbol indices m -> the symbol whose
+    digits are m's plus e_j mod N, or None. A code in the canonical column
+    order with M = N^K digit vectors and Lw = M(N-1) gets its maps when,
+    for each e_j, every symbol's rows, under the column shuffle moving each
+    source's sub-symbol gamma + e_j to gamma, are its translate's rows, and
+    every superset's sets map onto its own sets, both as multisets: K*M
+    shuffled symbols, where the spanning-tree check shuffles M-1."""
+    p = code.params
+    if code.digits is None or code.column_order != COLUMN_ORDER_CANONICAL:
+        return None
+    if p.M != p.N**p.K or p.Lw != p.M * (p.N - 1):
+        return None
+    index = {d: m for m, d in enumerate(code.digits)}
+    rows = [sorted(gen) for gen in code.symbol_gens]
+    sets = [sorted(sup.sets) for sup in code.supersets]
+    sub = (1 << (p.N - 1)) - 1  # the N-1 columns of one sub-symbol
+    maps = []
+    for j in range(p.K):
+        step = p.N ** (p.K - 1 - j)  # gamma index distance of one unit of digit j
+        up, down = step * (p.N - 1), step * (p.N - 1) ** 2
+        # within a block, sub-symbol gamma sits (M-1-gamma)*(N-1) bits up
+        block = sum(sub << ((p.M - 1 - gamma) * (p.N - 1)) for gamma in range(p.M) if gamma // step % p.N)
+        moved = sum(block << (k * p.Lw) for k in range(p.K))  # digit j is not 0: to gamma - e_j
+        wraps = ((1 << (p.K * p.Lw)) - 1) ^ moved  # digit j is 0: to gamma + (N-1)e_j
+        translate = tuple(index[d[:j] + ((d[j] + 1) % p.N,) + d[j + 1 :]] for d in code.digits)
+        for gen, target in zip(code.symbol_gens, translate):
+            if sorted([(r & moved) << up | (r & wraps) >> down for r in gen]) != rows[target]:
+                return None
+        for sup, own in zip(code.supersets, sets):
+            if sorted(tuple(sorted(translate[m] for m in s)) for s in sup.sets) != own:
+                return None
+        maps.append(translate)
+    return tuple(maps)
 
 
 def generator_bit_flips(code, seed, draws=64):

@@ -18,6 +18,7 @@ from oracles import (
     reference_properties,
     subgroup_codes,
     symmetric_edits,
+    translations_by_every_generator,
 )
 from smoothldc import cli, verify
 from smoothldc.codespec import (
@@ -1006,3 +1007,77 @@ class TestTranslationOrbits:
             column_order=COLUMN_ORDER_CANONICAL,
         )
         assert verify._unit_translations(shaped) is None
+
+
+CORPORA = (generator_bit_flips, symmetric_edits, decoding_set_edits, subgroup_codes)
+
+
+def same_translations(code):
+    """_unit_translations(code) equals the reference that checks every
+    unit translation on every symbol, and is returned."""
+    maps = verify._unit_translations(code)
+    assert maps == translations_by_every_generator(code)
+    return maps
+
+
+def flip_one_bit(code, m):
+    """code with one zero bit of symbol m's first nonzero row set, so only
+    m's rows change and m keeps Lx nonzero rows."""
+    gens = list(code.symbol_gens)
+    r, row = next((r, row) for r, row in enumerate(gens[m]) if row)
+    bit = next(b for b in range(row.bit_length() + 1) if not row >> b & 1)
+    gens[m] = gens[m][:r] + (row | 1 << bit,) + gens[m][r + 1 :]
+    return with_rows(code, gens)
+
+
+class TestSpanningTreeSymmetry:
+    @pytest.mark.parametrize("nk", [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)], ids=str)
+    def test_equal_to_every_generator_on_every_corpus(self, codes, nk):
+        code = built(codes, nk)
+        assert same_translations(code) is not None
+        for corpus in CORPORA:
+            for mutant in corpus(code, seed=7):
+                same_translations(mutant)
+
+    @given(st.sampled_from([(2, 2), (2, 3), (3, 2)]), st.sampled_from(CORPORA), st.integers(0, 2**32))
+    def test_equal_to_every_generator_on_any_seed(self, codes, nk, corpus, seed):
+        for mutant in corpus(codes[nk], seed, draws=8):
+            same_translations(mutant)
+
+    @pytest.mark.parametrize("nk", [(2, 3), (3, 2)], ids=str)
+    def test_every_symbol_is_on_the_tree(self, codes, nk):
+        code = codes[nk]
+        maps = verify._unit_translations(code)
+        for m in range(code.params.M):
+            assert same_translations(flip_one_bit(code, m)) is None, m
+            gens = list(code.symbol_gens)
+            gens[m] = gens[m][::-1]
+            assert same_translations(with_rows(code, gens)) == maps, m
+
+    @pytest.mark.parametrize("nk", ORBIT_SIZES, ids=str)
+    def test_one_shuffled_symbol_per_tree_edge(self, codes, nk, monkeypatch):
+        code = built(codes, nk)
+        calls = []
+        real = verify._shuffled
+        monkeypatch.setattr(verify, "_shuffled", lambda rows, shuffle: calls.append(rows) or real(rows, shuffle))
+        assert verify._unit_translations(code) is not None
+        assert len(calls) == code.params.M - 1
+
+    @pytest.mark.parametrize("nk", ORBIT_SIZES, ids=str)
+    def test_shuffles_commute_and_have_order_n(self, codes, nk):
+        code = built(codes, nk)
+        p = code.params
+        shuffles = verify._column_shuffles(p)
+        assert len(shuffles) == p.K
+
+        def shuffle(row, s):
+            return verify._shuffled([row], s)[0]
+
+        for row in {row for gen in code.symbol_gens for row in gen}:
+            for a, b in itertools.combinations(shuffles, 2):
+                assert shuffle(shuffle(row, a), b) == shuffle(shuffle(row, b), a)
+            for s in shuffles:
+                image = row
+                for _ in range(p.N):
+                    image = shuffle(image, s)
+                assert image == row
