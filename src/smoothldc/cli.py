@@ -4,7 +4,8 @@ Exit codes: 0 all requested checks passed / operation succeeded, 1 a check
 or retrieval failed (verdict in output), 2 usage or I/O error.
 
 Each command imports verify, netsim and pir only if it runs them, so a
-database server compiles no check and verify loads no network code.
+database server compiles no check and verify loads no network code, and
+``main`` builds the argument parser of that command alone.
 """
 
 from __future__ import annotations
@@ -170,31 +171,23 @@ def cmd_retrieve(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="smoothldc",
-        description="Build, verify, and privately retrieve from perfectly smooth"
-        " locally decodable codes.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("capacity", help="closed-form capacity, length, and upload quantities")
+def _capacity_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True, help="locality / number of databases")
     p.add_argument("--k", type=int, required=True, help="number of source symbols")
-    p.set_defaults(func=cmd_capacity)
 
-    p = sub.add_parser("build", help="construct the length-N^K capacity-achieving code")
+
+def _build_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", required=True, help="output code-spec file")
-    p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("fixture", help="write a transcribed reference code")
+
+def _fixture_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--name", required=True, choices=sorted(construct.FIXTURES))
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fixture)
 
-    p = sub.add_parser("verify", help="run the verification battery on a code-spec file")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     # defaults resolved in cmd_verify, so that parsing imports no verify
     p.add_argument("--checks", default=None,
@@ -205,34 +198,71 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_fraction, default=None,
                    help="corruption fraction for the corruption check (default: largest"
                         " integral fraction below 1/N)")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("pir-audit", help="privacy/deniability audits and cost metrics")
+
+def _pir_audit_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_pir_audit)
 
-    p = sub.add_parser("serve", help="serve one database of a scheme over TCP")
+
+def _serve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--db", type=int, required=True, help="database index, 1-based")
     p.add_argument("--messages", required=True,
                    help="raw K*Lw-bit message file, MSB-first packing")
     p.add_argument("--listen", default="127.0.0.1:0")
-    p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("retrieve", help="privately retrieve one source symbol")
+
+def _retrieve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--theta", type=int, required=True, help="desired source symbol, 1-based")
     p.add_argument("--endpoints", required=True, help="comma-separated host:port per database")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_retrieve)
 
+
+# name, help, argument adder, handler: one row per command, in usage order
+COMMANDS = (
+    ("capacity", "closed-form capacity, length, and upload quantities", _capacity_arguments, cmd_capacity),
+    ("build", "construct the length-N^K capacity-achieving code", _build_arguments, cmd_build),
+    ("fixture", "write a transcribed reference code", _fixture_arguments, cmd_fixture),
+    ("verify", "run the verification battery on a code-spec file", _verify_arguments, cmd_verify),
+    ("pir-audit", "privacy/deniability audits and cost metrics", _pir_audit_arguments, cmd_pir_audit),
+    ("serve", "serve one database of a scheme over TCP", _serve_arguments, cmd_serve),
+    ("retrieve", "privately retrieve one source symbol", _retrieve_arguments, cmd_retrieve),
+)
+COMMAND_NAMES = tuple(name for name, *_ in COMMANDS)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the named one alone.
+
+    A one-command parser parses that command's arguments as the full one
+    does and prints the same usage lines, its own listing every command.
+    """
+    parser = argparse.ArgumentParser(
+        prog="smoothldc",
+        description="Build, verify, and privately retrieve from perfectly smooth"
+        " locally decodable codes.",
+    )
+    # the full parser keeps no metavar, so an unknown command still reads
+    # "argument command: invalid choice"
+    listing = None if command is None else "{" + ",".join(COMMAND_NAMES) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listing)
+    for name, help_text, add_arguments, handler in COMMANDS:
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # only a known command first gets a one-command parser: help, no
+    # command and an unknown name need the full parser's listing and errors
+    command = argv[0] if argv and argv[0] in COMMAND_NAMES else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (OSError, OverflowError, ValueError, IndexError) as exc:

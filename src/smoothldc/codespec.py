@@ -62,6 +62,16 @@ class DecodingSuperset:
         return len(self.sets)
 
 
+def _reject_first_bad_row(m: int, gen: Sequence, width: int) -> None:
+    """Raise CodeSpecError for the first row of symbol m that is not an
+    int or does not fit *width* columns."""
+    for r, row in enumerate(gen):
+        if type(row) is not int:
+            raise CodeSpecError(f"symbol {m} row {r}: must be an int, not {type(row).__name__}")
+        if row < 0 or row.bit_length() > width:
+            raise CodeSpecError(f"symbol {m} row {r}: does not fit K*Lw = {width} columns")
+
+
 class LinearCodeSpec:
     """Immutable description of a linear LDC over GF(2).
 
@@ -96,14 +106,9 @@ class LinearCodeSpec:
             raise CodeSpecError(f"expected {p.M} symbol generators, got {len(self.symbol_gens)}")
         width = p.K * p.Lw
         for m, gen in enumerate(self.symbol_gens):
-            nonzero = 0
-            for r, row in enumerate(gen):
-                if type(row) is not int:
-                    raise CodeSpecError(f"symbol {m} row {r}: must be an int, not {type(row).__name__}")
-                if row:
-                    if row < 0 or row.bit_length() > width:
-                        raise CodeSpecError(f"symbol {m} row {r}: does not fit K*Lw = {width} columns")
-                    nonzero += 1
+            if gen and (set(map(type, gen)) != {int} or min(gen) < 0 or max(gen).bit_length() > width):
+                _reject_first_bad_row(m, gen, width)
+            nonzero = len(gen) - gen.count(0)
             if nonzero != p.Lx:
                 raise CodeSpecError(f"symbol {m}: {nonzero} nonzero rows, expected Lx = {p.Lx}")
         if len(self.supersets) != p.K:
@@ -247,27 +252,29 @@ def to_document(code: LinearCodeSpec, databases: Sequence[Sequence[int]] | None 
     return doc
 
 
-def _need(ok: bool, message: str) -> None:
-    if not ok:
-        raise CodeSpecError(message)
-
-
 def _int(value, what: str) -> int:
-    _need(type(value) is int, f"{what} must be an integer, not {type(value).__name__}")
+    if type(value) is not int:
+        raise CodeSpecError(f"{what} must be an integer, not {type(value).__name__}")
     return value
 
 
 def _seq(value, what: str) -> list | tuple:
-    _need(isinstance(value, (list, tuple)), f"{what} must be a list, not {type(value).__name__}")
+    if not isinstance(value, (list, tuple)):
+        raise CodeSpecError(f"{what} must be a list, not {type(value).__name__}")
     return value
 
 
 def _ints(value, what: str) -> tuple[int, ...]:
-    return tuple(_int(x, f"{what} entry") for x in _seq(value, what))
+    value = _seq(value, what)
+    if not {int}.issuperset(map(type, value)):
+        for x in value:
+            _int(x, f"{what} entry")
+    return tuple(value)
 
 
 def _optional(value, kind: type, what: str):
-    _need(value is None or type(value) is kind, f"{what} must be {kind.__name__} or null")
+    if value is not None and type(value) is not kind:
+        raise CodeSpecError(f"{what} must be {kind.__name__} or null")
     return value
 
 
@@ -285,18 +292,22 @@ def from_document(doc: dict) -> LinearCodeSpec:
     A document of the wrong shape or with values of the wrong type raises
     CodeSpecError; the checks are linear in the document's size.
     """
-    _need(isinstance(doc, dict), f"document must be a JSON object, not {type(doc).__name__}")
+    if not isinstance(doc, dict):
+        raise CodeSpecError(f"document must be a JSON object, not {type(doc).__name__}")
     try:
         version = _int(doc["version"], "version")
-        _need(version == DOCUMENT_VERSION, f"unsupported document version {version}")
+        if version != DOCUMENT_VERSION:
+            raise CodeSpecError(f"unsupported document version {version}")
         stated = doc.get("content_hash")
         try:
             computed = None if stated is None else content_hash(doc)
         except (TypeError, ValueError, RecursionError) as exc:  # keys that do not sort, a cycle, deep nesting
             raise CodeSpecError(f"document has no canonical serialization: {exc}") from exc
-        _need(stated == computed, "content_hash does not match document body")
+        if stated != computed:
+            raise CodeSpecError("content_hash does not match document body")
         pd = doc["params"]
-        _need(isinstance(pd, dict), "params must be an object")
+        if not isinstance(pd, dict):
+            raise CodeSpecError("params must be an object")
         values = {name: _int(pd[name], f"params.{name}") for name in ("N", "K", "M", "Lw", "Lx")}
         try:
             params = CodeParams(**values)
@@ -305,7 +316,8 @@ def from_document(doc: dict) -> LinearCodeSpec:
         width = params.K * params.Lw
         rows, groups, digits, labels = [], [], [], []
         for m, sym in enumerate(_seq(doc["symbols"], "symbols")):
-            _need(isinstance(sym, dict), f"symbol {m} must be an object")
+            if not isinstance(sym, dict):
+                raise CodeSpecError(f"symbol {m} must be an object")
             rows.append(_rows(sym["rows"], width, f"symbol {m} rows"))
             groups.append(_optional(sym.get("group"), int, f"symbol {m} group"))
             d = sym.get("digits")
@@ -313,7 +325,8 @@ def from_document(doc: dict) -> LinearCodeSpec:
             labels.append(_optional(sym.get("label"), str, f"symbol {m} label"))
         # every row was checked against the width, so no row is wider than
         # the document; with no rows at all nothing would bound it
-        _need(any(rows), "document has no generator rows")
+        if not any(rows):
+            raise CodeSpecError("document has no generator rows")
         supersets = tuple(
             DecodingSuperset(
                 k=i + 1,

@@ -11,6 +11,7 @@ here is a pure function.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Sequence
 
 
@@ -25,21 +26,32 @@ def rows_to_hex(rows: Iterable[int], width: int) -> list[str]:
     return [(row << pad).to_bytes(need, "big").hex() for row in rows]
 
 
+def _wrong_length(need: int, width: int, got: int) -> ValueError:
+    return ValueError(f"need exactly {need} bytes for {width} bits, got {got}")
+
+
 def rows_from_bytes(blobs: Iterable[bytes], width: int) -> list[int]:
     """Parse serialized rows of *width* bits, each exactly ceil(width/8)
-    bytes, ignoring pad bits; ValueError for any other length."""
+    bytes, ignoring pad bits; ValueError naming the first other length."""
     need, pad = _layout(width)
-    rows = []
-    for data in blobs:
-        if len(data) != need:
-            raise ValueError(f"need exactly {need} bytes for {width} bits, got {len(data)}")
-        rows.append(int.from_bytes(data, "big") >> pad)
-    return rows
+    blobs = list(blobs)
+    if set(map(len, blobs)) - {need}:
+        raise _wrong_length(need, width, next(size for size in map(len, blobs) if size != need))
+    rows = list(map(int.from_bytes, blobs, repeat("big")))
+    return [row >> pad for row in rows] if pad else rows
 
 
 def rows_from_hex(texts: Iterable[str], width: int) -> list[int]:
-    """Parse hex rows of *width* bits, ignoring pad bits; TypeError or ValueError."""
-    return rows_from_bytes(map(bytes.fromhex, texts), width)
+    """Parse hex rows of *width* bits, ignoring pad bits; TypeError or
+    ValueError for the first row, in order, that is not hex or not of
+    ceil(width/8) bytes."""
+    blobs: list[bytes] = []
+    try:
+        blobs.extend(map(bytes.fromhex, texts))  # keeps the rows before a text that is not hex
+    except (TypeError, ValueError):
+        rows_from_bytes(blobs, width)  # a wrong length among them comes first
+        raise
+    return rows_from_bytes(blobs, width)
 
 
 class BitVector:
@@ -73,7 +85,10 @@ class BitVector:
     @classmethod
     def from_bytes(cls, data: bytes, length: int) -> "BitVector":
         """Parse exactly ceil(length/8) bytes; pad bits are ignored."""
-        return cls(length, rows_from_bytes((data,), length)[0])
+        need, pad = _layout(length)
+        if len(data) != need:
+            raise _wrong_length(need, length, len(data))
+        return cls(length, int.from_bytes(data, "big") >> pad)
 
     @classmethod
     def from_hex(cls, text: str, length: int) -> "BitVector":

@@ -599,12 +599,22 @@ def _unit_translations(code: LinearCodeSpec) -> tuple[tuple[int, ...], ...] | No
     if p.M != p.N**p.K or p.Lw != p.M * (p.N - 1):
         return None
     index = {d: m for m, d in enumerate(code.digits)}
-    sets = [sorted(sup.sets) for sup in code.supersets]
+    # A translation maps distinct sets to distinct images, so when a
+    # superset's sets are distinct it maps them onto themselves exactly when
+    # each image is one of them; repeated sets need the multiset compare.
+    sets = []
+    for sup in code.supersets:
+        distinct = frozenset(map(frozenset, sup.sets))
+        sets.append(distinct if len(distinct) == len(sup.sets) else sorted(sup.sets))
     maps = []
     for j in range(p.K):
         translate = tuple(index[d[:j] + ((d[j] + 1) % p.N,) + d[j + 1 :]] for d in code.digits)
+        image = translate.__getitem__
         for sup, own in zip(code.supersets, sets):
-            if sorted(tuple(sorted(translate[m] for m in s)) for s in sup.sets) != own:
+            if type(own) is frozenset:
+                if not all(frozenset(map(image, s)) in own for s in sup.sets):
+                    return None
+            elif sorted(tuple(sorted(map(image, s))) for s in sup.sets) != own:
                 return None
         maps.append(translate)
     shuffles = _column_shuffles(p)

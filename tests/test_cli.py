@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -590,6 +591,74 @@ class TestServeRetrieve:
         )
         assert code == 2
         assert "nope" in err and "retrieval failed" not in err
+
+
+# Every case parses alike with one command's parser and with all of them:
+# help, no command, an unknown one, and missing, extra and bad-typed
+# arguments, each with the usage line and error argparse prints for it.
+PARSER_CORPUS = [
+    [], ["-h"], ["--help"], ["bogus"], ["-h", "verify"],
+    *([name, "-h"] for name in ("capacity", "build", "fixture", "verify", "pir-audit", "serve", "retrieve")),
+    ["capacity", "--n", "2"],
+    ["capacity", "--n", "2", "--k", "3", "extra"],
+    ["capacity", "--n", "x", "--k", "3"],
+    ["capacity", "--n", "2", "--k", "3"],
+    ["build", "--n", "2", "--k", "3"],
+    ["fixture", "--name", "nope", "--out", "{out}"],
+    ["verify"],
+    ["verify", "{doc}", "--samples", "5"],
+    ["verify", "{doc}", "--tree-budget", "x"],
+    ["verify", "{doc}"],
+    ["verify", "{doc}", "--format", "json"],
+    ["pir-audit", "{doc}", "--format", "yaml"],
+    ["serve", "{doc}", "--db", "1"],
+    ["retrieve", "{doc}", "--theta", "1"],
+]
+
+
+def parse_with_every_command(monkeypatch):
+    """Make cli.main parse with the full parser whatever the command."""
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+
+
+class TestOneCommandParser:
+    @pytest.fixture
+    def doc(self, capsys, tmp_path):
+        doc = tmp_path / "c23.json"
+        run_cli(capsys, "build", "--n", "2", "--k", "3", "--out", str(doc))
+        return doc
+
+    @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+    def test_same_output_as_the_full_parser(self, capsys, monkeypatch, tmp_path, doc, argv):
+        argv = [a.format(doc=doc, out=tmp_path / "out.json") for a in argv]
+        monkeypatch.setenv("COLUMNS", "80")
+        one = run_cli(capsys, *argv)
+        parse_with_every_command(monkeypatch)
+        assert one == run_cli(capsys, *argv)
+
+    def test_verify_builds_one_subparser(self, monkeypatch, doc):
+        made = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            made.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        assert cli.main(["verify", str(doc)]) == 0
+        assert made == ["verify"]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=" ".join)
+    def test_module_reads_its_own_arguments(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        parse_with_every_command(monkeypatch)
+        expected = run_cli(capsys, *argv)
+        result = subprocess.run(
+            [sys.executable, "-m", "smoothldc", *argv], capture_output=True, text=True, timeout=120,
+            env=dict(package_env(), COLUMNS="80"),
+        )
+        assert (result.returncode, result.stdout, result.stderr) == expected
 
 
 class TestImportBoundary:

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import random
+import re
 import weakref
 
 import pytest
@@ -36,7 +37,7 @@ from smoothldc.construct import (
     load_fixture,
     random_message,
 )
-from smoothldc.gf2 import BitVector, rank_words
+from smoothldc.gf2 import BitVector, rank_words, rows_from_bytes
 from smoothldc.verify import check_correctness, check_smoothness, check_universality
 
 
@@ -444,6 +445,19 @@ class TestSpecValidation:
         with pytest.raises(CodeSpecError, match=message):
             LinearCodeSpec(code.params, code.symbol_gens, code.supersets, digits=digits)
 
+    def test_first_bad_row_is_named_whatever_its_fault(self, codes):
+        # row 1 is too wide and row 2 is not an int: row order decides
+        code = codes["fig1"]
+        gens = list(code.symbol_gens)
+        gens[2] = (0b1, 0b1000, "1")
+        with pytest.raises(CodeSpecError, match=r"^symbol 2 row 1: does not fit K\*Lw = 3 columns$"):
+            LinearCodeSpec(code.params, gens, code.supersets)
+
+    def test_first_wrong_row_length_is_named(self):
+        # 9 bits take 2 bytes: rows of 2, 1 and 3 bytes name the 1
+        with pytest.raises(ValueError, match=r"^need exactly 2 bytes for 9 bits, got 1$"):
+            rows_from_bytes([b"\x80\x00", b"\x80", b"\x80\x00\x00"], 9)
+
     def test_widest_row_fits(self, codes):
         code = codes["fig1"]
         gens = list(code.symbol_gens)
@@ -582,6 +596,25 @@ class TestMalformedDocuments:
         doc["symbols"][0]["digits"] = [9, 9, 9]
         doc["content_hash"] = content_hash(doc)
         with pytest.raises(CodeSpecError, match=r"^symbol 0 digits \[9, 9, 9\]: must be K = 2 digits in \[0, 2\)$"):
+            from_document(doc)
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("symbols", 0, "digits"), [0, True], "symbol 0 digits entry must be an integer, not bool"),
+            (("supersets", 0, 0), [0, "1"], "superset 1 set entry must be an integer, not str"),
+            (("symbols", 1, "rows"), ["00", "", "0000", "zz"],
+             "symbol 1 rows: need exactly 1 bytes for 8 bits, got 0"),
+            (("symbols", 1, "rows"), ["00", "zz", "0000"],
+             "symbol 1 rows: non-hexadecimal number found in fromhex() arg at position 0"),
+        ],
+        ids=["bool-digit", "str-member", "short-row-before-bad-hex", "bad-hex-before-long-row"],
+    )
+    def test_first_bad_entry_is_named(self, codes, path, value, message):
+        doc = to_document(codes[(2, 2)])
+        doc[path[0]][path[1]][path[2]] = value
+        doc["content_hash"] = content_hash(doc)
+        with pytest.raises(CodeSpecError, match=f"^{re.escape(message)}$"):
             from_document(doc)
 
     def test_overlong_and_bad_hex(self, codes):

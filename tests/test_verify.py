@@ -1054,6 +1054,18 @@ class TestSpanningTreeSymmetry:
             gens[m] = gens[m][::-1]
             assert same_translations(with_rows(code, gens)) == maps, m
 
+    @pytest.mark.parametrize("nk", [(2, 3), (3, 2)], ids=str)
+    def test_repeated_sets_are_compared_as_a_multiset(self, codes, nk):
+        # every set of W_1 twice is still symmetric; only its first set twice is not
+        code = codes[nk]
+        first = code.supersets[0]
+        for sets, symmetric in ((first.sets * 2, True), (first.sets[:1] + first.sets, False)):
+            supersets = (DecodingSuperset(k=1, sets=sets), *code.supersets[1:])
+            mutant = LinearCodeSpec(
+                code.params, code.symbol_gens, supersets, code.groups, code.digits, code.labels, code.column_order
+            )
+            assert (same_translations(mutant) is not None) == symmetric
+
     @pytest.mark.parametrize("nk", ORBIT_SIZES, ids=str)
     def test_one_shuffled_symbol_per_tree_edge(self, codes, nk, monkeypatch):
         code = built(codes, nk)
