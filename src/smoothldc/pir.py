@@ -56,6 +56,17 @@ class PirScheme:
         return tuple(self.databases[n][q] for n, q in enumerate(queries))
 
     @cached_property
+    def member_order(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """For the queries of every published entry, the databases (0-based)
+        in ascending order of the symbols they serve: the order of the
+        decoding set's members, worked out once per scheme."""
+        return {
+            queries: tuple(sorted(range(len(queries)), key=self.served_symbols(queries).__getitem__))
+            for entries in self.query_sets
+            for _, queries in entries
+        }
+
+    @cached_property
     def digest(self) -> bytes:
         """SHA-256 of the scheme document (code plus database layout), the
         32 bytes a client and its servers agree on before any query."""
@@ -146,8 +157,7 @@ def reconstruct(scheme: PirScheme, bundle: QueryBundle, answers: Sequence[BitVec
     """Recover W_theta from the per-database answers (database order)."""
     if len(answers) != scheme.n_databases:
         raise ValueError(f"expected {scheme.n_databases} answers")
-    served = scheme.served_symbols(bundle.queries)
-    ordered = [value for _, value in sorted(zip(served, answers))]
+    ordered = [answers[n] for n in scheme.member_order[bundle.queries]]
     return construct.decode(scheme.code, bundle.theta, bundle.set_index, ordered)
 
 

@@ -29,14 +29,16 @@ m - e_j, for j its last nonzero digit, under the column shuffle of e_j.
 The shuffles commute and each is the identity N times over, so by
 induction each symbol's rows, shuffled by any e_j, are its translate's.
 Correctness, properties, tree and converse come from one row function over
-a view of the code: decoding sets to read, and for each symbol a symbol
-with the same entropies. A code with the symmetry is first read on one
-set per superset orbit with symbol 0 standing for every symbol; any other
-code on every set with each symbol for itself, the full enumeration. A
-tree or converse verdict holds on every view, and a failing row lists its
-trees from every root; a correctness or properties row the reduced view
-fails is read again on the full view. So each report is the one the full
-enumeration writes.
+a view of the code (_View): p1's symbols, p2's pairs, the decoding sets
+correctness and sigma read, and for each symbol a symbol with the same
+entropies. A code with the symmetry is first read on its reduced view:
+one set per superset orbit, symbol 0 standing for every symbol, and one
+pair per pair orbit of each set (see _reduced_view). Any other code is
+read on the full view, every pair of every set with each symbol for
+itself: the full enumeration. A tree or converse verdict holds on every
+view, and a failing row lists its trees from every root; a correctness
+or properties row the reduced view fails is read again on the full view.
+So each report is the one the full enumeration writes.
 """
 
 from __future__ import annotations
@@ -164,7 +166,9 @@ class PropertyReport:
 
 def check_capacity_properties(code: LinearCodeSpec, symbols=None, sets=None) -> PropertyReport:
     """p1 over *symbols* and p2a-p2c over the pairs of *sets*, (k, set
-    index, members) triples; by default every symbol and every set."""
+    index, members) triples; by default every symbol and every set. A
+    triple whose members are one pair (i1, i2) reads just that pair, as
+    the reduced view's pairs do (see _reduced_view)."""
     ora = oracle_for(code)
     p = code.params
     all_k = range(1, p.K + 1)
@@ -556,21 +560,58 @@ def corruption_trial(code: LinearCodeSpec, delta) -> CorruptionReport:
 
 # --- translation orbits -----------------------------------------------------
 
+@dataclass(frozen=True)
+class _View:
+    """What the view-reading checks read of a code (see _check_rows):
+    symbols, the symbols p1 reads; pairs, (k, set index, members) triples
+    whose pairs of members p2a-p2c read, a triple of two members for one
+    pair; sets, the (k, set index, members) that correctness and sigma
+    read; and orbit_of[m], a symbol with the same entropies as m."""
+
+    symbols: Sequence[int]
+    pairs: list[tuple[int, int, tuple[int, ...]]]
+    sets: list[tuple[int, int, tuple[int, ...]]]
+    orbit_of: Sequence[int]
+
+
 # code -> the view of it that _check_rows reads first, or None; no value
 # refers to its code
-_symmetries: "weakref.WeakKeyDictionary[LinearCodeSpec, tuple | None]" = weakref.WeakKeyDictionary()
+_symmetries: "weakref.WeakKeyDictionary[LinearCodeSpec, _View | None]" = weakref.WeakKeyDictionary()
 
 
-def _symmetry(code: LinearCodeSpec) -> tuple | None:
-    """The reduced view of a code whose _unit_translations are not None,
-    and otherwise None, worked out once per code. The reduced view is one
-    decoding set per orbit and symbol 0 standing for every symbol: the
-    translations carry symbol 0 to each one, and the trees from root 0
-    onto those from every other root, node by node."""
+def _symmetry(code: LinearCodeSpec) -> _View | None:
+    """The reduced view (_reduced_view) of a code whose _unit_translations
+    are not None, and otherwise None, worked out once per code."""
     if code not in _symmetries:
         maps = _unit_translations(code)
-        _symmetries[code] = None if maps is None else (_orbit_representatives(code, maps), (0,) * code.params.M)
+        _symmetries[code] = None if maps is None else _reduced_view(code, maps)
     return _symmetries[code]
+
+
+def _reduced_view(code: LinearCodeSpec, maps) -> _View:
+    """The view of a code whose translations *maps* are checked: one
+    decoding set per orbit (_orbit_representatives) and symbol 0 standing
+    for every symbol, as the translations carry symbol 0 to each one, and
+    the trees from root 0 onto those from every other root, node by node.
+
+    p2 reads one pair per pair orbit of each set: the first pair {a, b},
+    in combinations order, of each difference b - a up to sign. Translation
+    by t carries {a, b} to {a + t, b + t}, so two pairs are in one orbit
+    exactly when their differences agree up to sign; the translations keep
+    every H(X_A | W_J), and p2a-p2c are symmetric in (i1, i2). On a built
+    code's line {t e_k} through 0 that is the N//2 pairs {0, d e_k},
+    d = 1..N//2, of its C(N, 2)."""
+    p = code.params
+    sets = _orbit_representatives(code, maps)
+    pairs = []
+    for k, set_index, members in sets:
+        seen = set()  # the differences of the pairs read, and their negatives
+        for a, b in itertools.combinations(members, 2):
+            d = tuple((y - x) % p.N for x, y in zip(code.digits[a], code.digits[b]))
+            if d not in seen:
+                seen.update((d, tuple(-x % p.N for x in d)))
+                pairs.append((k, set_index, (a, b)))
+    return _View((0,), pairs, sets, (0,) * p.M)
 
 
 def _unit_translations(code: LinearCodeSpec) -> tuple[tuple[int, ...], ...] | None:
@@ -729,7 +770,7 @@ def _tree_audit(code: LinearCodeSpec, budget: int) -> tuple:
             leaves |= reach
         return count, leaves, distinct
 
-    roots = collections.Counter(view[1] if view else range(p.M))
+    roots = collections.Counter(view.orbit_of if view else range(p.M))
     count, distinct = 0, True
     for perm in perms:
         for root, times in roots.items():
@@ -792,7 +833,8 @@ def run_checks(
     if delta is None:
         delta = Fraction(max(-(-p.M // p.N) - 1, 0), p.M)
     tree_audit = functools.cache(functools.partial(_tree_audit, code, tree_budget))
-    every = (list(_every_set(code)), tuple(range(p.M)))  # the full view: see _check_rows
+    sets = list(_every_set(code))
+    every = _View(range(p.M), sets, sets, range(p.M))  # the full view: every pair of every set
     results = []
     for name in names:
         try:
@@ -800,32 +842,29 @@ def run_checks(
             # reduced view first; failing correctness or properties rows are
             # read again on the full view, as a passing row is the same on both
             view = _symmetry(code) if name in _ORBIT_CHECKS else None
-            rows = _check_rows(code, name, tree_audit, delta, *(view or every))
+            rows = _check_rows(code, name, tree_audit, delta, view or every)
             if view and name != "converse" and not all(row.passed for row in rows):
-                rows = _check_rows(code, name, tree_audit, delta, *every)
+                rows = _check_rows(code, name, tree_audit, delta, every)
             results.extend(rows)
         except (TreeConstructionError, BudgetError) as exc:
             results.append(CheckResult(_ROW_NAMES.get(name, name), False, [{"error": str(exc)}]))
     return results
 
 
-def _check_rows(code: LinearCodeSpec, name: str, tree_audit, delta, sets, orbit_of) -> list[CheckResult]:
+def _check_rows(code: LinearCodeSpec, name: str, tree_audit, delta, view: _View) -> list[CheckResult]:
     """The report rows of one known check, given delta and the battery's
     tree audit, called when a row first needs it. Correctness, properties,
-    tree and converse read a view of the code: the decoding sets *sets*, as
-    (k, set index, members), and for each symbol m a symbol orbit_of[m]
-    with the same entropies. The symbols orbit_of names are the ones p1
-    reads; a failing tree or converse row lists the trees from every root.
-    The full view is every set with each symbol for itself."""
+    tree and converse read *view*; a failing tree or converse row lists the
+    trees from every root."""
     p = code.params
     if name == "correctness":
-        return [check_correctness(code, sets)]
+        return [check_correctness(code, view.sets)]
     if name == "smoothness":
         return [CheckResult(name, check_smoothness(code))]
     if name == "universality":
         return [CheckResult(name, check_universality(code))]
     if name == "properties":
-        return list(check_capacity_properties(code, sorted(set(orbit_of)), sets).results.values())
+        return list(check_capacity_properties(code, view.symbols, view.pairs).results.values())
     if name == "min-distance":
         result = min_distance(code)
         passed = result.distance * p.N >= p.M
@@ -844,7 +883,7 @@ def _check_rows(code: LinearCodeSpec, name: str, tree_audit, delta, sets, orbit_
         if name == "tree":
             failing, row = not distinct, _leaf_witnesses
         else:
-            sigmas = _sigmas(code, sets, orbit_of)
+            sigmas = _sigmas(code, view.sets, view.orbit_of)
             failing, row = next(filter(None, sigmas), 0), converse_witnesses
             # a sigma below 0 (an incorrect code) names no slack tree: only all trees can
             if failing and limit and min(failing, *sigmas) < 0:

@@ -12,7 +12,9 @@ chain the reference for ``verify.converse_witnesses``. The corruption
 trial that lists every pattern and scans it once per superset is the
 reference for ``verify.corruption_trial``. Shuffling every symbol's rows
 by every unit translation is the reference for the spanning-tree check
-``verify._unit_translations``. One column_mask per generator row is the
+``verify._unit_translations``, and closing each decoding set's pairs under
+every translation the reference for the pairs ``verify._reduced_view``
+reads. One column_mask per generator row is the
 reference for ``construct.build_sldc``, and ``json.dumps`` with
 sorted keys the reference for the document writer in ``codespec``, and
 ``reference_replies``, read straight off the wire protocol, the reference
@@ -22,7 +24,9 @@ answer as it does today; the symmetric edits among them keep every
 translation symmetry of a built code, so a check that reads one
 representative per translation orbit has to meet their failures itself,
 and the decoding-set edits leave some codes non-universal. The subgroup
-codes keep that symmetry too, with decoding sets that need not be lines.
+codes keep that symmetry too, with decoding sets that need not be lines,
+and the translated-set codes with decoding sets that are not cosets of a
+subgroup at all.
 """
 
 import itertools
@@ -359,6 +363,27 @@ def translations_by_every_generator(code):
     return tuple(maps)
 
 
+def pair_orbits_by_enumeration(code):
+    """{(k, set index): the orbits of the set's pairs} for every decoding
+    set of a code with digit vectors, by brute force: each orbit is the
+    frozenset of the pairs {a + t, b + t}, for all M translations t of
+    Z_N^K, of one pair {a, b} of the set. Pairs are frozensets of two
+    symbols, so swapping i1 and i2 keeps each orbit. The reference for
+    the pairs verify._reduced_view gives p2a-p2c."""
+    p = code.params
+    index = {d: m for m, d in enumerate(code.digits)}
+    translations = [
+        [index[tuple((x + y) % p.N for x, y in zip(d, t))] for d in code.digits] for t in code.digits
+    ]
+    return {
+        (sup.k, set_index): {
+            frozenset(frozenset((t[a], t[b])) for t in translations) for a, b in itertools.combinations(members, 2)
+        }
+        for sup in code.supersets
+        for set_index, members in enumerate(sup.sets)
+    }
+
+
 def generator_bit_flips(code, seed, draws=64):
     """Yield the codes made by flipping one generator bit of code. Each of
     *draws* seeded draws picks a symbol, then one of its rows, then a
@@ -526,6 +551,40 @@ def subgroup_codes(code, seed, draws=16):
             symbol_gens=code.symbol_gens,
             supersets=supersets,
             groups=code.groups if transversal else None,
+            digits=code.digits,
+            labels=code.labels,
+            column_order=code.column_order,
+        )
+
+
+def translated_set_codes(code, seed, draws=8):
+    """Yield copies of a built code with N >= 3 whose superset of one
+    source k is every translate of one seeded set S of N symbols: S holds
+    the symbol with digits 0 and is not a subgroup of Z_N^K, so no decoding
+    set of k is a coset of one. Each of *draws* seeded draws picks k and S.
+    The rows stay the built ones, so every translation of Z_N^K keeps the
+    code; the groups are dropped."""
+    p = code.params
+    assert p.N >= 3, "every 2-set {0, d} of Z_2^K is a subgroup"
+    index = {d: m for m, d in enumerate(code.digits)}
+    zero = (0,) * p.K
+    rng = random.Random(seed)
+    drawn = 0
+    while drawn < draws:
+        k = rng.randrange(1, p.K + 1)
+        chosen = [zero] + rng.sample([d for d in code.digits if d != zero], p.N - 1)
+        if all(tuple((x + y) % p.N for x, y in zip(a, b)) in chosen for a in chosen for b in chosen):
+            continue  # a subgroup
+        drawn += 1
+        translates = {
+            tuple(sorted(index[tuple((x + y) % p.N for x, y in zip(d, t))] for d in chosen)) for t in code.digits
+        }
+        supersets = list(code.supersets)
+        supersets[k - 1] = DecodingSuperset(k=k, sets=tuple(sorted(translates)))
+        yield LinearCodeSpec(
+            params=p,
+            symbol_gens=code.symbol_gens,
+            supersets=supersets,
             digits=code.digits,
             labels=code.labels,
             column_order=code.column_order,

@@ -1,5 +1,8 @@
 import argparse
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
 import random
@@ -9,13 +12,16 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smoothldc
 from oracles import generator_bit_flips
 from smoothldc import cli, entropy, pir, verify
-from smoothldc.codespec import CodeSpecError, dump_document, load_document, to_document
-from smoothldc.construct import build_sldc, random_message
+from smoothldc.codespec import CodeSpecError, content_hash, dump_document, load_document, to_document
+from smoothldc.construct import build_sldc, load_fixture, random_message
 from smoothldc.gf2 import BitVector
+from test_construct import JSON_VALUES, json_paths
 
 
 def package_env():
@@ -282,15 +288,21 @@ class TestVerifyReports:
         counts = self.battery_calls(capsys, tmp_path, monkeypatch, "2", "3")
         assert counts == {"entropy": 93, "rank_words": 35, "trees_for_audit": 0, "tree_audit": 1}
 
+    # p2 reads one pair per pair orbit of a line: {0, d} for d = 1..N//2,
+    # so an N = 2 line reads its one pair, and these counts drop from N = 3
     def test_call_pattern_of_a_3_3_battery(self, capsys, tmp_path, monkeypatch):
         counts = self.battery_calls(capsys, tmp_path, monkeypatch, "3", "3")
-        assert counts == {"entropy": 189, "rank_words": 74, "trees_for_audit": 0, "tree_audit": 1}
+        assert counts == {"entropy": 117, "rank_words": 38, "trees_for_audit": 0, "tree_audit": 1}
+
+    def test_call_pattern_of_a_4_3_battery(self, capsys, tmp_path, monkeypatch):
+        counts = self.battery_calls(capsys, tmp_path, monkeypatch, "4", "3")
+        assert counts == {"entropy": 177, "rank_words": 62, "trees_for_audit": 0, "tree_audit": 1}
 
     # past the tree budget: the converse check reads only H(X_0 | W_J)
     # for every J
     def test_call_pattern_of_a_3_4_battery(self, capsys, tmp_path, monkeypatch):
         counts = self.battery_calls(capsys, tmp_path, monkeypatch, "3", "4")
-        assert counts == {"entropy": 384, "rank_words": 124, "trees_for_audit": 0, "tree_audit": 1}
+        assert counts == {"entropy": 264, "rank_words": 64, "trees_for_audit": 0, "tree_audit": 1}
 
     def test_non_universal_code_reports_tree_failures(self, capsys, tmp_path):
         doc = write_code(capsys, tmp_path, ("fixture", "fig1", "non-universal"))
@@ -429,6 +441,45 @@ class TestMalformedDocuments:
             code, out, err = run_cli(capsys, "verify", str(doc))
             assert (code, out) == (2, ""), depth
             assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestHostileDocuments:
+    """verify with every check, and pir-audit, on any mutation of a valid
+    document whose content hash is stamped again: exit 0, 1 or 2, never a
+    traceback."""
+
+    BASE = [to_document(load_fixture("fig1")), to_document(load_fixture("eq28")), to_document(build_sldc(2, 3))]
+    # small ints keep many mutants loadable, so the checks past the loader run
+    VALUES = JSON_VALUES | st.integers(-1, 9)
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_commands_exit_0_1_or_2(self, tmp_path_factory, data):
+        doc = copy.deepcopy(data.draw(st.sampled_from(self.BASE)))
+        paths = [path for path in json_paths(doc) if path and path[0] != "content_hash"]
+        for _ in range(data.draw(st.integers(1, 3))):
+            *steps, last = data.draw(st.sampled_from(paths))
+            action = data.draw(st.sampled_from(["replace", "delete", "duplicate"]))
+            try:
+                parent = doc
+                for step in steps:
+                    parent = parent[step]
+                if action == "replace":
+                    parent[last] = data.draw(self.VALUES)
+                elif action == "delete":
+                    del parent[last]
+                elif isinstance(parent, list):
+                    parent.insert(last, copy.deepcopy(parent[last]))
+            except (KeyError, IndexError, TypeError):
+                pass  # an earlier mutation removed or replaced this path
+        doc["content_hash"] = content_hash(doc)
+        path = tmp_path_factory.getbasetemp() / "hostile.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["verify", str(path), "--checks", ALL_CHECKS], ["pir-audit", str(path)]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), (argv, doc)
 
 
 class TestPirAudit:

@@ -12,6 +12,7 @@ from smoothldc.codespec import DecodingSuperset, LinearCodeSpec
 from smoothldc.construct import DecodeFailure, random_message
 from smoothldc.gf2 import BitVector
 from smoothldc.pir import (
+    QueryBundle,
     SchemeError,
     answer,
     cost_metrics,
@@ -292,6 +293,19 @@ class TestReplicatedScheme:
                 ]
                 got = reconstruct(scheme, bundle, answers)
                 assert list(got.to_bits()) == message_slice(code, msg, theta)
+
+    @pytest.mark.parametrize("name", ["intro_nonsmooth", "fig1"])
+    def test_every_entry_decodes(self, codes, name):
+        # the entries put a set's members on the databases in every order
+        scheme = replicated_scheme(codes[name])
+        code = scheme.code
+        msg = random_message(code, random.Random(5))
+        for theta, entries in enumerate(scheme.query_sets, start=1):
+            for set_index, queries in entries:
+                bundle = QueryBundle(theta, set_index, code.supersets[theta - 1].sets[set_index], queries)
+                answers = [answer(scheme, n, q, msg) for n, q in enumerate(queries, start=1)]
+                got = reconstruct(scheme, bundle, answers)
+                assert list(got.to_bits()) == message_slice(code, msg, theta), (theta, queries)
 
     def test_expansion_factor(self, codes):
         scheme = replicated_scheme(codes["fig2"])

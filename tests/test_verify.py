@@ -13,11 +13,13 @@ from oracles import (
     brute_force_conditional_entropy,
     decoding_set_edits,
     generator_bit_flips,
+    pair_orbits_by_enumeration,
     reference_converse,
     reference_corruption,
     reference_properties,
     subgroup_codes,
     symmetric_edits,
+    translated_set_codes,
     translations_by_every_generator,
 )
 from smoothldc import cli, verify
@@ -839,9 +841,10 @@ class TestSubgroupCodes:
         body = json.dumps(reports, sort_keys=True, default=str).encode()
         assert hashlib.sha256(body).hexdigest() == SUBGROUP_REPORT_DIGESTS[nk]
 
-    @given(st.sampled_from([(2, 2), (2, 3), (3, 2)]), st.integers(0, 2**32))
+    # (4,2) and (5,2) have N//2 = 2 pairs per line, one of each pair orbit
+    @given(st.sampled_from([(2, 2), (2, 3), (3, 2), (4, 2), (5, 2)]), st.integers(0, 2**32))
     def test_orbit_view_is_the_full_view(self, codes, nk, seed):
-        code = next(subgroup_codes(codes[nk], seed, draws=1))
+        code = next(subgroup_codes(built(codes, nk), seed, draws=1))
         assert verify._unit_translations(code) is not None
         same_reports(code)
 
@@ -891,8 +894,9 @@ def sigma_views(code):
     """Whether every sigma is 0 on the code's reduced view, and on every
     set with each symbol standing for itself."""
     every = list(verify._every_set(code))
+    view = verify._symmetry(code)
     return (
-        not any(verify._sigmas(code, *verify._symmetry(code))),
+        not any(verify._sigmas(code, view.sets, view.orbit_of)),
         not any(verify._sigmas(code, every, range(code.params.M))),
     )
 
@@ -1007,6 +1011,78 @@ class TestTranslationOrbits:
             column_order=COLUMN_ORDER_CANONICAL,
         )
         assert verify._unit_translations(shaped) is None
+
+
+# built codes of at most 27 symbols, and two more with N//2 = 2 pairs per line
+PAIR_ORBIT_SIZES = ORBIT_SIZES + [(4, 3), (5, 2)]
+
+
+def one_pair_per_pair_orbit(code):
+    """Assert that the pairs p2 reads on the code's reduced view are, for
+    each representative set, exactly one pair of each of its pair orbits,
+    by pair_orbits_by_enumeration; return the orbits."""
+    view = verify._symmetry(code)
+    orbits = pair_orbits_by_enumeration(code)
+    read = {}
+    for k, set_index, pair in view.pairs:
+        assert len(pair) == 2
+        read.setdefault((k, set_index), []).append(frozenset(pair))
+    assert list(read) == [(k, set_index) for k, set_index, _ in view.sets]
+    for key, pairs in read.items():
+        found = [orbit for pair in pairs for orbit in orbits[key] if pair in orbit]
+        assert len(found) == len(pairs) == len(orbits[key]) and set(found) == orbits[key], key
+    return orbits
+
+
+# the codes whose correctness and properties rows are compared with their
+# copies without digits; translated sets make M sets per superset, so the
+# largest size leaves them out
+VIEW_CORPORA = [
+    *((corpus, nk) for corpus in (symmetric_edits, subgroup_codes) for nk in [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]),
+    *((translated_set_codes, nk) for nk in [(3, 2), (3, 3), (4, 2), (5, 2)]),
+]
+
+
+class TestPairOrbits:
+    @pytest.mark.parametrize("nk", PAIR_ORBIT_SIZES, ids=str)
+    def test_one_pair_per_pair_orbit(self, codes, nk):
+        code = built(codes, nk)
+        one_pair_per_pair_orbit(code)
+        # a line of N symbols reads N//2 pairs, one per difference d ~ -d
+        assert len(verify._symmetry(code).pairs) == code.params.K * (code.params.N // 2)
+
+    @pytest.mark.parametrize("nk", [(3, 2), (4, 2), (3, 3)], ids=str)
+    @pytest.mark.parametrize("corpus", [subgroup_codes, translated_set_codes], ids=lambda c: c.__name__)
+    def test_one_pair_per_pair_orbit_of_other_sets(self, codes, corpus, nk):
+        for mutant in corpus(built(codes, nk), seed=7, draws=4):
+            assert verify._unit_translations(mutant) is not None
+            one_pair_per_pair_orbit(mutant)
+
+    @pytest.mark.parametrize("nk", PAIR_ORBIT_SIZES, ids=str)
+    def test_every_pair_of_an_orbit_has_its_representatives_entropies(self, codes, nk):
+        code = built(codes, nk)
+        ora = oracle_for(code)
+        sources = frozenset(range(1, code.params.K + 1))
+        # W_-k' for every k' (p2a and p2b), and nothing (p2c)
+        givens = [sources - {k} for k in sorted(sources)] + [frozenset()]
+
+        def entropies(pair):
+            a, b = sorted(pair)
+            return [(ora.entropy((a, b), j), sorted([ora.entropy((a,), j), ora.entropy((b,), j)])) for j in givens]
+
+        orbits = pair_orbits_by_enumeration(code)
+        for k, set_index, pair in verify._symmetry(code).pairs:
+            [orbit] = [orbit for orbit in orbits[(k, set_index)] if frozenset(pair) in orbit]
+            expected = entropies(pair)
+            assert all(entropies(other) == expected for other in orbit), (k, set_index, pair)
+
+    @pytest.mark.parametrize("corpus, nk", VIEW_CORPORA, ids=lambda case: getattr(case, "__name__", str(case)))
+    def test_correctness_and_properties_rows_are_the_full_views(self, codes, corpus, nk):
+        checks = ["correctness", "properties"]
+        for mutant in corpus(built(codes, nk), seed=11, draws=8):
+            assert verify._unit_translations(mutant) is not None
+            got = [row.as_dict() for row in verify.run_checks(mutant, checks)]
+            assert got == [row.as_dict() for row in verify.run_checks(without_digits(mutant), checks)]
 
 
 CORPORA = (generator_bit_flips, symmetric_edits, decoding_set_edits, subgroup_codes)
