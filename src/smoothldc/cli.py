@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -39,10 +40,28 @@ def _write(path: str, doc: dict) -> None:
 
 
 def _fraction(text: str) -> Fraction:
+    """*text* read as Fraction reads it, refused when its numerator or
+    denominator has more digits than an int may print (the limit of
+    sys.get_int_max_str_digits). An exponent is applied last, and not at
+    all when it alone passes that limit: building 10**10000000 for
+    1e-10000000 takes seconds."""
+    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", text)
+    mantissa = text if exponent is None else text[: exponent.start()] + "e0"
     try:
-        return Fraction(text)
+        value, power = Fraction(mantissa), 0 if exponent is None else int(exponent[1])
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from exc
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit, as before Python 3.10.7
+    too_long = argparse.ArgumentTypeError(f"numerator or denominator of more than {limit} digits: {text!r}")
+    # the mantissa's numerator and denominator are below 10**len(mantissa),
+    # so past this power the value's numerator or denominator is not
+    if limit and value and abs(power) > limit + len(mantissa):
+        raise too_long
+    if value:
+        value *= Fraction(10) ** power
+    if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
+        raise too_long
+    return value
 
 
 def cmd_capacity(args) -> int:

@@ -31,9 +31,10 @@ induction each symbol's rows, shuffled by any e_j, are its translate's.
 Correctness, properties, tree and converse come from one row function over
 a view of the code (_View): p1's symbols, p2's pairs, the decoding sets
 correctness and sigma read, and for each symbol a symbol with the same
-entropies. A code with the symmetry is first read on its reduced view:
-one set per superset orbit, symbol 0 standing for every symbol, and one
-pair per pair orbit of each set (see _reduced_view). Any other code is
+entropies. A code with the symmetry is first read through symbol 0: the
+sets that hold symbol 0, one pair {0, d} per pair orbit of each
+superset, and symbol 0 standing for every symbol (see _reduced_view),
+as each translation orbit passes through symbol 0. Any other code is
 read on the full view, every pair of every set with each symbol for
 itself: the full enumeration. A tree or converse verdict holds on every
 view, and a failing row lists its trees from every root; a correctness
@@ -53,7 +54,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .codespec import COLUMN_ORDER_CANONICAL, LinearCodeSpec
-from .entropy import _distinct, _same, oracle_for
+from .entropy import oracle_for
 
 DISTANCE_BUDGET = 24
 DEFAULT_TREE_BUDGET = 512
@@ -189,44 +190,24 @@ def check_capacity_properties(code: LinearCodeSpec, symbols=None, sets=None) -> 
     p2a = CheckResult("p2a-same-interference", True)
     p2b = CheckResult("p2b-distinct-desired", True)
     p2c = CheckResult("p2c-independence", True)
+    # each pair reads (H1, H2, H12) once given each W_-k' (p2a for k' != k,
+    # p2b for k' = k) and once given nothing (p2c, k' = None)
+    givens = [(k_prime, others[k_prime]) for k_prime in all_k] + [(None, frozenset())]
     for k, set_index, members in _every_set(code) if sets is None else sets:
         for i1, i2 in itertools.combinations(members, 2):
-            for k_prime in all_k:
-                if k_prime == k:
-                    continue
-                j = others[k_prime]
-                if not _same(ora, i1, i2, j):
-                    h12 = ora.entropy((i1, i2), j)
+            pair = {"k": k, "set_index": set_index, "i1": code.label(i1), "i2": code.label(i2)}
+            for k_prime, j in givens:
+                h1, h2, h12 = ora.entropy((i1,), j), ora.entropy((i2,), j), ora.entropy((i1, i2), j)
+                if k_prime is None:
+                    if h12 != h1 + h2:
+                        p2c.witnesses.append({**pair, "joint": h12, "sum": h1 + h2})
+                elif k_prime == k:
+                    if h12 != h1 + h2:
+                        p2b.witnesses.append(pair)
+                elif not h12 == h1 == h2:
                     p2a.witnesses.append(
-                        {
-                            "k": k,
-                            "set_index": set_index,
-                            "i1": code.label(i1),
-                            "i2": code.label(i2),
-                            "k_prime": k_prime,
-                            "h_i1_given_i2": h12 - ora.entropy((i2,), j),
-                            "h_i2_given_i1": h12 - ora.entropy((i1,), j),
-                        }
+                        {**pair, "k_prime": k_prime, "h_i1_given_i2": h12 - h2, "h_i2_given_i1": h12 - h1}
                     )
-            # _distinct is symmetric: both directions test H12 = H1 + H2
-            if not _distinct(ora, i1, i2, others[k]):
-                p2b.witnesses.append(
-                    {"k": k, "set_index": set_index, "i1": code.label(i1), "i2": code.label(i2)}
-                )
-            h1 = ora.entropy((i1,))
-            h2 = ora.entropy((i2,))
-            h12 = ora.entropy((i1, i2))
-            if h12 != h1 + h2:
-                p2c.witnesses.append(
-                    {
-                        "k": k,
-                        "set_index": set_index,
-                        "i1": code.label(i1),
-                        "i2": code.label(i2),
-                        "joint": h12,
-                        "sum": h1 + h2,
-                    }
-                )
     p2a.passed = not p2a.witnesses
     p2b.passed = not p2b.witnesses
     p2c.passed = not p2c.witnesses
@@ -580,37 +561,43 @@ _symmetries: "weakref.WeakKeyDictionary[LinearCodeSpec, _View | None]" = weakref
 
 
 def _symmetry(code: LinearCodeSpec) -> _View | None:
-    """The reduced view (_reduced_view) of a code whose _unit_translations
-    are not None, and otherwise None, worked out once per code."""
+    """The view through symbol 0 (_reduced_view) of a code whose
+    _unit_translations are not None, and otherwise None, worked out once
+    per code."""
     if code not in _symmetries:
-        maps = _unit_translations(code)
-        _symmetries[code] = None if maps is None else _reduced_view(code, maps)
+        _symmetries[code] = None if _unit_translations(code) is None else _reduced_view(code)
     return _symmetries[code]
 
 
-def _reduced_view(code: LinearCodeSpec, maps) -> _View:
-    """The view of a code whose translations *maps* are checked: one
-    decoding set per orbit (_orbit_representatives) and symbol 0 standing
-    for every symbol, as the translations carry symbol 0 to each one, and
-    the trees from root 0 onto those from every other root, node by node.
+def _reduced_view(code: LinearCodeSpec) -> _View:
+    """The view of a code whose translations are checked, read through
+    symbol 0: in _every_set order, the decoding sets whose first (smallest)
+    member is 0, and per superset one pair (0, d) of those sets for each
+    step of d up to sign, symbol 0 standing for every symbol. A symbol's
+    step is its digits less symbol 0's, mod N: a loaded code may list its
+    symbols in any order, so symbol 0 need not have digits 0.
 
-    p2 reads one pair per pair orbit of each set: the first pair {a, b},
-    in combinations order, of each difference b - a up to sign. Translation
-    by t carries {a, b} to {a + t, b + t}, so two pairs are in one orbit
-    exactly when their differences agree up to sign; the translations keep
-    every H(X_A | W_J), and p2a-p2c are symmetric in (i1, i2). On a built
-    code's line {t e_k} through 0 that is the N//2 pairs {0, d e_k},
-    d = 1..N//2, of its C(N, 2)."""
+    A superset that every translation maps onto itself holds S - s for
+    each s in each of its sets S. So every orbit of its sets holds a set
+    through 0, and every orbit of its pairs {a, b} holds {0, c}, for the c
+    whose step is digits[b] - digits[a]. Two pairs {0, c} and {0, c'}
+    share an orbit exactly when the steps of c and c' agree up to sign, as
+    {0, c} moved by -c is {-c, 0}. The translations keep every
+    H(X_A | W_J), carry symbol 0 to every symbol, and the trees from root 0
+    onto those from every other root, node by node; p2a-p2c are symmetric
+    in (i1, i2). On a built code the one set of W_k through 0 is a line,
+    which reads the N//2 pairs {0, d e_k}, d = 1..N//2, of its C(N, 2)."""
     p = code.params
-    sets = _orbit_representatives(code, maps)
+    origin = code.digits[0]
+    sets = [(k, set_index, members) for k, set_index, members in _every_set(code) if members[0] == 0]
     pairs = []
+    seen = set()  # (k, step) of each pair read, and of its negative
     for k, set_index, members in sets:
-        seen = set()  # the differences of the pairs read, and their negatives
-        for a, b in itertools.combinations(members, 2):
-            d = tuple((y - x) % p.N for x, y in zip(code.digits[a], code.digits[b]))
-            if d not in seen:
-                seen.update((d, tuple(-x % p.N for x in d)))
-                pairs.append((k, set_index, (a, b)))
+        for d in members[1:]:
+            step = tuple((y - x) % p.N for x, y in zip(origin, code.digits[d]))
+            if (k, step) not in seen:
+                seen.update(((k, step), (k, tuple(-x % p.N for x in step))))
+                pairs.append((k, set_index, (0, d)))
     return _View((0,), pairs, sets, (0,) * p.M)
 
 
@@ -640,22 +627,13 @@ def _unit_translations(code: LinearCodeSpec) -> tuple[tuple[int, ...], ...] | No
     if p.M != p.N**p.K or p.Lw != p.M * (p.N - 1):
         return None
     index = {d: m for m, d in enumerate(code.digits)}
-    # A translation maps distinct sets to distinct images, so when a
-    # superset's sets are distinct it maps them onto themselves exactly when
-    # each image is one of them; repeated sets need the multiset compare.
-    sets = []
-    for sup in code.supersets:
-        distinct = frozenset(map(frozenset, sup.sets))
-        sets.append(distinct if len(distinct) == len(sup.sets) else sorted(sup.sets))
+    sets = [sorted(sup.sets) for sup in code.supersets]
     maps = []
     for j in range(p.K):
         translate = tuple(index[d[:j] + ((d[j] + 1) % p.N,) + d[j + 1 :]] for d in code.digits)
         image = translate.__getitem__
         for sup, own in zip(code.supersets, sets):
-            if type(own) is frozenset:
-                if not all(frozenset(map(image, s)) in own for s in sup.sets):
-                    return None
-            elif sorted(tuple(sorted(map(image, s))) for s in sup.sets) != own:
+            if sorted(tuple(sorted(map(image, s))) for s in sup.sets) != own:
                 return None
         maps.append(translate)
     shuffles = _column_shuffles(p)
@@ -692,28 +670,6 @@ def _shuffled(rows, shuffle) -> list[int]:
     return sorted([(r & moved) << up | (r & wraps) >> down for r in rows])
 
 
-def _orbit_representatives(code: LinearCodeSpec, maps) -> list[tuple[int, int, tuple[int, ...]]]:
-    """(k, set index, members) of the first set of each orbit that the
-    translations *maps* make on each superset's sets."""
-    representatives = []
-    for sup in code.supersets:
-        seen: set[tuple[int, ...]] = set()
-        for set_index, members in enumerate(sup.sets):
-            if members in seen:
-                continue
-            representatives.append((sup.k, set_index, members))
-            seen.add(members)
-            frontier = [members]
-            while frontier:
-                current = frontier.pop()
-                for translate in maps:
-                    image = tuple(sorted(translate[m] for m in current))
-                    if image not in seen:
-                        seen.add(image)
-                        frontier.append(image)
-    return representatives
-
-
 def _tree_audit(code: LinearCodeSpec, budget: int) -> tuple:
     """A battery's tree audit as (count, distinct, trees, limit): how many
     trees the code has, whether each has distinct leaves, trees() for
@@ -732,11 +688,15 @@ def _tree_audit(code: LinearCodeSpec, budget: int) -> tuple:
     (suffix, node), so past WALK_STATES of those it is refused unstarted.
 
     One permutation stands for all K! when the code's translations are
-    checked and each superset partitions the symbols. Then the one set of
-    k holding y is y + H_k, for H_k the set holding 0 (a translation
-    carries H_k there), and H_k is a subgroup (h + H_k holds h, so it is
-    H_k). So y has one subtree, with leaves y + h_1 + ... + h_r, h_i in the
-    H of sources[i-1]: that sumset, and whether it is direct, ignore order.
+    checked and each superset partitions the symbols. Under the checked
+    translations each symbol lies in as many sets of k as symbol 0 does,
+    so that is when the view through 0 holds K sets, one per source (the
+    code is universal by then). Read each symbol as its step from symbol
+    0; then the one set of k holding y is y + H_k, for H_k the set holding
+    0 (a translation carries H_k there), and H_k is a subgroup (h + H_k
+    holds h, so it is H_k). So y has one subtree, with leaves y + h_1 +
+    ... + h_r, h_i in the H of sources[i-1]: that sumset, and whether it
+    is direct, ignore order.
 
     A non-universal code has no tree: TreeConstructionError names the first
     source k, then the first symbol, that no set of k holds (_uncovered)."""
@@ -747,7 +707,7 @@ def _tree_audit(code: LinearCodeSpec, budget: int) -> tuple:
         raise TreeConstructionError(f"no decoding set of source symbol {k} contains {code.label(m)}")
     index = _sets_containing(code)
     view = _symmetry(code)
-    if view and all(membership_counts(code, k) == [1] * p.M for k in range(1, p.K + 1)):
+    if view and len(view.sets) == p.K:
         perms = [tuple(range(1, p.K + 1))]
     else:
         perms = list(itertools.permutations(range(1, p.K + 1)))

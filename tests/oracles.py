@@ -26,7 +26,8 @@ representative per translation orbit has to meet their failures itself,
 and the decoding-set edits leave some codes non-universal. The subgroup
 codes keep that symmetry too, with decoding sets that need not be lines,
 and the translated-set codes with decoding sets that are not cosets of a
-subgroup at all.
+subgroup at all. The permuted-symbol codes are built codes whose symbols
+are listed in another order, so symbol 0 need not have digits 0.
 """
 
 import itertools
@@ -589,3 +590,33 @@ def translated_set_codes(code, seed, draws=8):
             labels=code.labels,
             column_order=code.column_order,
         )
+
+
+def permuted_symbols(code, seed):
+    """A copy of a built code with its symbols listed in a seeded order:
+    symbol i of the copy is symbol order[i] of the code, with its rows,
+    digits, group and label, and every decoding set is mapped along (and
+    sorted), each set keeping its index. Symbol 0 of the copy need not have
+    digits 0, so a view read through symbol 0 must take each pair's step
+    from symbol 0's digits."""
+    p = code.params
+    order = list(range(p.M))
+    random.Random(seed).shuffle(order)
+    position = {m: i for i, m in enumerate(order)}
+
+    def listed(values):
+        return None if values is None else [values[m] for m in order]
+
+    supersets = [
+        DecodingSuperset(k=sup.k, sets=tuple(tuple(sorted(position[m] for m in s)) for s in sup.sets))
+        for sup in code.supersets
+    ]
+    return LinearCodeSpec(
+        params=p,
+        symbol_gens=listed(code.symbol_gens),
+        supersets=supersets,
+        groups=listed(code.groups),
+        digits=listed(code.digits),
+        labels=listed(code.labels),
+        column_order=code.column_order,
+    )

@@ -129,6 +129,8 @@ class TestBuildVerify:
             (("verify", "--tree-budget", "-1"), "tree budget must be at least 0, got -1"),
             (("verify", "--delta", "3/2"), "delta must lie in [0, 1], got 3/2"),
             (("verify", "--delta=-1/3"), "delta must lie in [0, 1], got -1/3"),
+            (("verify", "--delta", "1e-4300"), "argument --delta: numerator or denominator of more than"),
+            (("verify", "--delta", "1e-1000000"), "argument --delta: numerator or denominator of more than"),
         ],
     )
     def test_usage_errors_come_before_any_work(self, capsys, tmp_path, monkeypatch, argv, message):
@@ -141,6 +143,15 @@ class TestBuildVerify:
         assert (code, out, ran) == (2, "", [])
         # "error: ..." from main, "smoothldc verify: error: ..." from argparse
         assert err.splitlines()[-1].partition("error: ")[2].startswith(message)
+
+    @pytest.mark.parametrize("delta, shown", [("1e-4200", "1/1" + "0" * 4200), ("0e-1000000", "0"), ("25e-2", "1/4")])
+    def test_every_printable_delta_is_read_exactly(self, capsys, tmp_path, delta, shown):
+        out_file = tmp_path / "c22.json"
+        run_cli(capsys, "build", "--n", "2", "--k", "2", "--out", str(out_file))
+        code, out, _ = run_cli(
+            capsys, "verify", str(out_file), "--checks", "corruption", "--delta", delta, "--format", "json"
+        )
+        assert code == 0 and json.loads(out)["checks"][0]["details"]["delta"] == shown
 
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         assert run_cli(capsys, "verify", str(tmp_path / "absent.json"))[0] == 2

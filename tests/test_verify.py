@@ -14,6 +14,7 @@ from oracles import (
     decoding_set_edits,
     generator_bit_flips,
     pair_orbits_by_enumeration,
+    permuted_symbols,
     reference_converse,
     reference_corruption,
     reference_properties,
@@ -1018,20 +1019,27 @@ PAIR_ORBIT_SIZES = ORBIT_SIZES + [(4, 3), (5, 2)]
 
 
 def one_pair_per_pair_orbit(code):
-    """Assert that the pairs p2 reads on the code's reduced view are, for
-    each representative set, exactly one pair of each of its pair orbits,
-    by pair_orbits_by_enumeration; return the orbits."""
+    """Assert that, per superset, the code's reduced view reads a set of
+    every orbit of its decoding sets, and as p2's pairs exactly one pair
+    of each orbit of all its sets' pairs, each a pair of the set it names,
+    by pair_orbits_by_enumeration."""
+    p = code.params
     view = verify._symmetry(code)
     orbits = pair_orbits_by_enumeration(code)
-    read = {}
-    for k, set_index, pair in view.pairs:
-        assert len(pair) == 2
-        read.setdefault((k, set_index), []).append(frozenset(pair))
-    assert list(read) == [(k, set_index) for k, set_index, _ in view.sets]
-    for key, pairs in read.items():
-        found = [orbit for pair in pairs for orbit in orbits[key] if pair in orbit]
-        assert len(found) == len(pairs) == len(orbits[key]) and set(found) == orbits[key], key
-    return orbits
+    index = {d: m for m, d in enumerate(code.digits)}
+    translations = [[index[tuple((x + y) % p.N for x, y in zip(d, t))] for d in code.digits] for t in code.digits]
+    for sup in code.supersets:
+        read = {members for k, _, members in view.sets if k == sup.k}
+        for members in sup.sets:
+            assert any(tuple(sorted(t[m] for m in members)) in read for t in translations), (sup.k, members)
+        pairs = []
+        for k, set_index, pair in view.pairs:
+            if k == sup.k:
+                assert len(pair) == 2 and set(pair) <= set(sup.sets[set_index])
+                pairs.append(frozenset(pair))
+        every = set().union(*(orbits[(sup.k, set_index)] for set_index in range(len(sup.sets))))
+        found = [orbit for pair in pairs for orbit in every if pair in orbit]
+        assert len(found) == len(pairs) == len(every) and set(found) == every, sup.k
 
 
 # the codes whose correctness and properties rows are compared with their
@@ -1057,6 +1065,17 @@ class TestPairOrbits:
         for mutant in corpus(built(codes, nk), seed=7, draws=4):
             assert verify._unit_translations(mutant) is not None
             one_pair_per_pair_orbit(mutant)
+
+    @pytest.mark.parametrize("nk", [(2, 3), (3, 2), (4, 2), (3, 3), (4, 3), (5, 2)], ids=str)
+    def test_permuted_symbols_are_read_through_symbol_0(self, codes, nk):
+        code = built(codes, nk)
+        # every superset partitions the symbols: one set through 0 each
+        assert len(verify._symmetry(code).sets) == code.params.K
+        for seed in range(3):
+            listed = permuted_symbols(code, seed)
+            assert listed.digits[0] != code.digits[0] and len(verify._symmetry(listed).sets) == code.params.K
+            one_pair_per_pair_orbit(listed)
+            same_reports(listed)
 
     @pytest.mark.parametrize("nk", PAIR_ORBIT_SIZES, ids=str)
     def test_every_pair_of_an_orbit_has_its_representatives_entropies(self, codes, nk):
