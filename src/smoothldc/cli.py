@@ -31,8 +31,8 @@ EXIT_USAGE = 2
 
 
 def _load_code(path: str):
-    data = Path(path).read_bytes()
-    return from_document(load_document(data))
+    # no name holds the file's bytes, so they are freed before the rows are parsed
+    return from_document(load_document(Path(path).read_bytes()))
 
 
 def _write(path: str, doc: dict) -> None:

@@ -40,6 +40,15 @@ itself: the full enumeration. A tree or converse verdict holds on every
 view, and a failing row lists its trees from every root; a correctness
 or properties row the reduced view fails is read again on the full view.
 So each report is the one the full enumeration writes.
+
+A built code is also symmetric under permuting the K coordinates together
+with the K sources: the decoding sets of W_k are the lines along e_k.
+With its translations checked, ``_coordinate_swaps`` checks this on the
+symbol with digits 0 alone, for each swap of adjacent coordinates (they
+generate every permutation): its rows under the column swap, and the
+sets through it of each superset. Then the reduced view keeps only
+superset 1's sets and pairs (see _first_view), while p1, p2a's k' and
+sigma's J still take every value.
 """
 
 from __future__ import annotations
@@ -165,13 +174,15 @@ class PropertyReport:
         return [name for name, r in self.results.items() if not r.passed]
 
 
-def check_capacity_properties(code: LinearCodeSpec, symbols=None, sets=None) -> PropertyReport:
+def check_capacity_properties(code: LinearCodeSpec, symbols=None, sets=None, orbit_of=None) -> PropertyReport:
     """p1 over *symbols* and p2a-p2c over the pairs of *sets*, (k, set
     index, members) triples; by default every symbol and every set. A
     triple whose members are one pair (i1, i2) reads just that pair, as
-    the reduced view's pairs do (see _reduced_view)."""
+    the reduced view's pairs do (see _reduced_view). p2 reads each
+    H(X_i | W_J) as H(X_orbit_of[i] | W_J), by default i's own."""
     ora = oracle_for(code)
     p = code.params
+    orbit_of = range(p.M) if orbit_of is None else orbit_of
     all_k = range(1, p.K + 1)
     universal = check_universality(code)
     # others[k]: every source symbol but k, the conditioning set of p1-p3
@@ -197,7 +208,8 @@ def check_capacity_properties(code: LinearCodeSpec, symbols=None, sets=None) -> 
         for i1, i2 in itertools.combinations(members, 2):
             pair = {"k": k, "set_index": set_index, "i1": code.label(i1), "i2": code.label(i2)}
             for k_prime, j in givens:
-                h1, h2, h12 = ora.entropy((i1,), j), ora.entropy((i2,), j), ora.entropy((i1, i2), j)
+                h1, h2 = ora.entropy((orbit_of[i1],), j), ora.entropy((orbit_of[i2],), j)
+                h12 = ora.entropy((i1, i2), j)
                 if k_prime is None:
                     if h12 != h1 + h2:
                         p2c.witnesses.append({**pair, "joint": h12, "sum": h1 + h2})
@@ -557,16 +569,40 @@ class _View:
 
 # code -> the view of it that _check_rows reads first, or None; no value
 # refers to its code
-_symmetries: "weakref.WeakKeyDictionary[LinearCodeSpec, _View | None]" = weakref.WeakKeyDictionary()
+_first_views: "weakref.WeakKeyDictionary[LinearCodeSpec, _View | None]" = weakref.WeakKeyDictionary()
+
+
+def _first_view(code: LinearCodeSpec) -> _View | None:
+    """The view that correctness, properties, tree and converse read first,
+    worked out once per code: None unless _unit_translations holds, then
+    the view through symbol 0 (_symmetry), and of it only superset 1's sets
+    and pairs when _coordinate_swaps holds too.
+
+    Then superset 1 stands for all K. A permutation pi of the coordinates,
+    with the sources, carries superset k onto superset pi(k), fixes the
+    symbol with digits 0 and keeps H(X_A | W_J) = H(X_piA | W_piJ) (see
+    _coordinate_swaps). So for pi(1) = k, each set of superset k is the
+    image under pi and a translation of a set of superset 1 through symbol
+    0, and each of its pairs that of a pair the view reads, up to order.
+    The image has the set's correctness residual, sigma given J as the
+    set's given pi(J), and p2 entropies given W_-k' as the pair's given
+    W_-pi(k'). So p1 and p2a's k' and sigma's J still take every value.
+    p2 reads each H(X_d | W_J) as H(X_0 | W_J), by orbit_of."""
+    if code not in _first_views:
+        view = _symmetry(code)
+        if view and _coordinate_swaps(code):
+            pairs, sets = ([triple for triple in part if triple[0] == 1] for part in (view.pairs, view.sets))
+            view = _View(view.symbols, pairs, sets, view.orbit_of)
+        _first_views[code] = view
+    return _first_views[code]
 
 
 def _symmetry(code: LinearCodeSpec) -> _View | None:
     """The view through symbol 0 (_reduced_view) of a code whose
-    _unit_translations are not None, and otherwise None, worked out once
-    per code."""
-    if code not in _symmetries:
-        _symmetries[code] = None if _unit_translations(code) is None else _reduced_view(code)
-    return _symmetries[code]
+    _unit_translations are not None, every superset read, and otherwise
+    None; _first_view keeps superset 1's part of it when the coordinate
+    swaps are checked too."""
+    return None if _unit_translations(code) is None else _reduced_view(code)
 
 
 def _reduced_view(code: LinearCodeSpec) -> _View:
@@ -586,7 +622,8 @@ def _reduced_view(code: LinearCodeSpec) -> _View:
     H(X_A | W_J), carry symbol 0 to every symbol, and the trees from root 0
     onto those from every other root, node by node; p2a-p2c are symmetric
     in (i1, i2). On a built code the one set of W_k through 0 is a line,
-    which reads the N//2 pairs {0, d e_k}, d = 1..N//2, of its C(N, 2)."""
+    which reads the N//2 pairs {0, d e_k}, d = 1..N//2, of its C(N, 2);
+    its checked coordinate swaps leave W_1's line alone (_first_view)."""
     p = code.params
     origin = code.digits[0]
     sets = [(k, set_index, members) for k, set_index, members in _every_set(code) if members[0] == 0]
@@ -670,6 +707,82 @@ def _shuffled(rows, shuffle) -> list[int]:
     return sorted([(r & moved) << up | (r & wraps) >> down for r in rows])
 
 
+def _coordinate_swaps(code: LinearCodeSpec) -> bool:
+    """Whether a code whose _unit_translations hold is also symmetric under
+    each swap tau of adjacent coordinates a, a+1 of Z_N^K together with
+    sources a+1 and a+2, checked on z, the symbol with digits 0: z's rows
+    under P_tau (see _column_swaps) must be z's rows, and phi_tau, which
+    swaps each symbol's digits a and a+1, must map the sets of superset k
+    that hold z onto those of superset tau(k), both as multisets. Adjacent
+    swaps generate every permutation of the coordinates.
+
+    That is the symmetry on every symbol and every set. P_tau shuffle_j
+    P_tau^-1 = shuffle_tau(j), for the shuffles of _column_shuffles: each
+    moves sub-symbols within every block, and P_tau swaps gamma's digits
+    as it swaps the blocks. With the translations checked, the rows of m
+    are z's rows under the product of shuffle_j^(m_j), so P_tau of them
+    are z's rows under the product of shuffle_tau(j)^(m_j), the rows of
+    phi_tau(m). A translated superset is every translate of its sets
+    through z, and phi_tau commutes with translation (it is linear), so
+    superset k maps onto superset tau(k). P_tau sends source block j to
+    tau(j), so H(X_A | W_J) = H(X_phiA | W_tauJ)."""
+    p = code.params
+    index = {d: m for m, d in enumerate(code.digits)}
+    z = index[(0,) * p.K]
+    rows = sorted(code.symbol_gens[z])
+    through = [sorted(s for s in sup.sets if z in s) for sup in code.supersets]
+    for a, swap in enumerate(_column_swaps(p)):
+        if _swapped(rows, swap) != rows:
+            return False
+        phi = {}
+        for m in {m for sets in through for s in sets for m in s}:
+            d = code.digits[m]
+            phi[m] = index[d[:a] + (d[a + 1], d[a]) + d[a + 2 :]]
+        for k, sets in enumerate(through):
+            tau_k = a + 1 if k == a else a if k == a + 1 else k
+            if sorted(tuple(sorted(map(phi.__getitem__, s))) for s in sets) != through[tau_k]:
+                return False
+    return True
+
+
+def _column_swaps(p) -> list[tuple[list[tuple[int, int]], list[tuple[int, int]], int]]:
+    """For each coordinate a < K-1, P_tau for tau the swap of a and a+1:
+    the column permutation of a code in the canonical order that moves
+    each source's sub-symbol gamma to gamma with digits a and a+1 swapped,
+    keeping its N-1 bits in place, and swaps source blocks a and a+1. As
+    (ups, downs, high): a row r first goes to the OR of (r & mask) << s
+    over ups and (r & mask) >> s over downs, then its block a (high) and
+    block a+1 trade places."""
+    sub = (1 << (p.N - 1)) - 1  # the N-1 columns of one sub-symbol
+    swaps = []
+    for a in range(p.K - 1):
+        high, low = p.N ** (p.K - 1 - a), p.N ** (p.K - 2 - a)  # gamma index distance of digits a, a+1
+        # one mask per difference gamma_a - gamma_a+1, repeated across every
+        # block: swapping the digits moves sub-symbol gamma up by
+        # low*(N-1)^2 bits per unit of that difference
+        masks = collections.defaultdict(int)
+        for gamma in range(p.M):
+            masks[gamma // high % p.N - gamma // low % p.N] |= sub << ((p.M - 1 - gamma) * (p.N - 1))
+        unit = low * (p.N - 1) ** 2
+        moves = {diff: sum(mask << (k * p.Lw) for k in range(p.K)) for diff, mask in masks.items()}
+        ups = [(mask, diff * unit) for diff, mask in moves.items() if diff >= 0]
+        downs = [(mask, -diff * unit) for diff, mask in moves.items() if diff < 0]
+        swaps.append((ups, downs, ((1 << p.Lw) - 1) << ((p.K - 1 - a) * p.Lw)))
+    return swaps
+
+
+def _swapped(rows, swap) -> list[int]:
+    """*rows* under one P_tau of _column_swaps, sorted."""
+    ups, downs, high = swap
+    lw = high.bit_count()  # block a's Lw columns
+    low = high >> lw  # block a+1
+    out = []
+    for r in rows:
+        r = sum([(r & mask) << s for mask, s in ups]) | sum([(r & mask) >> s for mask, s in downs])
+        out.append(r & ~(high | low) | (r & high) >> lw | (r & low) << lw)
+    return sorted(out)
+
+
 def _tree_audit(code: LinearCodeSpec, budget: int) -> tuple:
     """A battery's tree audit as (count, distinct, trees, limit): how many
     trees the code has, whether each has distinct leaves, trees() for
@@ -683,18 +796,20 @@ def _tree_audit(code: LinearCodeSpec, budget: int) -> tuple:
     holding y, each member's do and the members' leaves are disjoint: a
     repeat parts below two members of some set, and a leaf two members
     reach ends two independent subtrees. The walk starts from every
-    permutation and each root of the code's first view (see _symmetry),
+    permutation and each root of the code's first view (see _first_view),
     counted once per symbol it stands for. From every root it visits every
     (suffix, node), so past WALK_STATES of those it is refused unstarted.
 
     One permutation stands for all K! when the code's translations are
     checked and each superset partitions the symbols. Under the checked
     translations each symbol lies in as many sets of k as symbol 0 does,
-    so that is when the view through 0 holds K sets, one per source (the
-    code is universal by then). Read each symbol as its step from symbol
-    0; then the one set of k holding y is y + H_k, for H_k the set holding
-    0 (a translation carries H_k there), and H_k is a subgroup (h + H_k
-    holds h, so it is H_k). So y has one subtree, with leaves y + h_1 +
+    and under checked coordinate swaps superset k holds as many sets
+    through 0 as superset 1. So that is when the first view holds one set
+    through 0 per superset it reads (the code is universal by then). Read
+    each symbol as its step from symbol 0; then the one set of k holding y
+    is y + H_k, for H_k the set holding 0 (a translation carries H_k
+    there), and H_k is a subgroup (h + H_k holds h, so it is H_k). So y
+    has one subtree, with leaves y + h_1 +
     ... + h_r, h_i in the H of sources[i-1]: that sumset, and whether it
     is direct, ignore order.
 
@@ -706,8 +821,8 @@ def _tree_audit(code: LinearCodeSpec, budget: int) -> tuple:
         k, m = missing
         raise TreeConstructionError(f"no decoding set of source symbol {k} contains {code.label(m)}")
     index = _sets_containing(code)
-    view = _symmetry(code)
-    if view and len(view.sets) == p.K:
+    view = _first_view(code)
+    if view and len(view.sets) == len({k for k, _, _ in view.sets}):
         perms = [tuple(range(1, p.K + 1))]
     else:
         perms = list(itertools.permutations(range(1, p.K + 1)))
@@ -801,7 +916,7 @@ def run_checks(
             # an orbit check of a code with checked translations reads its
             # reduced view first; failing correctness or properties rows are
             # read again on the full view, as a passing row is the same on both
-            view = _symmetry(code) if name in _ORBIT_CHECKS else None
+            view = _first_view(code) if name in _ORBIT_CHECKS else None
             rows = _check_rows(code, name, tree_audit, delta, view or every)
             if view and name != "converse" and not all(row.passed for row in rows):
                 rows = _check_rows(code, name, tree_audit, delta, every)
@@ -824,7 +939,7 @@ def _check_rows(code: LinearCodeSpec, name: str, tree_audit, delta, view: _View)
     if name == "universality":
         return [CheckResult(name, check_universality(code))]
     if name == "properties":
-        return list(check_capacity_properties(code, view.symbols, view.pairs).results.values())
+        return list(check_capacity_properties(code, view.symbols, view.pairs, view.orbit_of).results.values())
     if name == "min-distance":
         result = min_distance(code)
         passed = result.distance * p.N >= p.M

@@ -14,9 +14,11 @@ reference for ``verify.corruption_trial``. Shuffling every symbol's rows
 by every unit translation is the reference for the spanning-tree check
 ``verify._unit_translations``, and closing each decoding set's pairs under
 every translation the reference for the pairs ``verify._reduced_view``
-reads. One column_mask per generator row is the
-reference for ``construct.build_sldc``, and ``json.dumps`` with
-sorted keys the reference for the document writer in ``codespec``, and
+reads; moving every symbol's rows under every swap of adjacent
+coordinates is the reference for ``verify._coordinate_swaps``. One
+column_mask per generator row is the reference for
+``construct.build_sldc``, and ``json.dumps`` with sorted keys the
+reference for the document writer in ``codespec``, and
 ``reference_replies``, read straight off the wire protocol, the reference
 for a database server's replies.
 The seeded mutants at the end are inputs that every verify row must
@@ -27,7 +29,10 @@ and the decoding-set edits leave some codes non-universal. The subgroup
 codes keep that symmetry too, with decoding sets that need not be lines,
 and the translated-set codes with decoding sets that are not cosets of a
 subgroup at all. The permuted-symbol codes are built codes whose symbols
-are listed in another order, so symbol 0 need not have digits 0.
+are listed in another order, so symbol 0 need not have digits 0. The
+coordinate-symmetric edits also keep every permutation of the
+coordinates, so a check that reads superset 1 for all K has to meet
+their failures itself.
 """
 
 import itertools
@@ -385,6 +390,56 @@ def pair_orbits_by_enumeration(code):
     }
 
 
+def coordinate_swaps_by_every_symbol(code):
+    """Whether a code is symmetric under swapping each pair of adjacent
+    coordinates a, a+1 of Z_N^K together with sources a+1 and a+2, checked
+    on every symbol with no translation assumed; None for a code without
+    digit vectors, the canonical column order, M = N^K and Lw = M(N-1).
+
+    The column swap P sends column (k, gamma, b), bit b of sub-symbol
+    gamma in source block k, to (tau(k), tau(gamma), b), where tau swaps
+    a and a+1 (of sources and of gamma's digits); it is built as one dict
+    entry per column. Every symbol's rows under P must be the rows of the
+    symbol with its digits swapped, and the sets of each superset k, their
+    members' digits swapped, those of superset tau(k), both as multisets.
+    The reference for verify._coordinate_swaps, which checks the symbol
+    with digits 0 and the sets through it."""
+    p = code.params
+    if code.digits is None or code.column_order != COLUMN_ORDER_CANONICAL:
+        return None
+    if p.M != p.N**p.K or p.Lw != p.M * (p.N - 1):
+        return None
+    width = p.K * p.Lw
+    index = {d: m for m, d in enumerate(code.digits)}
+    gammas = list(itertools.product(range(p.N), repeat=p.K))  # sub-symbols in column order
+    position = {g: i for i, g in enumerate(gammas)}
+    for a in range(p.K - 1):
+        tau = list(range(p.K))
+        tau[a], tau[a + 1] = a + 1, a
+
+        def swap(d):
+            return tuple(d[i] for i in tau)
+
+        column = {
+            k * p.Lw + position[g] * (p.N - 1) + b: tau[k] * p.Lw + position[swap(g)] * (p.N - 1) + b
+            for k in range(p.K)
+            for g in gammas
+            for b in range(p.N - 1)
+        }
+
+        def moved(row):
+            return sum(1 << (width - 1 - column[c]) for c in range(width) if row >> (width - 1 - c) & 1)
+
+        for d, gen in zip(code.digits, code.symbol_gens):
+            if sorted(map(moved, gen)) != sorted(code.symbol_gens[index[swap(d)]]):
+                return False
+        for sup in code.supersets:
+            image = sorted(tuple(sorted(index[swap(code.digits[m])] for m in s)) for s in sup.sets)
+            if image != sorted(code.supersets[tau[sup.k - 1]].sets):
+                return False
+    return True
+
+
 def generator_bit_flips(code, seed, draws=64):
     """Yield the codes made by flipping one generator bit of code. Each of
     *draws* seeded draws picks a symbol, then one of its rows, then a
@@ -479,6 +534,53 @@ def symmetric_edits(code, seed, draws=32):
             params=p,
             symbol_gens=code.symbol_gens,
             supersets=supersets,
+            groups=code.groups,
+            digits=code.digits,
+            labels=code.labels,
+            column_order=code.column_order,
+        )
+
+
+def coordinate_symmetric_edits(code, seed, draws=16):
+    """Yield edits of a built code that every translation of Z_N^K and
+    every permutation of its coordinates, with the sources, keep.
+
+    Each of *draws* seeded draws picks a row gamma0 and a column (k, g, b)
+    of the symbol with digits 0, as symmetric_edits does. The flip is made
+    at row pi(gamma0) and column (pi(k), pi(g), b) for every permutation
+    pi of the K coordinates, those positions taken as a set, and each of
+    them is translated to every symbol as symmetric_edits translates its
+    one flip. A draw is kept, in draw order, when every symbol still has
+    exactly Lx nonzero rows."""
+    p = code.params
+    width = p.K * p.Lw
+    index = {d: m for m, d in enumerate(code.digits)}
+
+    def minus(a, b):
+        return index[tuple((x - y) % p.N for x, y in zip(a, b))]
+
+    rng = random.Random(seed)
+    for _ in range(draws):
+        gamma0 = code.digits[rng.randrange(p.M)]
+        c = rng.randrange(width)
+        kk, g, b = c // p.Lw, code.digits[c % p.Lw // (p.N - 1)], c % (p.N - 1)
+        # order moves coordinate order[i] to i, so k to order.index(k)
+        flips = {
+            (tuple(gamma0[i] for i in order), order.index(kk), tuple(g[i] for i in order))
+            for order in itertools.permutations(range(p.K))
+        }
+        gens = []
+        for d, gen in zip(code.digits, code.symbol_gens):
+            gen = list(gen)
+            for row, k, sub in flips:
+                gen[minus(row, d)] ^= 1 << (width - 1 - (k * p.Lw + minus(sub, d) * (p.N - 1) + b))
+            gens.append(tuple(gen))
+        if any(sum(map(bool, gen)) != p.Lx for gen in gens):
+            continue
+        yield LinearCodeSpec(
+            params=p,
+            symbol_gens=gens,
+            supersets=code.supersets,
             groups=code.groups,
             digits=code.digits,
             labels=code.labels,

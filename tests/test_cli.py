@@ -297,23 +297,42 @@ class TestVerifyReports:
     # trees_for_audit is not called.
     def test_call_pattern_of_a_2_3_battery(self, capsys, tmp_path, monkeypatch):
         counts = self.battery_calls(capsys, tmp_path, monkeypatch, "2", "3")
-        assert counts == {"entropy": 93, "rank_words": 35, "trees_for_audit": 0, "tree_audit": 1}
+        assert counts == {"entropy": 33, "rank_words": 13, "trees_for_audit": 0, "tree_audit": 1}
 
-    # p2 reads one pair per pair orbit of a line: {0, d} for d = 1..N//2,
-    # so an N = 2 line reads its one pair, and these counts drop from N = 3
+    # a built code's coordinate swaps are checked, so correctness, p2 and
+    # sigma read W_1's line through symbol 0 alone, and p2 its pairs {0, d}
+    # for d = 1..N//2 with H(X_d | W_J) read as H(X_0 | W_J)
     def test_call_pattern_of_a_3_3_battery(self, capsys, tmp_path, monkeypatch):
         counts = self.battery_calls(capsys, tmp_path, monkeypatch, "3", "3")
-        assert counts == {"entropy": 117, "rank_words": 38, "trees_for_audit": 0, "tree_audit": 1}
+        assert counts == {"entropy": 41, "rank_words": 14, "trees_for_audit": 0, "tree_audit": 1}
 
     def test_call_pattern_of_a_4_3_battery(self, capsys, tmp_path, monkeypatch):
         counts = self.battery_calls(capsys, tmp_path, monkeypatch, "4", "3")
-        assert counts == {"entropy": 177, "rank_words": 62, "trees_for_audit": 0, "tree_audit": 1}
+        assert counts == {"entropy": 61, "rank_words": 18, "trees_for_audit": 0, "tree_audit": 1}
 
     # past the tree budget: the converse check reads only H(X_0 | W_J)
     # for every J
     def test_call_pattern_of_a_3_4_battery(self, capsys, tmp_path, monkeypatch):
         counts = self.battery_calls(capsys, tmp_path, monkeypatch, "3", "4")
-        assert counts == {"entropy": 264, "rank_words": 64, "trees_for_audit": 0, "tree_audit": 1}
+        assert counts == {"entropy": 69, "rank_words": 23, "trees_for_audit": 0, "tree_audit": 1}
+
+    def test_file_bytes_are_freed_before_the_code_is_parsed(self, capsys, tmp_path, monkeypatch):
+        doc = write_code(capsys, tmp_path, ("build", "2", "3"))
+        size = doc.stat().st_size
+        holders = []
+        parse = cli.from_document
+
+        def parsing(document):
+            frame = sys._getframe(1)
+            while frame is not None:
+                names = [name for name, value in frame.f_locals.items() if type(value) is bytes and len(value) == size]
+                holders.extend((frame.f_code.co_name, name) for name in names)
+                frame = frame.f_back
+            return parse(document)
+
+        monkeypatch.setattr(cli, "from_document", parsing)
+        assert run_cli(capsys, "verify", str(doc))[0] == 0
+        assert holders == []
 
     def test_non_universal_code_reports_tree_failures(self, capsys, tmp_path):
         doc = write_code(capsys, tmp_path, ("fixture", "fig1", "non-universal"))
