@@ -31,7 +31,8 @@ EXIT_USAGE = 2
 
 
 def _load_code(path: str):
-    # no name holds the file's bytes, so they are freed before the rows are parsed
+    # no name here holds the file's bytes, and load_document drops its own
+    # once they are decoded, so they are freed before json.loads builds the dict
     return from_document(load_document(Path(path).read_bytes()))
 
 

@@ -15,7 +15,9 @@ The document format is self-describing JSON:
 The canonical serialization (sorted keys, no whitespace) makes the hash and
 the written bytes platform-stable. Both it and the indented file form come
 from one writer whose output equals ``json.dumps(value, sort_keys=True, ...)``
-for every value.
+for every value. The hash never holds that whole text: the writer feeds it
+to SHA-256 one symbol at a time. ``load_document`` frees a file's bytes once
+they are decoded, before the text is parsed.
 """
 
 from __future__ import annotations
@@ -161,14 +163,16 @@ class LinearCodeSpec:
         return range((k - 1) * self.params.Lw, k * self.params.Lw)
 
 
-def _emit(value, out: list[str], newline: str, step: int) -> None:
+def _emit(value, out: list[str], newline: str, step: int, flush=None) -> None:
     """Append the JSON text of value to out as json.dumps(sort_keys=True)
     writes it: compact when newline is "", else indented by step spaces per
     level, newline being the line break plus the current level's pad.
 
     Str-keyed dicts and lists recurse, and a list of exact ints or of strs
     that need no escaping (hex rows) is joined in one call. Anything else,
-    a dict with a non-str key included, goes to json.dumps itself.
+    a dict with a non-str key included, goes to json.dumps itself. When
+    flush is given it is called after each dict item of a list (each symbol
+    of a document), before the separator that the list's last item pops.
     """
     kind = type(value)
     if kind is str:
@@ -183,7 +187,7 @@ def _emit(value, out: list[str], newline: str, step: int) -> None:
             colon = ": " if newline else ":"
             for key in sorted(value):
                 out.append(_encode_str(key) + colon)
-                _emit(value[key], out, inner, step)
+                _emit(value[key], out, inner, step, flush)
                 out.append(sep)
             out.pop()
         elif type(value[0]) is str and _plain_strs(value):
@@ -192,7 +196,9 @@ def _emit(value, out: list[str], newline: str, step: int) -> None:
             out.append(sep.join(map(int.__repr__, value)))
         else:
             for item in value:
-                _emit(item, out, inner, step)
+                _emit(item, out, inner, step, flush)
+                if flush and type(item) is dict:
+                    flush()
                 out.append(sep)
             out.pop()
         out.append(newline + ("]" if kind is list else "}"))
@@ -211,16 +217,37 @@ def _plain_strs(items: list) -> bool:
     return text.isascii() and text.encode().isalnum()
 
 
-def _json(value, indent: int | None = None) -> bytes:
-    """json.dumps(value, sort_keys=True) as bytes: compact, or with indent."""
+def _json(value, indent: int | None = None, end: str = "") -> bytes:
+    """json.dumps(value, sort_keys=True) as bytes, compact or with indent,
+    followed by end."""
     out: list[str] = []
     _emit(value, out, "" if indent is None else "\n", indent or 0)
+    out.append(end)
     return "".join(out).encode("utf-8")
 
 
 def content_hash(doc: dict) -> str:
+    """SHA-256 of the compact text of doc without its content_hash field.
+
+    The writer's text is fed to SHA-256 one symbol at a time, so the whole
+    text is never held: at (4,3) the hash peaks at tens of KB.
+    """
     body = {key: value for key, value in doc.items() if key != "content_hash"}
-    return hashlib.sha256(_json(body)).hexdigest()
+    digest = hashlib.sha256()
+    out: list[str] = []
+
+    def flush() -> None:
+        digest.update("".join(out).encode("utf-8"))
+        out.clear()
+
+    try:
+        _emit(body, out, "", 0, flush)
+    except RecursionError:
+        # a document that contains itself: raise ValueError, as json.dumps does
+        json.dumps(body, sort_keys=True)
+        raise
+    flush()
+    return digest.hexdigest()
 
 
 def to_document(code: LinearCodeSpec, databases: Sequence[Sequence[int]] | None = None) -> dict:
@@ -357,11 +384,15 @@ def from_document(doc: dict) -> LinearCodeSpec:
 def dump_document(doc: dict) -> bytes:
     """Stable, human-readable rendering for files; hash covers the canonical
     form, not this indented one."""
-    return _json(doc, indent=2) + b"\n"
+    return _json(doc, indent=2, end="\n")
 
 
 def load_document(data: bytes) -> dict:
+    """The dict of a document file's bytes. The bytes are freed before the
+    text is parsed when the caller holds no other reference to them."""
+    text = data.decode("utf-8")
+    del data
     try:
-        return json.loads(data.decode("utf-8"))
+        return json.loads(text)
     except RecursionError as exc:
         raise CodeSpecError("document nests too deeply to parse") from exc

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -334,6 +335,16 @@ class TestVerifyReports:
         assert run_cli(capsys, "verify", str(doc))[0] == 0
         assert holders == []
 
+    def test_loading_a_file_holds_under_three_times_its_size(self, capsys, tmp_path):
+        doc = write_code(capsys, tmp_path, ("build", "4", "3"))
+        tracemalloc.start()
+        try:
+            cli._load_code(str(doc))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * doc.stat().st_size
+
     def test_non_universal_code_reports_tree_failures(self, capsys, tmp_path):
         doc = write_code(capsys, tmp_path, ("fixture", "fig1", "non-universal"))
         code, out, err = run_cli(capsys, "verify", str(doc))
@@ -443,6 +454,19 @@ class TestMalformedDocuments:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "symbol 1 digits [0, 0]: repeat those of symbol 0" in err
 
+    @pytest.mark.parametrize(
+        "head, line",
+        [
+            (b"\xe9", "error: 'utf-8' codec can't decode byte 0xe9 in position 0: invalid continuation byte\n"),
+            (b"\xef\xbb\xbf", "error: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n"),
+        ],
+        ids=["not-utf-8", "utf-8-bom"],
+    )
+    def test_undecodable_file_exits_2(self, capsys, tmp_path, head, line):
+        doc = write_code(capsys, tmp_path, ("fixture", "fig1"))
+        doc.write_bytes(head + doc.read_bytes())
+        assert run_cli(capsys, "verify", str(doc)) == (2, "", line)
+
     def test_deeply_nested_json(self, capsys, tmp_path):
         doc = tmp_path / "deep.json"
         doc.write_text("[" * 100_000 + "]" * 100_000)
@@ -502,6 +526,8 @@ class TestHostileDocuments:
                     parent.insert(last, copy.deepcopy(parent[last]))
             except (KeyError, IndexError, TypeError):
                 pass  # an earlier mutation removed or replaced this path
+        # a replaced dict may have taken an int key; stamp the document as the file holds it
+        doc = json.loads(json.dumps(doc))
         doc["content_hash"] = content_hash(doc)
         path = tmp_path_factory.getbasetemp() / "hostile.json"
         path.write_text(json.dumps(doc))

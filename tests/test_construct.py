@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import re
+import tracemalloc
 import weakref
 
 import pytest
@@ -383,6 +384,17 @@ class TestDocuments:
         tampered["params"] = dict(doc["params"], Lx=2)
         assert content_hash(tampered) != doc["content_hash"]
 
+    def test_hash_holds_no_whole_text(self):
+        doc = to_document(build_sldc(4, 3))
+        text = _json({key: value for key, value in doc.items() if key != "content_hash"})
+        tracemalloc.start()
+        try:
+            assert content_hash(doc) == doc["content_hash"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(text) / 10  # the 607 KB compact text is hashed one symbol at a time
+
     def test_tampered_document_rejected(self, codes):
         doc = to_document(codes[(2, 2)])
         doc["supersets"] = [list(reversed(s)) for s in doc["supersets"]]
@@ -504,6 +516,42 @@ def test_writer_equals_json_dumps(value):
                 _json(value, indent)
         else:
             assert _json(value, indent) == expected
+
+
+# writer values nested in lists of dicts, as a document nests its symbols
+NESTED_VALUES = st.recursive(
+    WRITER_VALUES,
+    lambda inner: st.lists(st.dictionaries(TRICKY_TEXT, inner, max_size=3), min_size=1, max_size=3),
+    max_leaves=6,
+)
+
+
+def containers(value):
+    """Every list and dict inside value, value included."""
+    if isinstance(value, (list, dict)):
+        yield value
+    if isinstance(value, (list, tuple, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from containers(item)
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(TRICKY_TEXT | st.just("content_hash"), NESTED_VALUES, max_size=4), st.data())
+def test_hash_equals_sha256_of_json_dumps(doc, data):
+    if data.draw(st.booleans()):  # make the document contain itself
+        host = data.draw(st.sampled_from(list(containers(doc))))
+        if isinstance(host, list):
+            host.insert(data.draw(st.integers(0, len(host))), doc)
+        else:
+            host[data.draw(ANY_KEY)] = doc
+    body = {key: value for key, value in doc.items() if key != "content_hash"}
+    try:
+        expected = hashlib.sha256(reference_json(body)).hexdigest()
+    except Exception as exc:  # keys that do not sort, or a cycle
+        with pytest.raises(type(exc)):
+            content_hash(doc)
+    else:
+        assert content_hash(doc) == expected
 
 
 def test_public_names_resolve():
