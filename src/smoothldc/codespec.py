@@ -18,6 +18,13 @@ from one writer whose output equals ``json.dumps(value, sort_keys=True, ...)``
 for every value. The hash never holds that whole text: the writer feeds it
 to SHA-256 one symbol at a time. ``load_document`` frees a file's bytes once
 they are decoded, before the text is parsed.
+
+A scheme document (the HELLO digest of ``pir``) is a code document plus a
+``databases`` section, which sorts between ``column_order`` and ``params``.
+So the walk ``from_document`` makes to check a content hash also feeds a
+second SHA-256 state that alone reads that section for the code's group
+layout. A code read from the text ``to_document`` writes for it carries
+that digest as ``layout_digest``, and no scheme document is written for it.
 """
 
 from __future__ import annotations
@@ -25,11 +32,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Sequence
 
 from .capacity import CodeParams
-from .gf2 import rows_from_hex, rows_to_hex
+from .gf2 import hex_as_written, rows_from_hex, rows_to_hex
 
 DOCUMENT_VERSION = 1
 
@@ -39,6 +47,11 @@ DOCUMENT_VERSION = 1
 # their published per-message bit order.
 COLUMN_ORDER_CANONICAL = "msg-major/gamma-lex/bit-asc"
 COLUMN_ORDER_TRANSCRIBED = "msg-major/bit-asc"
+
+# The keys to_document writes: of a code document, of its params, of a symbol.
+_CODE_KEYS = frozenset({"version", "params", "column_order", "symbols", "supersets"})
+_PARAM_KEYS = frozenset({"N", "K", "M", "Lw", "Lx"})
+_SYMBOL_KEYS = frozenset({"digits", "group", "label", "zero_row", "rows"})
 
 
 class CodeSpecError(ValueError):
@@ -82,6 +95,11 @@ class LinearCodeSpec:
     are constant zero and never transmitted); the number of nonzero rows
     must equal Lx, so every symbol carries exactly Lx stored bits.
     """
+
+    # (databases, digest) when from_document read the code from the text
+    # to_document writes for it: the SHA-256 of that document with this
+    # databases section added, the HELLO digest of a scheme so laid out.
+    layout_digest: tuple[tuple[tuple[int, ...], ...], bytes] | None = None
 
     def __init__(
         self,
@@ -154,7 +172,8 @@ class LinearCodeSpec:
         return f"X{m + 1}"
 
     def zero_row(self, m: int) -> int | None:
-        return next((r for r, row in enumerate(self.symbol_gens[m]) if not row), None)
+        gen = self.symbol_gens[m]
+        return gen.index(0) if 0 in gen else None
 
     def message_columns(self, k: int) -> range:
         """Column range of source symbol k (1-based) in the message layout."""
@@ -232,22 +251,54 @@ def content_hash(doc: dict) -> str:
     The writer's text is fed to SHA-256 one symbol at a time, so the whole
     text is never held: at (4,3) the hash peaks at tens of KB.
     """
+    return _hashes(doc)[0]
+
+
+def _hashes(doc: dict, databases: Sequence[Sequence[int]] | None = None) -> tuple[str, bytes | None]:
+    """content_hash(doc) and, given databases, the SHA-256 of the compact
+    text of doc with that databases section added, from one walk: each
+    shared fragment is written and encoded once and fed to both states, and
+    only the second reads the section. Give databases only for a doc whose
+    keys are _CODE_KEYS (and content_hash), so the section sorts right after
+    column_order."""
     body = {key: value for key, value in doc.items() if key != "content_hash"}
-    digest = hashlib.sha256()
+    states = [hashlib.sha256()] if databases is None else [hashlib.sha256(), hashlib.sha256()]
     out: list[str] = []
 
     def flush() -> None:
-        digest.update("".join(out).encode("utf-8"))
+        data = "".join(out).encode("utf-8")
         out.clear()
+        for state in states:
+            state.update(data)
 
     try:
-        _emit(body, out, "", 0, flush)
+        if databases is None:
+            _emit(body, out, "", 0, flush)
+        else:
+            section = b'"databases":' + _json([list(db) for db in databases]) + b","
+            _emit_code_body(body, out, flush, lambda: states[1].update(section))
     except RecursionError:
         # a document that contains itself: raise ValueError, as json.dumps does
         json.dumps(body, sort_keys=True)
         raise
     flush()
-    return digest.hexdigest()
+    return states[0].hexdigest(), None if databases is None else states[1].digest()
+
+
+def _emit_code_body(body: dict, out: list[str], flush, before_params) -> None:
+    """_emit(body, out, "", 0, flush) for a body with the keys _CODE_KEYS,
+    flushing and calling before_params() where the params item starts.
+    It stands where that call would, so each value is written at the same
+    depth and a value nested near the recursion limit fails the same way."""
+    out.append("{")
+    for key in sorted(body):
+        if key == "params":
+            flush()
+            before_params()
+        out.append(_encode_str(key) + ":")
+        _emit(body[key], out, "", 0, flush)
+        out.append(",")
+    out[-1] = "}"
 
 
 def to_document(code: LinearCodeSpec, databases: Sequence[Sequence[int]] | None = None) -> dict:
@@ -317,7 +368,9 @@ def from_document(doc: dict) -> LinearCodeSpec:
     """Reconstruct a code from a document, verifying its content hash.
 
     A document of the wrong shape or with values of the wrong type raises
-    CodeSpecError; the checks are linear in the document's size.
+    CodeSpecError; the checks are linear in the document's size. The walk
+    that checks the hash also hashes the scheme document of the groups'
+    layout, kept as layout_digest when doc is the text to_document writes.
     """
     if not isinstance(doc, dict):
         raise CodeSpecError(f"document must be a JSON object, not {type(doc).__name__}")
@@ -326,8 +379,9 @@ def from_document(doc: dict) -> LinearCodeSpec:
         if version != DOCUMENT_VERSION:
             raise CodeSpecError(f"unsupported document version {version}")
         stated = doc.get("content_hash")
+        databases = _document_layout(doc)
         try:
-            computed = None if stated is None else content_hash(doc)
+            computed, scheme_digest = (None, None) if stated is None else _hashes(doc, databases)
         except (TypeError, ValueError, RecursionError) as exc:  # keys that do not sort, a cycle, deep nesting
             raise CodeSpecError(f"document has no canonical serialization: {exc}") from exc
         if stated != computed:
@@ -370,7 +424,7 @@ def from_document(doc: dict) -> LinearCodeSpec:
     has_groups = all(g is not None for g in groups)
     has_digits = all(d is not None for d in digits)
     has_labels = all(lb is not None for lb in labels)
-    return LinearCodeSpec(
+    code = LinearCodeSpec(
         params=params,
         symbol_gens=rows,
         supersets=supersets,
@@ -378,6 +432,60 @@ def from_document(doc: dict) -> LinearCodeSpec:
         digits=digits if has_digits else None,
         labels=labels if has_labels else None,
         column_order=column_order,
+    )
+    if scheme_digest is not None and _as_written(doc, code):
+        code.layout_digest = (databases, scheme_digest)
+    return code
+
+
+def group_layout(groups: Sequence, n: int) -> tuple[tuple[int, ...], ...] | None:
+    """The database layout of an N-partite code: databases[g] lists, in
+    ascending order, the symbols whose group is g. None unless the group
+    ids are exactly 0..n-1."""
+    ids = set(groups)
+    if len(ids) != n or ids != set(range(n)):  # range(n) only once n == len(ids) <= M
+        return None
+    databases: dict = {g: [] for g in range(n)}
+    for m, g in enumerate(groups):
+        databases[g].append(m)
+    return tuple(tuple(databases[g]) for g in range(n))
+
+
+def _document_layout(doc: dict) -> tuple[tuple[int, ...], ...] | None:
+    """group_layout of a document's int groups and params.N, when its keys
+    are those to_document writes; else None. Reads no more than each
+    symbol's group and never raises."""
+    if doc.keys() - {"content_hash"} != _CODE_KEYS:
+        return None
+    params, symbols = doc["params"], doc["symbols"]
+    if type(params) is not dict or type(symbols) is not list or type(params.get("N")) is not int:
+        return None
+    groups = [sym.get("group") if type(sym) is dict else None for sym in symbols]
+    if not all(type(g) is int for g in groups):
+        return None
+    return group_layout(groups, params["N"])
+
+
+def _as_written(doc: dict, code: LinearCodeSpec) -> bool:
+    """Whether doc, which from_document read into code, holds the text
+    to_document(code) writes, so that hashes of the one are hashes of the
+    other. The parse has checked the type of every value but zero_row, and
+    _document_layout the top-level keys and the groups."""
+    p = code.params
+    symbols = doc["symbols"]
+    if (
+        doc["params"].keys() != _PARAM_KEYS
+        or code.labels is None
+        or not all(sym.keys() == _SYMBOL_KEYS for sym in symbols)
+        or code.digits is None and any(sym["digits"] is not None for sym in symbols)
+    ):
+        return False
+    zero_rows = [sym["zero_row"] for sym in symbols]
+    return (
+        {int, type(None)}.issuperset(map(type, zero_rows))  # no bool or float, which compare equal to ints
+        and zero_rows == list(map(code.zero_row, range(p.M)))
+        and hex_as_written(list(chain.from_iterable(sym["rows"] for sym in symbols)), p.K * p.Lw)
+        and doc["supersets"] == [[list(s) for s in sup.sets] for sup in code.supersets]
     )
 
 

@@ -54,6 +54,31 @@ def rows_from_hex(texts: Iterable[str], width: int) -> list[int]:
     return rows_from_bytes(blobs, width)
 
 
+# the hex digits with none of a nibble's bits set, by nibble
+_CLEAR_DIGITS = ["".join(f"{digit:x}" for digit in range(16) if not digit & nibble) for nibble in range(16)]
+
+
+def hex_as_written(texts: Sequence[str], width: int) -> bool:
+    """Whether hex rows that rows_from_hex reads at *width* are exactly
+    what rows_to_hex writes for them: lowercase, no whitespace, and zero
+    pad bits, the low bits of each row's last byte. The rows are joined
+    about 1 MiB of text at a time."""
+    need, pad = _layout(width)
+    step = 2 * need
+    per_join = max(1, (1 << 20) // step)
+    for start in range(0, len(texts), per_join):
+        rows = texts[start : start + per_join]
+        text = "".join(rows)
+        if len(text) != step * len(rows) or any(letter in text for letter in "ABCDEF"):
+            return False
+        for place in (1, 2):
+            nibble = ((1 << pad) - 1 >> 4 * (place - 1)) & 0xF
+            digits = text[step - place :: step]  # each row's last hex digit, then the one before it
+            if nibble and sum(map(digits.count, _CLEAR_DIGITS[nibble])) != len(digits):
+                return False
+    return True
+
+
 class BitVector:
     """Immutable sequence of bits: ``length`` and an int ``value``."""
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from . import construct
 from .capacity import pir_capacity
-from .codespec import LinearCodeSpec, to_document
+from .codespec import LinearCodeSpec, group_layout, to_document
 from .gf2 import BitVector
 
 
@@ -69,7 +69,14 @@ class PirScheme:
     @cached_property
     def digest(self) -> bytes:
         """SHA-256 of the scheme document (code plus database layout), the
-        32 bytes a client and its servers agree on before any query."""
+        32 bytes a client and its servers agree on before any query.
+
+        A code that from_document read from the text to_document writes
+        carries this digest for its group layout, from the walk that checked
+        its content hash; any other code or layout is written out again."""
+        memo = self.code.layout_digest
+        if memo is not None and memo[0] == self.databases:
+            return memo[1]
         return bytes.fromhex(to_document(self.code, databases=self.databases)["content_hash"])
 
 
@@ -82,11 +89,9 @@ def scheme_from_sldc(code: LinearCodeSpec) -> PirScheme:
             " decoding set take one symbol per database"
         )
     n = code.params.N
-    if set(code.groups) != set(range(n)):
+    databases = group_layout(code.groups, n)
+    if databases is None:
         raise SchemeError(f"group ids must be exactly 0..{n - 1}")
-    databases = tuple(
-        tuple(m for m in range(code.params.M) if code.groups[m] == g) for g in range(n)
-    )
     positions = {
         symbol: (db, q) for db, answers in enumerate(databases) for q, symbol in enumerate(answers)
     }

@@ -825,10 +825,10 @@ def _tree_audit(code: LinearCodeSpec, budget: int) -> tuple:
     if view and len(view.sets) == len({k for k, _, _ in view.sets}):
         perms = [tuple(range(1, p.K + 1))]
     else:
-        perms = list(itertools.permutations(range(1, p.K + 1)))
         states = sum(math.perm(p.K, d) for d in range(p.K + 1)) * p.M
-        if states > WALK_STATES:
+        if states > WALK_STATES:  # refused before the K! permutations are listed
             raise BudgetError(f"walking the trees takes {states} states, more than {WALK_STATES}")
+        perms = list(itertools.permutations(range(1, p.K + 1)))
 
     @functools.cache
     def walk(sources, y):

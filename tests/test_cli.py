@@ -4,7 +4,6 @@ import copy
 import hashlib
 import io
 import json
-import os
 import random
 import subprocess
 import sys
@@ -17,19 +16,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smoothldc
+from child import package_env, run_capped
 from oracles import generator_bit_flips
 from smoothldc import cli, entropy, pir, verify
-from smoothldc.codespec import CodeSpecError, content_hash, dump_document, load_document, to_document
+from smoothldc.capacity import CodeParams
+from smoothldc.codespec import (
+    CodeSpecError,
+    DecodingSuperset,
+    LinearCodeSpec,
+    content_hash,
+    dump_document,
+    load_document,
+    to_document,
+)
 from smoothldc.construct import build_sldc, load_fixture, random_message
 from smoothldc.gf2 import BitVector
 from test_construct import JSON_VALUES, json_paths
-
-
-def package_env():
-    """Environment for a child interpreter that imports this smoothldc."""
-    src = str(Path(smoothldc.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 def run_cli(capsys, *argv):
@@ -536,6 +538,30 @@ class TestHostileDocuments:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
             assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), (argv, doc)
+
+
+class TestWideDocuments:
+    """Documents with many sources and few symbols: small files whose tree
+    walk would take K! permutations, each refused before any is listed."""
+
+    @staticmethod
+    def every_bit_twice(k):
+        """N = 2, M = 2, Lw = 1: both symbols store every source bit, and
+        {0, 1} is the one decoding set of each source."""
+        rows = [1 << (k - 1 - r) for r in range(k)]
+        supersets = [DecodingSuperset(j, ((0, 1),)) for j in range(1, k + 1)]
+        return LinearCodeSpec(CodeParams(N=2, K=k, M=2, Lw=1, Lx=k), [rows, rows], supersets, groups=[0, 1])
+
+    def test_tree_walk_refused_under_a_memory_cap(self, tmp_path):
+        doc = tmp_path / "k12.json"
+        doc.write_bytes(dump_document(to_document(self.every_bit_twice(12))))
+        assert doc.stat().st_size < 2048
+        result = run_capped("verify", str(doc))
+        refusal = '{"error": "walking the trees takes 2604122690 states, more than 262144"}'
+        rows = [line for line in result.stdout.splitlines() if line.startswith(("tree-", "converse-"))]
+        assert rows == [f"tree-leaf-distinctness: FAIL  witness: {refusal}",
+                        f"converse-tightness: FAIL  witness: {refusal}"]
+        assert result.returncode == 1 and "Traceback" not in result.stderr, result.stderr
 
 
 class TestPirAudit:

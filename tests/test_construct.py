@@ -1,9 +1,11 @@
 import copy
+import functools
 import gc
 import hashlib
 import json
 import random
 import re
+import sys
 import tracemalloc
 import weakref
 
@@ -630,6 +632,28 @@ class TestMalformedDocuments:
         doc["extra"] = doc
         with pytest.raises(CodeSpecError, match="no canonical serialization"):
             from_document(doc)
+
+    def test_deep_value_meets_one_limit_with_or_without_a_layout(self, codes):
+        """A document with its group layout is hashed twice in one walk that
+        nests each value as deep as the plain walk does, so a value nested
+        near the recursion limit gets the same error either way."""
+
+        def outcome(doc):
+            doc["content_hash"] = "0" * 64
+            try:
+                from_document(doc)
+            except CodeSpecError as exc:
+                return str(exc).split(":")[0]
+
+        outcomes = set()
+        limit = sys.getrecursionlimit()
+        for depth in range(limit - 200, limit + 5):
+            deep = functools.reduce(lambda value, _: [value], range(depth), 0)
+            laid_out = dict(to_document(codes[(2, 2)]), column_order=deep)
+            got = outcome(laid_out)
+            assert got == outcome(dict(laid_out, extra=0)), depth
+            outcomes.add(got)
+        assert outcomes == {"content_hash does not match document body", "document has no canonical serialization"}
 
     @pytest.mark.parametrize("version", [True, 1.0])
     def test_version_must_be_an_int(self, codes, version):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from smoothldc.gf2 import (
     BitVector,
     column_mask,
+    hex_as_written,
     rank_words,
     row_parities,
     rows_from_bytes,
@@ -201,6 +202,30 @@ class TestRowCodec:
         assert texts == [BitVector(width, row).to_hex() for row in rows]
         assert rows_from_hex(texts, width) == rows
         assert rows_from_bytes([BitVector(width, row).to_bytes() for row in rows], width) == rows
+
+    @given(width_and_rows(), st.data())
+    def test_hex_as_written_is_a_round_trip(self, case, data):
+        """hex_as_written holds exactly when rows_to_hex writes the rows
+        rows_from_hex reads back: not after an uppercase digit, a space
+        between bytes, or a pad bit."""
+        width, rows = case
+        texts = rows_to_hex(rows, width)
+        if texts:
+            r = data.draw(st.integers(0, len(texts) - 1))
+            last = int(texts[r][-2:], 16) | data.draw(st.integers(0, 255))  # data bits, pad bits, both or none
+            text = texts[r][:-2] + f"{last:02x}"
+            texts[r] = data.draw(st.sampled_from([text, text.upper(), text[:2] + " " + text[2:]]))
+        assert hex_as_written(texts, width) == (rows_to_hex(rows_from_hex(texts, width), width) == texts)
+
+    @pytest.mark.parametrize("row", [None, 0, 9, 19], ids=["as-written", "first", "second-join", "last"])
+    def test_hex_as_written_reads_every_join(self, row):
+        """Rows of 2^19 - 5 columns are joined 8 at a time: an edit in any
+        join is seen."""
+        width = (1 << 19) - 5
+        texts = rows_to_hex([(1 << width) - 1 - r for r in range(20)], width)
+        if row is not None:
+            texts[row] = texts[row][:-1] + "9"  # the last hex digit holds only pad bits
+        assert hex_as_written(texts, width) == (row is None)
 
     # int(text, 16) would also take "0x80", "+80", "8_0" and " 80"; the
     # codec takes what bytes.fromhex takes, whitespace between bytes

@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import hashlib
 import itertools
+import json
 import os
 import random
 import socket
@@ -18,8 +20,8 @@ from hypothesis import strategies as st
 
 import smoothldc
 from oracles import message_slice, reference_replies
-from smoothldc import pir
-from smoothldc.codespec import content_hash, to_document
+from smoothldc import codespec, pir
+from smoothldc.codespec import content_hash, dump_document, from_document, load_document, to_document
 from smoothldc.construct import build_sldc, random_message
 from smoothldc.netsim import (
     ERR_MALFORMED,
@@ -449,6 +451,116 @@ class TestSchemeHash:
                 retrieve(scheme, theta, [s1.endpoint, s2.endpoint], theta)
         assert scheme_hash(scheme) == first
         assert len(calls) == 1
+
+
+# the HELLO digests test_hello_hash_pinned pins, by code name
+HELLO_DIGESTS = dict(TestSchemeHash.test_hello_hash_pinned.pytestmark[0].args[1])
+
+
+def reload(doc):
+    """The code a client or server reads from doc's file, its content hash
+    stamped again."""
+    doc = json.loads(json.dumps(doc))
+    doc["content_hash"] = content_hash(doc)
+    return from_document(load_document(dump_document(doc)))
+
+
+def general_digest(scheme):
+    """The HELLO digest written out in full, with no memo."""
+    return bytes.fromhex(content_hash(to_document(scheme.code, databases=scheme.databases)))
+
+
+def edit_row(doc, change):
+    rows = doc["symbols"][0]["rows"]
+    rows[1] = change(rows[1])  # row 0 is symbol 0's zero row
+
+
+def reverse_keys(doc):
+    for key in reversed(list(doc)):
+        doc[key] = doc.pop(key)
+
+
+class TestLoadedSchemeHash:
+    """A code read from the document to_document wrote carries the HELLO
+    digest of its group layout from the walk that checked its content hash.
+    That digest, or the one written out in full when no memo fits, must
+    equal the pinned one."""
+
+    @pytest.mark.parametrize("name", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (4, 3), "fig1", "eq28", "fig4"],
+                             ids=str)
+    def test_loaded_code_gives_the_pinned_digest(self, codes, name):
+        code = codes[name] if name in codes else build_sldc(*name)
+        loaded = from_document(load_document(dump_document(to_document(code))))
+        scheme = scheme_from_sldc(loaded)
+        assert loaded.layout_digest == (scheme.databases, scheme_hash(scheme))
+        assert scheme_hash(scheme).hex() == HELLO_DIGESTS[name]
+        assert scheme_hash(scheme) == general_digest(scheme)
+
+    @pytest.mark.parametrize(
+        "edit, memo",
+        [
+            (reverse_keys, True),
+            (lambda d: d["symbols"][0].update(label="renamed"), True),
+            (lambda d: d.pop("column_order"), False),
+            (lambda d: d.update(databases=[[0, 1, 2], [3, 4, 5]]), False),
+            (lambda d: d.update(note=1), False),
+            (lambda d: d["params"].update(note=1), False),
+            (lambda d: d["symbols"][0].update(note=1), False),
+            (lambda d: d["symbols"][0].pop("label"), False),
+            (lambda d: d["symbols"][0].update(digits=None), False),
+            (lambda d: d["symbols"][2].update(zero_row=True), False),  # symbol 2's zero row is row 1
+            (lambda d: d["symbols"][0].update(zero_row=5), False),
+            (lambda d: edit_row(d, lambda row: "A" + row[1:]), False),
+            (lambda d: edit_row(d, lambda row: row[:2] + " " + row[2:]), False),
+            (lambda d: edit_row(d, lambda row: row[:-1] + format(int(row[-1], 16) | 1, "x")), False),
+            (lambda d: d["supersets"][0][0].reverse(), False),
+        ],
+        ids=["shuffled-keys", "renamed-label", "no-column-order", "databases-present", "extra-key",
+             "extra-param", "extra-symbol-key", "one-label-missing", "one-digits-missing", "zero-row-true",
+             "zero-row-wrong", "uppercase-row", "spaced-row", "pad-bit-set", "unsorted-set"],
+    )
+    def test_other_text_of_the_code_gives_the_general_digest(self, codes, edit, memo):
+        doc = to_document(codes[(3, 3)])  # 162 columns: each row ends in 6 pad bits
+        edit(doc)
+        loaded = reload(doc)
+        scheme = scheme_from_sldc(loaded)
+        assert (loaded.layout_digest is not None) == memo
+        assert scheme_hash(scheme) == general_digest(scheme)
+
+    def test_groups_without_a_layout_carry_no_memo(self, codes):
+        doc = to_document(codes[(2, 3)])
+        for sym in doc["symbols"]:
+            sym["group"] += 1  # ids 1 and 2: still one per decoding set
+        loaded = reload(doc)
+        assert loaded.layout_digest is None
+        with pytest.raises(pir.SchemeError, match="group ids must be exactly 0..1"):
+            scheme_from_sldc(loaded)
+
+    def test_other_layouts_are_written_out(self, codes):
+        loaded = reload(to_document(codes[(2, 3)]))
+        lifted = scheme_from_sldc(loaded)
+        for scheme in (pir.replicated_scheme(loaded), dataclasses.replace(lifted, databases=lifted.databases[::-1])):
+            assert scheme_hash(scheme) == general_digest(scheme) != scheme_hash(lifted)
+
+
+class TestProvisionWalks:
+    @pytest.mark.parametrize("n, k", [(2, 3), (4, 3)])
+    def test_a_provision_cycle_hexes_each_symbol_once(self, monkeypatch, n, k):
+        """Build, write, read, lift and serve: rows are hexed only by the
+        first to_document, and no scheme document is written."""
+        hexed, written = [], []
+        real_hex, real_document = codespec.rows_to_hex, pir.to_document
+        monkeypatch.setattr(codespec, "rows_to_hex", lambda *a: hexed.append(1) or real_hex(*a))
+        monkeypatch.setattr(pir, "to_document", lambda *a, **kw: written.append(1) or real_document(*a, **kw))
+        code = build_sldc(n, k)
+        data = dump_document(to_document(code))
+        scheme = scheme_from_sldc(from_document(load_document(data)))
+        msg = random_message(scheme.code, random.Random(5))
+        with contextlib.ExitStack() as servers:
+            for db in range(1, n + 1):
+                servers.enter_context(serve_database(scheme, db, msg))
+        assert len(hexed) == code.params.M and written == []
+        assert scheme_hash(scheme).hex() == HELLO_DIGESTS[(n, k)]
 
 
 class TestRetrieve:
