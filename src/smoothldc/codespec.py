@@ -19,12 +19,12 @@ for every value. The hash never holds that whole text: the writer feeds it
 to SHA-256 one symbol at a time. ``load_document`` frees a file's bytes once
 they are decoded, before the text is parsed.
 
-A scheme document (the HELLO digest of ``pir``) is a code document plus a
-``databases`` section, which sorts between ``column_order`` and ``params``.
-So the walk ``from_document`` makes to check a content hash also feeds a
-second SHA-256 state that alone reads that section for the code's group
-layout. A code read from the text ``to_document`` writes for it carries
-that digest as ``layout_digest``, and no scheme document is written for it.
+A scheme document, whose SHA-256 ``scheme_digest`` gives as the HELLO
+digest of ``pir``, is a code document plus a ``databases`` section. The
+walk ``from_document`` makes to check a content hash also feeds a second
+SHA-256 state, which alone reads that section for the code's group layout.
+A code read from the text ``to_document`` writes for it carries that digest
+as ``layout_digest``, and no scheme document is written for it.
 """
 
 from __future__ import annotations
@@ -48,10 +48,8 @@ DOCUMENT_VERSION = 1
 COLUMN_ORDER_CANONICAL = "msg-major/gamma-lex/bit-asc"
 COLUMN_ORDER_TRANSCRIBED = "msg-major/bit-asc"
 
-# The keys to_document writes: of a code document, of its params, of a symbol.
+# The keys of the dict to_document writes, content_hash aside.
 _CODE_KEYS = frozenset({"version", "params", "column_order", "symbols", "supersets"})
-_PARAM_KEYS = frozenset({"N", "K", "M", "Lw", "Lx"})
-_SYMBOL_KEYS = frozenset({"digits", "group", "label", "zero_row", "rows"})
 
 
 class CodeSpecError(ValueError):
@@ -96,9 +94,8 @@ class LinearCodeSpec:
     must equal Lx, so every symbol carries exactly Lx stored bits.
     """
 
-    # (databases, digest) when from_document read the code from the text
-    # to_document writes for it: the SHA-256 of that document with this
-    # databases section added, the HELLO digest of a scheme so laid out.
+    # (databases, scheme_digest(self, databases)) when from_document read
+    # the code from the text to_document writes for it
     layout_digest: tuple[tuple[tuple[int, ...], ...], bytes] | None = None
 
     def __init__(
@@ -255,79 +252,79 @@ def content_hash(doc: dict) -> str:
 
 
 def _hashes(doc: dict, databases: Sequence[Sequence[int]] | None = None) -> tuple[str, bytes | None]:
-    """content_hash(doc) and, given databases, the SHA-256 of the compact
-    text of doc with that databases section added, from one walk: each
-    shared fragment is written and encoded once and fed to both states, and
-    only the second reads the section. Give databases only for a doc whose
-    keys are _CODE_KEYS (and content_hash), so the section sorts right after
-    column_order."""
+    """content_hash(doc) and, given databases, the SHA-256 of doc's compact
+    text with that databases section added, from one walk. Give databases
+    only for a doc with the keys _CODE_KEYS (and content_hash) and a str
+    column_order: the section sorts next, so the second state takes it at
+    the first flush, after the ASCII text '{"column_order":"…",'."""
     body = {key: value for key, value in doc.items() if key != "content_hash"}
-    states = [hashlib.sha256()] if databases is None else [hashlib.sha256(), hashlib.sha256()]
+    code_state, scheme_state = hashlib.sha256(), None if databases is None else hashlib.sha256()
+    at = 0 if databases is None else len('{"column_order":,') + len(_encode_str(body["column_order"]))
     out: list[str] = []
 
     def flush() -> None:
+        nonlocal at
         data = "".join(out).encode("utf-8")
         out.clear()
-        for state in states:
-            state.update(data)
+        code_state.update(data)
+        if at:
+            scheme_state.update(data[:at] + b'"databases":' + _json([list(db) for db in databases]) + b",")
+            data, at = memoryview(data)[at:], 0
+        if scheme_state is not None:
+            scheme_state.update(data)
 
     try:
-        if databases is None:
-            _emit(body, out, "", 0, flush)
-        else:
-            section = b'"databases":' + _json([list(db) for db in databases]) + b","
-            _emit_code_body(body, out, flush, lambda: states[1].update(section))
+        _emit(body, out, "", 0, flush)
     except RecursionError:
         # a document that contains itself: raise ValueError, as json.dumps does
         json.dumps(body, sort_keys=True)
         raise
     flush()
-    return states[0].hexdigest(), None if databases is None else states[1].digest()
+    return code_state.hexdigest(), None if scheme_state is None else scheme_state.digest()
 
 
-def _emit_code_body(body: dict, out: list[str], flush, before_params) -> None:
-    """_emit(body, out, "", 0, flush) for a body with the keys _CODE_KEYS,
-    flushing and calling before_params() where the params item starts.
-    It stands where that call would, so each value is written at the same
-    depth and a value nested near the recursion limit fails the same way."""
-    out.append("{")
-    for key in sorted(body):
-        if key == "params":
-            flush()
-            before_params()
-        out.append(_encode_str(key) + ":")
-        _emit(body[key], out, "", 0, flush)
-        out.append(",")
-    out[-1] = "}"
-
-
-def to_document(code: LinearCodeSpec, databases: Sequence[Sequence[int]] | None = None) -> dict:
-    """Serialize a code (plus optional per-database answer lists) to a
-    hash-stamped JSON-ready dict."""
+def _written(code: LinearCodeSpec, rows) -> dict:
+    """The dict to_document writes for code, content_hash aside, with
+    rows(m) as the rows of symbol m."""
     p = code.params
-    width = p.K * p.Lw
-    symbols = []
-    for m, gen in enumerate(code.symbol_gens):
-        symbols.append(
-            {
-                "digits": list(code.digits[m]) if code.digits is not None else None,
-                "group": code.groups[m] if code.groups is not None else None,
-                "label": code.label(m),
-                "zero_row": code.zero_row(m),
-                "rows": rows_to_hex(gen, width),
-            }
-        )
-    doc = {
+    symbols = [
+        {
+            "digits": list(code.digits[m]) if code.digits is not None else None,
+            "group": code.groups[m] if code.groups is not None else None,
+            "label": code.label(m),
+            "zero_row": code.zero_row(m),
+            "rows": rows(m),
+        }
+        for m in range(p.M)
+    ]
+    return {
         "version": DOCUMENT_VERSION,
         "params": {"N": p.N, "K": p.K, "M": p.M, "Lw": p.Lw, "Lx": p.Lx},
         "column_order": code.column_order,
         "symbols": symbols,
         "supersets": [[list(s) for s in sup.sets] for sup in code.supersets],
     }
-    if databases is not None:
-        doc["databases"] = [list(db) for db in databases]
+
+
+def to_document(code: LinearCodeSpec) -> dict:
+    """Serialize a code to a hash-stamped JSON-ready dict."""
+    width = code.params.K * code.params.Lw
+    doc = _written(code, lambda m: rows_to_hex(code.symbol_gens[m], width))
     doc["content_hash"] = content_hash(doc)
     return doc
+
+
+def scheme_digest(code: LinearCodeSpec, databases: Sequence[Sequence[int]]) -> bytes:
+    """The HELLO digest of code served as databases: SHA-256 of the compact
+    text of the scheme document, to_document's dict with a databases key.
+    A code read from the text to_document writes carries it for its group
+    layout (layout_digest); for any other code or layout it is written."""
+    memo = code.layout_digest
+    if memo is not None and memo[0] == databases:
+        return memo[1]
+    doc = to_document(code)
+    doc["databases"] = [list(db) for db in databases]
+    return bytes.fromhex(content_hash(doc))
 
 
 def _int(value, what: str) -> int:
@@ -381,7 +378,7 @@ def from_document(doc: dict) -> LinearCodeSpec:
         stated = doc.get("content_hash")
         databases = _document_layout(doc)
         try:
-            computed, scheme_digest = (None, None) if stated is None else _hashes(doc, databases)
+            computed, digest = (None, None) if stated is None else _hashes(doc, databases)
         except (TypeError, ValueError, RecursionError) as exc:  # keys that do not sort, a cycle, deep nesting
             raise CodeSpecError(f"document has no canonical serialization: {exc}") from exc
         if stated != computed:
@@ -433,8 +430,8 @@ def from_document(doc: dict) -> LinearCodeSpec:
         labels=labels if has_labels else None,
         column_order=column_order,
     )
-    if scheme_digest is not None and _as_written(doc, code):
-        code.layout_digest = (databases, scheme_digest)
+    if digest is not None and _as_written(doc, code):
+        code.layout_digest = (databases, digest)
     return code
 
 
@@ -453,9 +450,10 @@ def group_layout(groups: Sequence, n: int) -> tuple[tuple[int, ...], ...] | None
 
 def _document_layout(doc: dict) -> tuple[tuple[int, ...], ...] | None:
     """group_layout of a document's int groups and params.N, when its keys
-    are those to_document writes; else None. Reads no more than each
-    symbol's group and never raises."""
-    if doc.keys() - {"content_hash"} != _CODE_KEYS:
+    are those to_document writes and its column_order is a str (see
+    _hashes); else None. Reads no more than each symbol's group and never
+    raises."""
+    if doc.keys() - {"content_hash"} != _CODE_KEYS or type(doc["column_order"]) is not str:
         return None
     params, symbols = doc["params"], doc["symbols"]
     if type(params) is not dict or type(symbols) is not list or type(params.get("N")) is not int:
@@ -468,24 +466,15 @@ def _document_layout(doc: dict) -> tuple[tuple[int, ...], ...] | None:
 
 def _as_written(doc: dict, code: LinearCodeSpec) -> bool:
     """Whether doc, which from_document read into code, holds the text
-    to_document(code) writes, so that hashes of the one are hashes of the
-    other. The parse has checked the type of every value but zero_row, and
-    _document_layout the top-level keys and the groups."""
-    p = code.params
+    to_document(code) writes: rows aside, it equals the dict to_document
+    writes, its rows are hex as rows_to_hex writes it, and its zero rows
+    are ints or null (the parse checks no zero_row, and JSON true == 1)."""
     symbols = doc["symbols"]
-    if (
-        doc["params"].keys() != _PARAM_KEYS
-        or code.labels is None
-        or not all(sym.keys() == _SYMBOL_KEYS for sym in symbols)
-        or code.digits is None and any(sym["digits"] is not None for sym in symbols)
-    ):
-        return False
-    zero_rows = [sym["zero_row"] for sym in symbols]
     return (
-        {int, type(None)}.issuperset(map(type, zero_rows))  # no bool or float, which compare equal to ints
-        and zero_rows == list(map(code.zero_row, range(p.M)))
-        and hex_as_written(list(chain.from_iterable(sym["rows"] for sym in symbols)), p.K * p.Lw)
-        and doc["supersets"] == [[list(s) for s in sup.sets] for sup in code.supersets]
+        doc == dict(_written(code, lambda m: symbols[m]["rows"]), content_hash=doc["content_hash"])
+        and {int, type(None)}.issuperset(type(sym["zero_row"]) for sym in symbols)
+        and hex_as_written(list(chain.from_iterable(sym["rows"] for sym in symbols)),
+                           code.params.K * code.params.Lw)
     )
 
 

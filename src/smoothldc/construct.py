@@ -34,6 +34,7 @@ from .codespec import (
 from .gf2 import BitVector, column_mask, row_parities, solve_columns
 
 MAX_SYMBOLS = 4096
+MAX_GENERATOR_BITS = 1 << 29  # in M * Lx rows of K * Lw; (16,2), the largest tested, has 501350400
 
 
 class BudgetExceeded(ValueError):
@@ -77,7 +78,7 @@ def enumerate_supersets(n: int, k: int) -> list[DecodingSuperset]:
 
 
 def build_sldc(n: int, k: int) -> LinearCodeSpec:
-    """Build the length-N^K capacity-achieving SLDC, for N^K up to MAX_SYMBOLS.
+    """Build the length-N^K capacity-achieving SLDC within MAX_SYMBOLS and MAX_GENERATOR_BITS.
 
     Sub-coded-symbol gamma of symbol p is the GF(2) sum over source symbols
     of bit (p_k + g_k) mod N of sub-source-symbol gamma; symbol p belongs to
@@ -94,6 +95,9 @@ def build_sldc(n: int, k: int) -> LinearCodeSpec:
     lw = m * (n - 1)
     lx = m - 1
     width = k * lw
+    if m * lx * width > MAX_GENERATOR_BITS:  # refused before any row is made
+        raise BudgetExceeded(f"N^K = {n}^{k} needs {m * lx * width} generator bits,"
+                             f" more than the budget of {MAX_GENERATOR_BITS}")
     all_digits = [index_to_digits(i, n, k) for i in range(m)]
     # pattern[b], b in index order: sub-symbol 0's row reading bit b_kk of
     # each source kk, a one in column kk*Lw + b_kk-1; bit 0 has no column

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -21,7 +22,7 @@ from typing import Sequence
 
 from . import construct
 from .capacity import pir_capacity
-from .codespec import LinearCodeSpec, group_layout, to_document
+from .codespec import LinearCodeSpec, group_layout, scheme_digest
 from .gf2 import BitVector
 
 
@@ -68,16 +69,9 @@ class PirScheme:
 
     @cached_property
     def digest(self) -> bytes:
-        """SHA-256 of the scheme document (code plus database layout), the
-        32 bytes a client and its servers agree on before any query.
-
-        A code that from_document read from the text to_document writes
-        carries this digest for its group layout, from the walk that checked
-        its content hash; any other code or layout is written out again."""
-        memo = self.code.layout_digest
-        if memo is not None and memo[0] == self.databases:
-            return memo[1]
-        return bytes.fromhex(to_document(self.code, databases=self.databases)["content_hash"])
+        """The 32 bytes a client and its servers agree on before any query:
+        codespec.scheme_digest of the code and its database layout."""
+        return scheme_digest(self.code, self.databases)
 
 
 def scheme_from_sldc(code: LinearCodeSpec) -> PirScheme:
@@ -257,11 +251,16 @@ def cost_witnesses(scheme: PirScheme, costs: CostMetrics) -> list[dict]:
     """What contradicts the capacity claims under the maximum-download
     metric: a rate above pir_capacity(N, K), or, at that rate, a database
     with fewer than N^(K-1) possible queries, less than the (K-1) log2 N
-    bits of upload a capacity-achieving scheme needs. Empty if none."""
+    bits of upload a capacity-achieving scheme needs. Empty if none. A
+    capacity with more digits than an int prints is written in closed form,
+    (N-1)*N^(K-1)/(N^K-1), with a factor 1 left out."""
     p = scheme.code.params
     bound = pir_capacity(p.N, p.K)
     if costs.rate > bound:
-        return [{"rate": str(costs.rate), "capacity": str(bound)}]
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit, as before Python 3.10.7
+        printable = not limit or bound.denominator < 10**limit  # bound <= 1: the denominator is the longer
+        capacity = str(bound) if printable else f"{p.N - 1}*" * (p.N > 2) + f"{p.N}^{p.K - 1}/({p.N}^{p.K}-1)"
+        return [{"rate": str(costs.rate), "capacity": capacity}]
     if costs.rate < bound:
         return []
     least = p.N ** (p.K - 1)

@@ -68,6 +68,7 @@ from .entropy import oracle_for
 DISTANCE_BUDGET = 24
 DEFAULT_TREE_BUDGET = 512
 WALK_STATES = 1 << 18  # (suffix, node) states a tree walk may hold (see _tree_audit)
+WALK_COUNT_CEILING = 10**18  # past it, a refused walk's states are not counted to the end
 
 DEFAULT_CHECKS = ("correctness", "smoothness", "universality", "properties", "tree", "converse")
 ALL_CHECKS = DEFAULT_CHECKS + ("min-distance", "corruption")
@@ -825,9 +826,14 @@ def _tree_audit(code: LinearCodeSpec, budget: int) -> tuple:
     if view and len(view.sets) == len({k for k, _, _ in view.sets}):
         perms = [tuple(range(1, p.K + 1))]
     else:
-        states = sum(math.perm(p.K, d) for d in range(p.K + 1)) * p.M
+        states, suffixes = 0, p.M  # suffixes: M * perm(K, d), the states of the d-source suffixes
+        for d in range(p.K + 1):
+            states, suffixes = states + suffixes, suffixes * (p.K - d)
+            if states > WALK_COUNT_CEILING:
+                break
         if states > WALK_STATES:  # refused before the K! permutations are listed
-            raise BudgetError(f"walking the trees takes {states} states, more than {WALK_STATES}")
+            count = states if states <= WALK_COUNT_CEILING else f"over {WALK_COUNT_CEILING}"
+            raise BudgetError(f"walking the trees takes {count} states, more than {WALK_STATES}")
         perms = list(itertools.permutations(range(1, p.K + 1)))
 
     @functools.cache

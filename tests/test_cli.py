@@ -71,6 +71,18 @@ class TestCapacityCommand:
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("n, k, bits", [(2, 11, 94443143168), (2, 12, 824432394240), (3, 6, 4642668576)])
+    def test_build_refuses_generators_past_the_bit_budget(self, tmp_path, n, k, bits):
+        """Within the symbol budget, but the rows would take gigabytes: a
+        child capped at 1 GiB is refused before any row is made."""
+        out = tmp_path / "unused.json"
+        result = run_capped("build", "--n", str(n), "--k", str(k), "--out", str(out), cap=1 << 30, timeout=20)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == (
+            f"error: N^K = {n}^{k} needs {bits} generator bits, more than the budget of 536870912\n"
+        )
+        assert not out.exists()
+
 
 class TestBuildVerify:
     def test_build_then_verify_passes(self, capsys, tmp_path):
@@ -540,9 +552,75 @@ class TestHostileDocuments:
             assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), (argv, doc)
 
 
+@st.composite
+def wide_codes(draw):
+    """Small but wide codes: N in 1..3, K up to 64, M up to 8, Lw and Lx up
+    to 4, then up to two set edits.
+
+    Half are correct and universal: blocks of N symbols, one symbol of each
+    group, each block storing every message bit and being a decoding set of
+    every source. That needs K*Lw <= N*Lx, so the wider half has random rows
+    and one symbol of each group per set, and is rarely correct. Some drop
+    their groups, and then no scheme is lifted from them."""
+    n, lx = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        lw = draw(st.integers(1, min(4, n * lx)))
+        k = draw(st.integers(1, n * lx // lw))
+        m, width = n * draw(st.integers(1, 8 // n)), k * lw
+        # symbol j of each block stores columns j*Lx.. of the message
+        # (column c is bit width-1-c), topped up with column 0
+        units = [1 << width - 1 - c for c in range(width)]
+        stored = [units[j * lx:(j + 1) * lx] for j in range(n)]
+        gens = [stored[s % n] + units[:1] * (lx - len(stored[s % n])) for s in range(m)]
+        sets = [tuple(range(b, b + n)) for b in range(0, m, n)]
+        supersets = [list(sets) for _ in range(k)]
+    else:
+        lw, k, m = draw(st.integers(1, 4)), draw(st.integers(1, 64)), draw(st.integers(n, 8))
+        width = k * lw
+        gens = [draw(st.lists(st.integers(1, (1 << width) - 1), min_size=lx, max_size=lx)) for _ in range(m)]
+        supersets = [
+            sorted({tuple(sorted(draw(st.sampled_from(range(g, m, n))) for g in range(n)))
+                    for _ in range(draw(st.integers(1, 3)))})
+            for _ in range(k)
+        ]
+    for _ in range(draw(st.integers(0, 2))):  # drop a set, or add one of any N symbols
+        sets = supersets[draw(st.integers(0, k - 1))]
+        if len(sets) > 1 and draw(st.booleans()):
+            sets.remove(draw(st.sampled_from(sets)))
+        else:
+            sets.append(tuple(sorted(draw(st.permutations(range(m)))[:n])))
+    transversal = all(len({s % n for s in members}) == n for sets in supersets for members in sets)
+    gens = [gen + [0] if draw(st.booleans()) else gen for gen in gens]  # a zero row, as built codes have
+    return LinearCodeSpec(
+        CodeParams(N=n, K=k, M=m, Lw=lw, Lx=lx),
+        gens,
+        [DecodingSuperset(j + 1, tuple(sorted(set(sets)))) for j, sets in enumerate(supersets)],
+        groups=[s % n for s in range(m)] if transversal and draw(st.booleans()) else None,
+    )
+
+
 class TestWideDocuments:
     """Documents with many sources and few symbols: small files whose tree
     walk would take K! permutations, each refused before any is listed."""
+
+    @settings(max_examples=20)
+    @given(code=wide_codes())
+    def test_every_check_ends_in_a_verdict(self, tmp_path_factory, code):
+        """verify with all eight checks, and pir-audit, each in a child
+        capped at 512 MiB: exit 0 or 1 with no traceback, and pir-audit exit
+        2 exactly when no scheme is lifted from the code."""
+        doc = tmp_path_factory.mktemp("wide") / "code.json"
+        doc.write_bytes(dump_document(to_document(code)))
+        result = run_capped("verify", str(doc), "--checks", ALL_CHECKS, timeout=30)
+        assert result.returncode in (0, 1) and "Traceback" not in result.stderr, result.stderr
+        try:
+            pir.scheme_from_sldc(code)
+            lifted = True
+        except pir.SchemeError:
+            lifted = False
+        result = run_capped("pir-audit", str(doc), timeout=30)
+        assert result.returncode in ((0, 1) if lifted else (2,)), result.stderr
+        assert "Traceback" not in result.stderr, result.stderr
 
     @staticmethod
     def every_bit_twice(k):
@@ -561,6 +639,37 @@ class TestWideDocuments:
         rows = [line for line in result.stdout.splitlines() if line.startswith(("tree-", "converse-"))]
         assert rows == [f"tree-leaf-distinctness: FAIL  witness: {refusal}",
                         f"converse-tightness: FAIL  witness: {refusal}"]
+        assert result.returncode == 1 and "Traceback" not in result.stderr, result.stderr
+
+    @staticmethod
+    def all_ones(k, lw=1):
+        """N = 2, M = 2, Lx = 1: both symbols hold the all-ones row, and
+        {0, 1} is the one decoding set of each source."""
+        row = (1 << k * lw) - 1
+        supersets = [DecodingSuperset(j, ((0, 1),)) for j in range(1, k + 1)]
+        return LinearCodeSpec(CodeParams(N=2, K=k, M=2, Lw=lw, Lx=1), [[row], [row]], supersets, groups=[0, 1])
+
+    @pytest.mark.parametrize("k", [1600, 6000])
+    def test_tree_walk_refusal_prints_at_any_k(self, tmp_path, k):
+        """The walk's states are counted only up to a ceiling: past about
+        K = 1558 the full count has more digits than an int may print."""
+        doc = tmp_path / f"k{k}.json"
+        doc.write_bytes(dump_document(to_document(self.all_ones(k))))
+        result = run_capped("verify", str(doc), "--checks", "tree,converse", timeout=20)
+        refusal = '{"error": "walking the trees takes over 1000000000000000000 states, more than 262144"}'
+        assert result.stdout.splitlines() == [f"tree-leaf-distinctness: FAIL  witness: {refusal}",
+                                              f"converse-tightness: FAIL  witness: {refusal}"]
+        assert result.returncode == 1 and "Traceback" not in result.stderr, result.stderr
+
+    def test_capacity_witness_prints_at_any_k(self, tmp_path):
+        """Rate 1 is above the capacity 2^14999/(2^15000-1), whose
+        denominator has more digits than an int may print."""
+        doc = tmp_path / "k15000.json"
+        doc.write_bytes(dump_document(to_document(self.all_ones(15000, lw=2))))
+        result = run_capped("pir-audit", str(doc), timeout=20)
+        assert result.stdout.splitlines()[-1] == (
+            'costs: FAIL  witness: {"capacity": "2^14999/(2^15000-1)", "rate": "1"}'
+        )
         assert result.returncode == 1 and "Traceback" not in result.stderr, result.stderr
 
 

@@ -2,12 +2,13 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from oracles import message_slice
-from smoothldc.capacity import min_upload_bits, pir_capacity
+from smoothldc.capacity import CodeParams, min_upload_bits, pir_capacity
 from smoothldc.codespec import DecodingSuperset, LinearCodeSpec
 from smoothldc.construct import DecodeFailure, random_message
 from smoothldc.gf2 import BitVector
@@ -343,6 +344,20 @@ class TestCostMetrics:
         scheme = grid_schemes[(2, 3)]
         short = dataclasses.replace(scheme, databases=(scheme.databases[0][:3], scheme.databases[1]))
         assert cost_witnesses(short, cost_metrics(short)) == [{"database": 1, "query_space": 3, "at_least": 4}]
+
+    @pytest.mark.parametrize("n, k, capacity", [(2, 15000, "2^14999/(2^15000-1)"), (3, 9100, "2*3^9099/(3^9100-1)")])
+    def test_capacity_past_the_int_digit_limit_is_a_closed_form(self, n, k, capacity):
+        """Rate 1 (Lw = N, Lx = 1) is above a capacity whose denominator has
+        more digits than an int may print: it is written as (N-1)*N^(K-1) /
+        (N^K - 1), with the factor 1 left out."""
+        row = (1 << k * n) - 1
+        supersets = [DecodingSuperset(j, (tuple(range(n)),)) for j in range(1, k + 1)]
+        code = LinearCodeSpec(CodeParams(N=n, K=k, M=n, Lw=n, Lx=1), [[row]] * n, supersets, groups=range(n))
+        scheme = scheme_from_sldc(code)
+        assert cost_witnesses(scheme, cost_metrics(scheme)) == [{"rate": "1", "capacity": capacity}]
+        factor, base, power, base_k, k_text = re.fullmatch(r"(?:(\d+)\*)?(\d+)\^(\d+)/\((\d+)\^(\d+)-1\)", capacity).groups()
+        value = Fraction(int(factor or 1) * int(base) ** int(power), int(base_k) ** int(k_text) - 1)
+        assert value == pir_capacity(n, k)
 
     def test_scheme_level_smoothness(self, grid_schemes):
         # each answer is served by the same number of sets for every message
