@@ -8,15 +8,14 @@ float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 # Lengths up to 2^_MAX_LENGTH_BITS; past that, packed-index arithmetic would misbehave downstream.
 _MAX_LENGTH_BITS = 62
 
 
-@dataclass(frozen=True)
-class CodeParams:
+class CodeParams(NamedTuple("CodeParams", [("N", int), ("K", int), ("M", int), ("Lw", int), ("Lx", int)])):
     """Parameters of a locally decodable code.
 
     N: locality (= number of databases on the retrieval side)
@@ -26,19 +25,16 @@ class CodeParams:
     Lx: bits per coded symbol
     """
 
-    N: int
-    K: int
-    M: int
-    Lw: int
-    Lx: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.N < 1 or self.K < 1:
+    def __new__(cls, N: int, K: int, M: int, Lw: int, Lx: int):
+        if N < 1 or K < 1:
             raise ValueError("N and K must be >= 1")
-        if not self.N <= self.M:
+        if not N <= M:
             raise ValueError("locality cannot exceed code length")
-        if self.Lw < 1 or self.Lx < 0:
+        if Lw < 1 or Lx < 0:
             raise ValueError("Lw must be >= 1 and Lx >= 0")
+        return super().__new__(cls, N, K, M, Lw, Lx)
 
 
 def _check_nk(n: int, k: int) -> None:

@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .capacity import CodeParams
 from .gf2 import hex_as_written, rows_from_hex, rows_to_hex
@@ -56,23 +55,22 @@ class CodeSpecError(ValueError):
     """Structurally invalid code specification or document."""
 
 
-@dataclass(frozen=True)
-class DecodingSuperset:
+class DecodingSuperset(
+    NamedTuple("DecodingSuperset", [("k", int), ("sets", tuple[tuple[int, ...], ...])])
+):
     """The family of decoding sets for one source symbol.
 
-    Sets are stored as sorted tuples of coded-symbol indices in a stable
-    enumeration order; every set has exactly N members.
+    k is the 1-based source-symbol index. Sets are stored as sorted tuples
+    of coded-symbol indices in a stable enumeration order; every set has
+    exactly N members.
     """
 
-    k: int  # 1-based source-symbol index
-    sets: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.sets:
-            raise CodeSpecError(f"superset for source symbol {self.k} is empty")
-
-    def __len__(self) -> int:
-        return len(self.sets)
+    def __new__(cls, k: int, sets: tuple[tuple[int, ...], ...]):
+        if not sets:
+            raise CodeSpecError(f"superset for source symbol {k} is empty")
+        return super().__new__(cls, k, sets)
 
 
 def _reject_first_bad_row(m: int, gen: Sequence, width: int) -> None:

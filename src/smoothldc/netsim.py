@@ -4,7 +4,8 @@ privately by querying all of them.
 Wire protocol v1, bit-exact:
 
     frame    = length (4B big-endian, = payload size + 1) || type (1B) || payload
-    0x10 HELLO          32-byte code content hash
+    0x10 HELLO          32-byte scheme digest: SHA-256 of the scheme document,
+                        the code plus its databases section (PirScheme.digest)
     0x11 HELLO-ACK      empty
     0x12 HASH-MISMATCH  empty; connection is closed, no answers served
     0x20 QUERY          4B big-endian query index
@@ -36,9 +37,8 @@ import struct
 import threading
 from collections import Counter, defaultdict
 from contextlib import ExitStack
-from dataclasses import dataclass
 from math import ceil, log2
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import pir
 from .gf2 import BitVector
@@ -306,8 +306,7 @@ def serve_database(
     return DatabaseServer(scheme, n, messages, listen)
 
 
-@dataclass(frozen=True)
-class WireRecord:
+class WireRecord(NamedTuple):
     database: int
     endpoint: str
     query: int
@@ -317,8 +316,7 @@ class WireRecord:
     download_bits: int
 
 
-@dataclass(frozen=True)
-class RetrievalTranscript:
+class RetrievalTranscript(NamedTuple):
     theta: int
     set_index: int
     records: tuple[WireRecord, ...]
@@ -404,8 +402,7 @@ def retrieve(
     return value, RetrievalTranscript(theta=theta, set_index=bundle.set_index, records=records)
 
 
-@dataclass
-class DatabaseAudit:
+class DatabaseAudit(NamedTuple):
     database: int
     query_space: int
     samples: int
@@ -414,8 +411,7 @@ class DatabaseAudit:
     biased: bool
 
 
-@dataclass
-class TranscriptAudit:
+class TranscriptAudit(NamedTuple):
     """Empirical shadow of the exact privacy audit; advisory only."""
 
     per_database: list[DatabaseAudit]

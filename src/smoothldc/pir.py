@@ -15,10 +15,9 @@ import itertools
 import math
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import construct
 from .capacity import pir_capacity
@@ -30,20 +29,19 @@ class SchemeError(ValueError):
     """The code cannot be operated as a multi-database scheme."""
 
 
-@dataclass(frozen=True)
-class PirScheme:
+class PirScheme(
+    NamedTuple("PirScheme", [("code", LinearCodeSpec), ("databases", tuple[tuple[int, ...], ...]),
+                             ("query_sets", tuple[tuple[tuple[int, tuple[int, ...]], ...], ...])])
+):
     """A code together with its database view.
 
     databases[n] lists the symbol indices served by database n+1;
     query_sets[k-1] lists, in a published order, (set index, queries)
     entries: the per-database query tuple (q_1..q_N) that realizes decoding
     set code.supersets[k-1].sets[set index]. The client picks one entry
-    uniformly.
+    uniformly. With no __slots__, each scheme keeps its cached_property
+    values in its own __dict__.
     """
-
-    code: LinearCodeSpec
-    databases: tuple[tuple[int, ...], ...]
-    query_sets: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
 
     @property
     def n_databases(self) -> int:
@@ -76,7 +74,10 @@ class PirScheme:
 
 def scheme_from_sldc(code: LinearCodeSpec) -> PirScheme:
     """Lift an N-partite code into a retrieval scheme, one database per
-    group. Fails when the code carries no transversal group structure."""
+    group. Fails when the code carries no transversal group structure, or
+    when Lx = 0 and an answer would carry no bits."""
+    if code.params.Lx == 0:
+        raise SchemeError("Lx = 0: every answer would be 0 bits long")
     if code.groups is None:
         raise SchemeError(
             "code has no group metadata: no partition of its symbols makes every"
@@ -122,8 +123,7 @@ def replicated_scheme(code: LinearCodeSpec) -> PirScheme:
     )
 
 
-@dataclass(frozen=True)
-class QueryBundle:
+class QueryBundle(NamedTuple):
     theta: int  # desired source symbol, client-side only
     set_index: int
     members: tuple[int, ...]
@@ -160,12 +160,11 @@ def reconstruct(scheme: PirScheme, bundle: QueryBundle, answers: Sequence[BitVec
     return construct.decode(scheme.code, bundle.theta, bundle.set_index, ordered)
 
 
-@dataclass
-class AuditResult:
+class AuditResult(NamedTuple):
     passed: bool
     # (database 1-based, theta) -> query distribution as exact rationals
     table: dict[tuple[int, int], tuple[Fraction, ...]]
-    witnesses: list[dict] = field(default_factory=list)
+    witnesses: list[dict]
     uniform: bool = False
 
 
@@ -220,20 +219,14 @@ def deniability_audit(scheme: PirScheme) -> AuditResult:
     return AuditResult(passed=not witnesses, table=table, witnesses=witnesses)
 
 
-@dataclass(frozen=True)
-class CostMetrics:
+class CostMetrics(NamedTuple):
     upload_bits_per_db: tuple[float, ...]
     upload_bits: float  # maximum over databases
     download_bits: int  # answer size, the maximum-download metric
     rate: Fraction
 
     def as_dict(self) -> dict:
-        return {
-            "upload_bits_per_db": list(self.upload_bits_per_db),
-            "upload_bits": self.upload_bits,
-            "download_bits": self.download_bits,
-            "rate": str(self.rate),
-        }
+        return self._asdict() | {"upload_bits_per_db": list(self.upload_bits_per_db), "rate": str(self.rate)}
 
 
 def cost_metrics(scheme: PirScheme) -> CostMetrics:

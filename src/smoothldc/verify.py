@@ -58,9 +58,8 @@ import functools
 import itertools
 import math
 import weakref
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .codespec import COLUMN_ORDER_CANONICAL, LinearCodeSpec
 from .entropy import oracle_for
@@ -69,6 +68,7 @@ DISTANCE_BUDGET = 24
 DEFAULT_TREE_BUDGET = 512
 WALK_STATES = 1 << 18  # (suffix, node) states a tree walk may hold (see _tree_audit)
 WALK_COUNT_CEILING = 10**18  # past it, a refused walk's states are not counted to the end
+PROPERTY_READS = 1 << 18  # p1 and p2 entropy reads a properties row may take (see check_capacity_properties)
 
 DEFAULT_CHECKS = ("correctness", "smoothness", "universality", "properties", "tree", "converse")
 ALL_CHECKS = DEFAULT_CHECKS + ("min-distance", "corruption")
@@ -82,20 +82,20 @@ class BudgetError(ValueError):
     """Exhaustive enumeration would exceed the configured budget."""
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    witnesses: list[dict] = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+class CheckResult(
+    NamedTuple("CheckResult", [("name", str), ("passed", bool), ("witnesses", list[dict]), ("details", dict)])
+):
+    """One report row; a row built without witnesses or details gets its
+    own empty list and dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, passed: bool, witnesses: list[dict] | None = None, details: dict | None = None):
+        return super().__new__(cls, name, passed, [] if witnesses is None else witnesses,
+                               {} if details is None else details)
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "witnesses": self.witnesses,
-            "details": self.details,
-        }
+        return self._asdict()
 
 
 def _every_set(code: LinearCodeSpec) -> Iterator[tuple[int, int, tuple[int, ...]]]:
@@ -161,8 +161,7 @@ def _uncovered(code: LinearCodeSpec) -> tuple[int, int] | None:
 PROPERTY_NAMES = ("p1", "p2a", "p2b", "p2c", "p3")
 
 
-@dataclass
-class PropertyReport:
+class PropertyReport(NamedTuple):
     """Outcome of the five-property battery; failures carry witnesses."""
 
     results: dict[str, CheckResult]
@@ -180,32 +179,38 @@ def check_capacity_properties(code: LinearCodeSpec, symbols=None, sets=None, orb
     index, members) triples; by default every symbol and every set. A
     triple whose members are one pair (i1, i2) reads just that pair, as
     the reduced view's pairs do (see _reduced_view). p2 reads each
-    H(X_i | W_J) as H(X_orbit_of[i] | W_J), by default i's own."""
-    ora = oracle_for(code)
+    H(X_i | W_J) as H(X_orbit_of[i] | W_J), by default i's own.
+
+    p1 reads each symbol given each W_-k, and p2 each pair given each
+    W_-k' and given nothing: past PROPERTY_READS of those, BudgetError
+    is raised before any entropy is read."""
     p = code.params
+    symbols = range(p.M) if symbols is None else symbols
+    sets = list(_every_set(code)) if sets is None else sets
+    reads = len(symbols) * p.K + sum(math.comb(len(members), 2) for _, _, members in sets) * (p.K + 1)
+    if reads > PROPERTY_READS:
+        raise BudgetError(f"checking the properties takes {reads} entropy reads, more than {PROPERTY_READS}")
+    ora = oracle_for(code)
     orbit_of = range(p.M) if orbit_of is None else orbit_of
     all_k = range(1, p.K + 1)
     universal = check_universality(code)
     # others[k]: every source symbol but k, the conditioning set of p1-p3
     others = {k: frozenset(all_k) - {k} for k in all_k}
 
-    p1 = CheckResult("p1-nonzero-entropy", True)
+    p1 = []
     # zeros[k]: symbols with H(X_i | W_-k) = 0, ascending
     zeros: dict[int, list[int]] = {k: [] for k in all_k}
-    for i in range(p.M) if symbols is None else symbols:
+    for i in symbols:
         for k in all_k:
             if ora.entropy((i,), others[k]) == 0:
-                p1.witnesses.append({"i": code.label(i), "k": k})
+                p1.append({"i": code.label(i), "k": k})
                 zeros[k].append(i)
-    p1.passed = not p1.witnesses
 
-    p2a = CheckResult("p2a-same-interference", True)
-    p2b = CheckResult("p2b-distinct-desired", True)
-    p2c = CheckResult("p2c-independence", True)
+    p2a, p2b, p2c = [], [], []
     # each pair reads (H1, H2, H12) once given each W_-k' (p2a for k' != k,
     # p2b for k' = k) and once given nothing (p2c, k' = None)
     givens = [(k_prime, others[k_prime]) for k_prime in all_k] + [(None, frozenset())]
-    for k, set_index, members in _every_set(code) if sets is None else sets:
+    for k, set_index, members in sets:
         for i1, i2 in itertools.combinations(members, 2):
             pair = {"k": k, "set_index": set_index, "i1": code.label(i1), "i2": code.label(i2)}
             for k_prime, j in givens:
@@ -213,30 +218,28 @@ def check_capacity_properties(code: LinearCodeSpec, symbols=None, sets=None, orb
                 h12 = ora.entropy((i1, i2), j)
                 if k_prime is None:
                     if h12 != h1 + h2:
-                        p2c.witnesses.append({**pair, "joint": h12, "sum": h1 + h2})
+                        p2c.append({**pair, "joint": h12, "sum": h1 + h2})
                 elif k_prime == k:
                     if h12 != h1 + h2:
-                        p2b.witnesses.append(pair)
+                        p2b.append(pair)
                 elif not h12 == h1 == h2:
-                    p2a.witnesses.append(
+                    p2a.append(
                         {**pair, "k_prime": k_prime, "h_i1_given_i2": h12 - h2, "h_i2_given_i1": h12 - h1}
                     )
-    p2a.passed = not p2a.witnesses
-    p2b.passed = not p2b.witnesses
-    p2c.passed = not p2c.witnesses
 
     # A pair is both "same" (H12 = H1 = H2) and "distinct" (H12 = H1 + H2)
     # given W_-k exactly when H1 = H2 = 0, so p3's witnesses are the ordered
     # pairs, diagonal included, of each k's zero-entropy symbols from p1.
-    p3 = CheckResult("p3-incompatibility", True)
+    p3 = []
     for k in all_k:
         for i1 in zeros[k]:
             for i2 in zeros[k]:
-                p3.witnesses.append({"i1": code.label(i1), "i2": code.label(i2), "k": k})
-    p3.passed = not p3.witnesses
+                p3.append({"i1": code.label(i1), "i2": code.label(i2), "k": k})
 
+    rows = {"p1": ("p1-nonzero-entropy", p1), "p2a": ("p2a-same-interference", p2a),
+            "p2b": ("p2b-distinct-desired", p2b), "p2c": ("p2c-independence", p2c), "p3": ("p3-incompatibility", p3)}
     return PropertyReport(
-        results={"p1": p1, "p2a": p2a, "p2b": p2b, "p2c": p2c, "p3": p3},
+        results={key: CheckResult(name, not found, found) for key, (name, found) in rows.items()},
         universal=universal,
     )
 
@@ -244,8 +247,7 @@ def check_capacity_properties(code: LinearCodeSpec, symbols=None, sets=None, orb
 # --- the full N-ary decoding tree ------------------------------------------
 
 
-@dataclass(frozen=True)
-class NaryTree:
+class NaryTree(NamedTuple):
     """Depth-K tree of nested decoding sets.
 
     permutation: order in which source symbols are consumed, depth 1..K;
@@ -382,8 +384,7 @@ def leaf_distinctness(tree: NaryTree) -> tuple[bool, int | None]:
     return (False, min(repeated)) if repeated else (True, None)
 
 
-@dataclass(frozen=True)
-class LevelAudit:
+class LevelAudit(NamedTuple):
     depth: int
     message: int  # source symbol consumed at this depth
     lhs_bits: int
@@ -394,8 +395,7 @@ class LevelAudit:
         return self.lhs_bits - self.rhs_bits
 
 
-@dataclass(frozen=True)
-class ConverseAudit:
+class ConverseAudit(NamedTuple):
     """Per-level accounting of the rate-bound inequality chain.
 
     Descending the tree, the symbol entropies at depth d (conditioned on
@@ -478,8 +478,7 @@ def converse_witnesses(code: LinearCodeSpec, trees: Iterable[NaryTree]) -> list[
 # --- erasures and corruption ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DistanceResult:
+class DistanceResult(NamedTuple):
     distance: int
     witnesses: tuple[tuple[int, ...], ...]  # all minimal failing erasures, lex order
 
@@ -510,8 +509,7 @@ def min_distance(code: LinearCodeSpec) -> DistanceResult:
     raise AssertionError("erasing every symbol must lose data")
 
 
-@dataclass(frozen=True)
-class CorruptionReport:
+class CorruptionReport(NamedTuple):
     delta: Fraction
     corrupted_count: int
     per_message_min: dict[int, Fraction]
@@ -554,8 +552,7 @@ def corruption_trial(code: LinearCodeSpec, delta) -> CorruptionReport:
 
 # --- translation orbits -----------------------------------------------------
 
-@dataclass(frozen=True)
-class _View:
+class _View(NamedTuple):
     """What the view-reading checks read of a code (see _check_rows):
     symbols, the symbols p1 reads; pairs, (k, set index, members) triples
     whose pairs of members p2a-p2c read, a triple of two members for one
@@ -593,7 +590,7 @@ def _first_view(code: LinearCodeSpec) -> _View | None:
         view = _symmetry(code)
         if view and _coordinate_swaps(code):
             pairs, sets = ([triple for triple in part if triple[0] == 1] for part in (view.pairs, view.sets))
-            view = _View(view.symbols, pairs, sets, view.orbit_of)
+            view = view._replace(pairs=pairs, sets=sets)
         _first_views[code] = view
     return _first_views[code]
 
@@ -904,9 +901,10 @@ def run_checks(
     audit (see _tree_audit), exact at any size, whose failing rows list
     every failing tree up to *tree_budget* trees, the first one past it. A
     check that cannot run on this code (a non-universal tree, more than
-    WALK_STATES walk states, an incorrect code's converse past the tree
-    budget, min-distance or corruption past DISTANCE_BUDGET symbols) fails
-    with an {"error": ...} witness. *delta* is the corruption fraction, by
+    WALK_STATES walk states, properties past PROPERTY_READS reads of the
+    view they read, an incorrect code's converse past the tree budget,
+    min-distance or corruption past DISTANCE_BUDGET symbols) fails with
+    an {"error": ...} witness. *delta* is the corruption fraction, by
     default the largest below 1/N with an integral count. Bad options (see
     check_options) raise ValueError before any check runs."""
     delta = check_options(names, tree_budget, delta)

@@ -169,16 +169,13 @@ def reference_properties(code):
     # others[k]: every source symbol but k, the conditioning set of p1-p3
     others = {k: frozenset(all_k) - {k} for k in all_k}
 
-    p1 = CheckResult("p1-nonzero-entropy", True)
+    p1 = []
     for i in range(p.M):
         for k in all_k:
             if ora.entropy((i,), others[k]) == 0:
-                p1.witnesses.append({"i": code.label(i), "k": k})
-    p1.passed = not p1.witnesses
+                p1.append({"i": code.label(i), "k": k})
 
-    p2a = CheckResult("p2a-same-interference", True)
-    p2b = CheckResult("p2b-distinct-desired", True)
-    p2c = CheckResult("p2c-independence", True)
+    p2a, p2b, p2c = [], [], []
     for sup in code.supersets:
         k = sup.k
         for set_index, members in enumerate(sup.sets):
@@ -189,7 +186,7 @@ def reference_properties(code):
                     j = others[k_prime]
                     if not _same(ora, i1, i2, j):
                         h12 = ora.entropy((i1, i2), j)
-                        p2a.witnesses.append(
+                        p2a.append(
                             {
                                 "k": k,
                                 "set_index": set_index,
@@ -201,14 +198,14 @@ def reference_properties(code):
                             }
                         )
                 if not (_distinct(ora, i1, i2, others[k]) and _distinct(ora, i2, i1, others[k])):
-                    p2b.witnesses.append(
+                    p2b.append(
                         {"k": k, "set_index": set_index, "i1": code.label(i1), "i2": code.label(i2)}
                     )
                 h1 = ora.entropy((i1,))
                 h2 = ora.entropy((i2,))
                 h12 = ora.entropy((i1, i2))
                 if h12 != h1 + h2:
-                    p2c.witnesses.append(
+                    p2c.append(
                         {
                             "k": k,
                             "set_index": set_index,
@@ -218,21 +215,19 @@ def reference_properties(code):
                             "sum": h1 + h2,
                         }
                     )
-    p2a.passed = not p2a.witnesses
-    p2b.passed = not p2b.witnesses
-    p2c.passed = not p2c.witnesses
 
-    p3 = CheckResult("p3-incompatibility", True)
+    p3 = []
     for k in all_k:
         j = others[k]
         for i1 in range(p.M):
             for i2 in range(p.M):
                 if _same(ora, i1, i2, j) and _distinct(ora, i1, i2, j):
-                    p3.witnesses.append({"i1": code.label(i1), "i2": code.label(i2), "k": k})
-    p3.passed = not p3.witnesses
+                    p3.append({"i1": code.label(i1), "i2": code.label(i2), "k": k})
 
+    rows = {"p1": ("p1-nonzero-entropy", p1), "p2a": ("p2a-same-interference", p2a),
+            "p2b": ("p2b-distinct-desired", p2b), "p2c": ("p2c-independence", p2c), "p3": ("p3-incompatibility", p3)}
     return PropertyReport(
-        results={"p1": p1, "p2a": p2a, "p2b": p2b, "p2c": p2c, "p3": p3},
+        results={key: CheckResult(name, not found, found) for key, (name, found) in rows.items()},
         universal=universal,
     )
 

@@ -3,6 +3,7 @@ import contextlib
 import copy
 import hashlib
 import io
+import itertools
 import json
 import random
 import subprocess
@@ -17,7 +18,15 @@ from hypothesis import strategies as st
 
 import smoothldc
 from child import package_env, run_capped
-from oracles import generator_bit_flips
+from oracles import (
+    coordinate_symmetric_edits,
+    decoding_set_edits,
+    generator_bit_flips,
+    permuted_symbols,
+    subgroup_codes,
+    symmetric_edits,
+    translated_set_codes,
+)
 from smoothldc import cli, entropy, pir, verify
 from smoothldc.capacity import CodeParams
 from smoothldc.codespec import (
@@ -661,6 +670,17 @@ class TestWideDocuments:
                                               f"converse-tightness: FAIL  witness: {refusal}"]
         assert result.returncode == 1 and "Traceback" not in result.stderr, result.stderr
 
+    def test_properties_refused_on_a_wide_document(self, tmp_path):
+        """The default battery on K = 1600: p2 would read its one pair
+        given each of 1601 conditions, so the properties row is refused
+        before any entropy is read (the full read took 6.6 s)."""
+        doc = tmp_path / "k1600.json"
+        doc.write_bytes(dump_document(to_document(self.all_ones(1600))))
+        result = run_capped("verify", str(doc), timeout=20)
+        refusal = '{"error": "checking the properties takes 2564800 entropy reads, more than 262144"}'
+        assert f"properties: FAIL  witness: {refusal}" in result.stdout.splitlines()
+        assert result.returncode == 1 and "Traceback" not in result.stderr, result.stderr
+
     def test_capacity_witness_prints_at_any_k(self, tmp_path):
         """Rate 1 is above the capacity 2^14999/(2^15000-1), whose
         denominator has more digits than an int may print."""
@@ -671,6 +691,55 @@ class TestWideDocuments:
             'costs: FAIL  witness: {"capacity": "2^14999/(2^15000-1)", "rate": "1"}'
         )
         assert result.returncode == 1 and "Traceback" not in result.stderr, result.stderr
+
+
+def _first_eight(corpus):
+    """A corpus of tests/oracles.py as (code, seed) -> its first 8 codes."""
+    return lambda code, seed: list(itertools.islice(corpus(code, seed), 8))
+
+
+class TestCodesWithDigits:
+    """Built codes with N^K <= 27 and their seeded edits, which keep digits
+    (and often the translations), so verify reads them through the orbit
+    view and the one-permutation walk: verify and pir-audit in a capped
+    child end in a verdict, and pir-audit exits 2 exactly when no scheme
+    is lifted."""
+
+    SIZES = [(n, k) for n in range(2, 28) for k in range(1, 4) if n**k <= 27]
+    # name -> (smallest N, smallest K, (code, seed) -> codes)
+    CORPORA = {
+        "permuted_symbols": (2, 1, lambda code, seed: [permuted_symbols(code, seed)]),
+        "symmetric_edits": (2, 1, _first_eight(symmetric_edits)),
+        "coordinate_symmetric_edits": (2, 1, _first_eight(coordinate_symmetric_edits)),
+        "subgroup_codes": (2, 1, _first_eight(subgroup_codes)),
+        # K >= 2: at K = 1 a superset's one set is all of Z_N, a subgroup,
+        # and there is no second set to edit
+        "translated_set_codes": (3, 2, _first_eight(translated_set_codes)),
+        "generator_bit_flips": (2, 1, _first_eight(generator_bit_flips)),
+        "decoding_set_edits": (2, 2, _first_eight(decoding_set_edits)),
+    }
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_every_check_ends_in_a_verdict(self, tmp_path_factory, data):
+        name = data.draw(st.sampled_from(sorted(self.CORPORA)))
+        least_n, least_k, corpus = self.CORPORA[name]
+        n, k = data.draw(st.sampled_from([(n, k) for n, k in self.SIZES if n >= least_n and k >= least_k]))
+        built = build_sldc(n, k)
+        code = data.draw(st.sampled_from(corpus(built, data.draw(st.integers(0, 2**16))) or [built]))
+        doc = tmp_path_factory.mktemp("digits") / "code.json"
+        doc.write_bytes(dump_document(to_document(code)))
+        checks = ["--checks", ALL_CHECKS] if code.params.M <= 9 else []
+        result = run_capped("verify", str(doc), *checks, timeout=30)
+        assert result.returncode in (0, 1) and "Traceback" not in result.stderr, result.stderr
+        try:
+            pir.scheme_from_sldc(code)
+            lifted = True
+        except pir.SchemeError:
+            lifted = False
+        result = run_capped("pir-audit", str(doc), timeout=30)
+        assert result.returncode in ((0, 1) if lifted else (2,)), result.stderr
+        assert "Traceback" not in result.stderr, result.stderr
 
 
 class TestPirAudit:
@@ -712,6 +781,24 @@ class TestPirAudit:
             assert code == 2
         else:
             assert code == 0 and "costs: PASS" in out
+
+    def test_zero_bit_answers_are_refused(self, tmp_path):
+        """K = 1, two symbols each holding one all-zero row: Lx = 0, so no
+        scheme is lifted. pir-audit, serve and retrieve exit 2 with one
+        error line; verify fails the code's correctness."""
+        code = LinearCodeSpec(CodeParams(N=2, K=1, M=2, Lw=1, Lx=0), [[0], [0]],
+                              [DecodingSuperset(1, ((0, 1),))], groups=[0, 1])
+        doc, messages = tmp_path / "lx0.json", tmp_path / "w.bin"
+        doc.write_bytes(dump_document(to_document(code)))
+        messages.write_bytes(b"\x80")
+        for argv in (["pir-audit", str(doc)],
+                     ["serve", str(doc), "--db", "1", "--messages", str(messages)],
+                     ["retrieve", str(doc), "--theta", "1", "--endpoints", "127.0.0.1:1,127.0.0.1:2"]):
+            result = run_capped(*argv, timeout=30)
+            assert (result.returncode, result.stdout) == (2, ""), (argv, result.stderr)
+            assert result.stderr == "error: Lx = 0: every answer would be 0 bits long\n", argv
+        result = run_capped("verify", str(doc), timeout=30)
+        assert result.returncode == 1 and "correctness: FAIL" in result.stdout, result.stderr
 
     def test_ungroupable_code_is_error(self, capsys, tmp_path):
         out_file = tmp_path / "fig2.json"
@@ -904,9 +991,11 @@ class TestOneCommandParser:
 
 
 class TestImportBoundary:
-    """A command imports verify, netsim and pir only if it runs them."""
+    """A command imports verify, netsim and pir only if it runs them, and
+    no command loads dataclasses or inspect."""
 
     LAZY = ("smoothldc.netsim", "smoothldc.pir", "smoothldc.verify")
+    NEVER = ("dataclasses", "inspect")
 
     @pytest.mark.parametrize(
         "argv, exit_code, loaded, err",
@@ -916,8 +1005,9 @@ class TestImportBoundary:
             (["serve", "{doc}", "--db", "1", "--messages", "{short}"], 2,
              ["smoothldc.netsim", "smoothldc.pir"], "got 2"),
             (["verify", "{doc}"], 0, ["smoothldc.verify"], ""),
+            (["pir-audit", "{doc}"], 0, ["smoothldc.pir", "smoothldc.verify"], ""),
         ],
-        ids=["import", "serve", "verify"],
+        ids=["import", "serve", "verify", "pir-audit"],
     )
     def test_command_imports_only_what_it_runs(self, capsys, tmp_path, argv, exit_code, loaded, err):
         doc, short = tmp_path / "c23.json", tmp_path / "short.bin"
@@ -931,7 +1021,8 @@ class TestImportBoundary:
             from smoothldc import cli
 
             rc = None if {argv!r} is None else cli.main({argv!r})
-            print(json.dumps([rc, sorted(m for m in {self.LAZY!r} if m in sys.modules)]))
+            print(json.dumps([rc, sorted(m for m in {self.LAZY!r} if m in sys.modules),
+                              [m for m in {self.NEVER!r} if m in sys.modules]]))
             """
         )
         result = subprocess.run(
@@ -939,7 +1030,7 @@ class TestImportBoundary:
             env=package_env(),
         )
         assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout.splitlines()[-1]) == [exit_code, loaded]
+        assert json.loads(result.stdout.splitlines()[-1]) == [exit_code, loaded, []]
         assert err in result.stderr
 
 

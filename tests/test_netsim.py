@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -550,7 +549,7 @@ class TestLoadedSchemeHash:
     def test_other_layouts_are_written_out(self, codes):
         loaded = reload(to_document(codes[(2, 3)]))
         lifted = scheme_from_sldc(loaded)
-        for scheme in (pir.replicated_scheme(loaded), dataclasses.replace(lifted, databases=lifted.databases[::-1])):
+        for scheme in (pir.replicated_scheme(loaded), lifted._replace(databases=lifted.databases[::-1])):
             assert scheme_hash(scheme) == general_digest(scheme) != scheme_hash(lifted)
 
 
@@ -693,7 +692,7 @@ def hostile_transcripts(transcripts):
     from every transcript of theta 1."""
     k = max(transcripts)
     return {**transcripts, k + 1: [],
-            1: [dataclasses.replace(tr, records=tr.records[1:]) for tr in transcripts[1]]}
+            1: [tr._replace(records=tr.records[1:]) for tr in transcripts[1]]}
 
 
 def synth_transcripts(scheme, thetas, count, seed, constant_query=None):
@@ -797,7 +796,7 @@ class TestTranscriptAudit:
         # every theta keeps its 300 transcripts; only database 1's cell of theta 1 is empty
         transcripts = pinned_transcripts(2, 3)
         assert not transcript_audit(transcripts, min_samples=300).low_power
-        transcripts[1] = [dataclasses.replace(tr, records=tr.records[1:]) for tr in transcripts[1]]
+        transcripts[1] = [tr._replace(records=tr.records[1:]) for tr in transcripts[1]]
         audit = transcript_audit(transcripts, min_samples=300)
         assert audit.low_power and audit.max_tv_distance < 0.5
 

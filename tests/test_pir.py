@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import random
@@ -342,7 +341,7 @@ class TestCostMetrics:
     def test_capacity_with_a_short_query_space_is_named(self, grid_schemes):
         # at the (2,3) capacity each database needs N^(K-1) = 4 queries
         scheme = grid_schemes[(2, 3)]
-        short = dataclasses.replace(scheme, databases=(scheme.databases[0][:3], scheme.databases[1]))
+        short = scheme._replace(databases=(scheme.databases[0][:3], scheme.databases[1]))
         assert cost_witnesses(short, cost_metrics(short)) == [{"database": 1, "query_space": 3, "at_least": 4}]
 
     @pytest.mark.parametrize("n, k, capacity", [(2, 15000, "2^14999/(2^15000-1)"), (3, 9100, "2*3^9099/(3^9100-1)")])

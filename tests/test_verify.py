@@ -26,6 +26,7 @@ from oracles import (
     translations_by_every_generator,
 )
 from smoothldc import cli, verify
+from smoothldc.capacity import CodeParams
 from smoothldc.codespec import (
     COLUMN_ORDER_CANONICAL,
     COLUMN_ORDER_TRANSCRIBED,
@@ -152,6 +153,17 @@ class TestCapacityProperties:
         assert {first["i1"], first["i2"]} == {"X1", "X4"}
         assert first["k_prime"] == 2
         assert first["h_i2_given_i1"] == 1
+
+    def test_reads_past_the_budget_are_refused_before_any_entropy_query(self, monkeypatch):
+        # N = 2, M = 2, K = 511: both symbols hold the all-ones row and {0, 1}
+        # is the one set of each source, so p1 reads 2*511 and p2 511*512
+        k, reads = 511, 2 * 511 + 511 * 512
+        code = LinearCodeSpec(CodeParams(N=2, K=k, M=2, Lw=1, Lx=1), [[(1 << k) - 1]] * 2,
+                              [DecodingSuperset(j, ((0, 1),)) for j in range(1, k + 1)])
+        monkeypatch.setattr(RankOracle, "entropy", None)  # any query raises TypeError
+        with pytest.raises(BudgetError, match=f"takes {reads} entropy reads, more than {verify.PROPERTY_READS}$"):
+            check_capacity_properties(code)
+        assert 2 * 510 + 510 * 511 <= verify.PROPERTY_READS  # K = 510 is read
 
     def test_nonsmooth_code_fails_something(self, codes):
         report = check_capacity_properties(codes["intro_nonsmooth"])
