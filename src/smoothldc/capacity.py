@@ -26,6 +26,7 @@ class CodeParams(NamedTuple("CodeParams", [("N", int), ("K", int), ("M", int), (
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace runs __new__ too
 
     def __new__(cls, N: int, K: int, M: int, Lw: int, Lx: int):
         if N < 1 or K < 1:

@@ -66,6 +66,7 @@ class DecodingSuperset(
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace runs __new__ too
 
     def __new__(cls, k: int, sets: tuple[tuple[int, ...], ...]):
         if not sets:
@@ -113,7 +114,16 @@ class LinearCodeSpec:
         self.digits = tuple(map(tuple, digits)) if digits is not None else None
         self.labels = tuple(labels) if labels is not None else None
         self.column_order = column_order
+        self._derived: dict = {}
         self._validate()
+
+    def derived(self, make):
+        """make(self), worked out on first use and kept on this code, keyed
+        by make. A kept value never refers to the code, so reference
+        counting frees the code and everything it keeps together."""
+        if make not in self._derived:
+            self._derived[make] = make(self)
+        return self._derived[make]
 
     def _validate(self) -> None:
         p = self.params

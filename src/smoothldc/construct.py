@@ -20,7 +20,6 @@ leaving exactly Lx = N^K - 1 bits per symbol.
 from __future__ import annotations
 
 import random
-import weakref
 from typing import Sequence
 
 from .capacity import CodeParams
@@ -140,8 +139,9 @@ def encode(code: LinearCodeSpec, msg: BitVector) -> list[BitVector]:
     return [encode_symbol(code, m, msg) for m in range(code.params.M)]
 
 
-# code -> {(k, set_index): (checks, recovery)}; no value refers to its code.
-_decoders: "weakref.WeakKeyDictionary[LinearCodeSpec, dict]" = weakref.WeakKeyDictionary()
+def _decoder_table(code: LinearCodeSpec) -> dict:
+    """(k, set_index) -> _decoder's map, kept on the code."""
+    return {}
 
 
 def _decoder(code: LinearCodeSpec, k: int, set_index: int) -> tuple[list[int], list[int] | None]:
@@ -150,7 +150,7 @@ def _decoder(code: LinearCodeSpec, k: int, set_index: int) -> tuple[list[int], l
     in the code's image iff every checks row has even parity against y, and
     then bit t of W_k the parity of recovery row t against y. recovery is
     None when the set does not determine W_k."""
-    per_code = _decoders.setdefault(code, {})
+    per_code = code.derived(_decoder_table)
     dec = per_code.get((k, set_index))
     if dec is None:
         members = code.supersets[k - 1].sets[set_index]

@@ -12,7 +12,6 @@ All results are exact bit counts; no floating point is involved.
 
 from __future__ import annotations
 
-import weakref
 from typing import Iterable
 
 from .codespec import LinearCodeSpec
@@ -20,11 +19,10 @@ from .gf2 import rank_words
 
 
 class RankOracle:
-    """Caching rank-based entropy oracle for one code.
-
-    It keeps only the code's int generator rows and shape, not the code
-    itself, so an oracle never keeps its code alive.
-    """
+    """Caching rank-based entropy oracle for one code, kept on the code by
+    oracle_for. It holds the code's int generator rows and shape, not the
+    code. A miss masks the rows by clearing the conditioned sources' blocks
+    from an all-ones mask, so its cost does not grow with K."""
 
     def __init__(self, code: LinearCodeSpec):
         p = code.params
@@ -37,10 +35,9 @@ class RankOracle:
     def _mask_without(self, conditioned: frozenset[int]) -> int:
         # source k owns columns (k-1)*Lw to k*Lw - 1: one block of Lw bits
         block = (1 << self.Lw) - 1
-        mask = 0
-        for k in range(1, self.K + 1):
-            if k not in conditioned:
-                mask |= block << (self.width - k * self.Lw)
+        mask = (1 << self.width) - 1
+        for k in conditioned:
+            mask ^= block << (self.width - k * self.Lw)
         return mask
 
     def entropy(self, symbols: Iterable[int], given_messages: Iterable[int] = ()) -> int:
@@ -75,15 +72,8 @@ class RankOracle:
         return self.Lw + self.entropy(symbols, j | {k}) - self.entropy(symbols, j)
 
 
-_oracles: "weakref.WeakKeyDictionary[LinearCodeSpec, RankOracle]" = weakref.WeakKeyDictionary()
-
-
 def oracle_for(code: LinearCodeSpec) -> RankOracle:
-    oracle = _oracles.get(code)
-    if oracle is None:
-        oracle = RankOracle(code)
-        _oracles[code] = oracle
-    return oracle
+    return code.derived(RankOracle)
 
 
 def conditional_entropy(code: LinearCodeSpec, symbols: Iterable[int], given_messages: Iterable[int] = ()) -> int:

@@ -160,10 +160,10 @@ class BitVector:
         return f"BitVector({shown}{'...' if self.length > 64 else ''})"
 
 
-def rank_words(rows: Iterable[int]) -> int:
-    """GF(2) rank of int rows: each row is reduced against an XOR basis
-    keyed by leading bit (``int.bit_length``) until it is zero or brings a
-    new leading bit."""
+def _basis(rows: Iterable[int]) -> dict[int, int]:
+    """An XOR basis of the span of int rows, keyed by leading bit
+    (``int.bit_length``): each row is reduced against it until it is zero
+    or brings a new leading bit."""
     basis: dict[int, int] = {}
     for row in rows:
         while row:
@@ -173,7 +173,12 @@ def rank_words(rows: Iterable[int]) -> int:
                 basis[lead] = row
                 break
             row ^= pivot
-    return len(basis)
+    return basis
+
+
+def rank_words(rows: Iterable[int]) -> int:
+    """GF(2) rank of int rows: the size of their _basis."""
+    return len(_basis(rows))
 
 
 def row_parities(rows: Iterable[int], value: int) -> int:
@@ -203,25 +208,15 @@ def solve_columns(
     return ``(checks, solutions)``.
 
     Row combinations are n-bit masks over m's n rows, row i being bit
-    n-1-i. Each row carries its own mask as n extra low bits, so a row that
-    reduces to zero leaves a parity check c with c·m = 0; the checks span
+    n-1-i. Each row carries its own mask as n extra low bits, so the basis
+    rows with no bit of m left, those with leading bit at most n, are
+    parity checks c with c·m = 0: n - rank(m) independent ones, which span
     every such combination. ``solutions[t]`` is a mask r with
     r·m = e_{columns[t]}, or None when that unit row is not in m's row space.
     """
     n = len(rows)
-    basis: dict[int, int] = {}
-    checks = []
-    for i, row in enumerate(rows):
-        row = (row << n) | (1 << (n - 1 - i))
-        while row >> n:
-            lead = row.bit_length()
-            pivot = basis.get(lead)
-            if pivot is None:
-                basis[lead] = row
-                break
-            row ^= pivot
-        else:
-            checks.append(row)
+    basis = _basis((row << n) | (1 << (n - 1 - i)) for i, row in enumerate(rows))
+    checks = [row for lead, row in basis.items() if lead <= n]
     solutions: list[int | None] = []
     for j in columns:
         residual = 1 << (width - 1 - j + n)

@@ -57,7 +57,6 @@ import collections
 import functools
 import itertools
 import math
-import weakref
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -89,6 +88,7 @@ class CheckResult(
     own empty list and dict."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace runs __new__ too
 
     def __new__(cls, name: str, passed: bool, witnesses: list[dict] | None = None, details: dict | None = None):
         return super().__new__(cls, name, passed, [] if witnesses is None else witnesses,
@@ -275,16 +275,15 @@ class NaryTree(NamedTuple):
         return tuple(set_id for level in self.sets_by_depth for set_id, _ in level)
 
 
-def _sets_containing(code: LinearCodeSpec) -> list[dict[int, dict[int, tuple[int, ...]]]]:
-    """Per source symbol k: each symbol's decoding sets of k, as set id ->
-    members with that symbol first and the rest ascending, in set id order."""
+def _sets_containing(code: LinearCodeSpec) -> list[dict[int, list[int]]]:
+    """Per source symbol k: each symbol's decoding sets of k, as the ids of
+    the sets that hold it, ascending."""
     index = []
     for sup in code.supersets:
-        by_node: dict[int, dict[int, tuple[int, ...]]] = {}
+        by_node: dict[int, list[int]] = {}
         for set_id, members in enumerate(sup.sets):
             for node in members:
-                ordered = (node,) + tuple(m for m in members if m != node)
-                by_node.setdefault(node, {})[set_id] = ordered
+                by_node.setdefault(node, []).append(set_id)
         index.append(by_node)
     return index
 
@@ -292,13 +291,15 @@ def _sets_containing(code: LinearCodeSpec) -> list[dict[int, dict[int, tuple[int
 def _grow(code: LinearCodeSpec, index, permutation: tuple[int, ...], root: int, pick, levels=()):
     """Every tree from (permutation, root) that extends *levels*, the sets
     chosen so far, in lexicographic order of choices. Each node of the next
-    depth's frontier, breadth-first, takes one of the (set id, members)
-    pairs pick(node, options) returns from its _sets_containing options."""
+    depth's frontier, breadth-first, takes one of the set ids pick(node,
+    options) returns from its _sets_containing options, as (set id,
+    members with the node first and the rest ascending)."""
     depth = len(levels)
     if depth == len(permutation):
         yield NaryTree(permutation=permutation, root=root, sets_by_depth=levels)
         return
     k = permutation[depth]
+    sets = code.supersets[k - 1].sets
     frontier = [m for _, ordered in levels[-1] for m in ordered] if levels else [root]
     picks = []
     for node in frontier:
@@ -307,7 +308,7 @@ def _grow(code: LinearCodeSpec, index, permutation: tuple[int, ...], root: int, 
             raise TreeConstructionError(
                 f"no decoding set of source symbol {k} contains {code.label(node)}"
             )
-        picks.append(pick(node, options))
+        picks.append([(set_id, (node, *(m for m in sets[set_id] if m != node))) for set_id in pick(node, options)])
     for level in itertools.product(*picks):
         yield from _grow(code, index, permutation, root, pick, levels + (level,))
 
@@ -332,7 +333,7 @@ def build_nary_tree(
     if not 0 <= root < p.M:
         raise IndexError(f"root symbol {root} out of range")
     if chooser is None:
-        pick = lambda node, options: (next(iter(options.items())),)
+        pick = lambda node, options: options[:1]
     elif isinstance(chooser, (list, tuple)):
         explicit = iter(chooser)
 
@@ -342,8 +343,8 @@ def build_nary_tree(
             except StopIteration:
                 raise ValueError("explicit chooser ran out of set indices") from None
             if set_id not in options:
-                raise ValueError(f"explicit set {set_id} does not contain node {node} (valid: {list(options)})")
-            return ((set_id, options[set_id]),)
+                raise ValueError(f"explicit set {set_id} does not contain node {node} (valid: {options})")
+            return (set_id,)
     else:
         raise TypeError("chooser must be None or an explicit list of set ids")
     tree = next(_grow(code, _sets_containing(code), permutation, root, pick))
@@ -364,7 +365,7 @@ def enumerate_trees(code: LinearCodeSpec) -> Iterator[NaryTree]:
     index = _sets_containing(code)
     for perm in itertools.permutations(range(1, code.params.K + 1)):
         for root in range(code.params.M):
-            yield from _grow(code, index, perm, root, lambda node, options: options.items())
+            yield from _grow(code, index, perm, root, lambda node, options: options)
 
 
 def trees_for_audit(code: LinearCodeSpec, budget: int = DEFAULT_TREE_BUDGET) -> list[NaryTree]:
@@ -565,16 +566,11 @@ class _View(NamedTuple):
     orbit_of: Sequence[int]
 
 
-# code -> the view of it that _check_rows reads first, or None; no value
-# refers to its code
-_first_views: "weakref.WeakKeyDictionary[LinearCodeSpec, _View | None]" = weakref.WeakKeyDictionary()
-
-
 def _first_view(code: LinearCodeSpec) -> _View | None:
     """The view that correctness, properties, tree and converse read first,
-    worked out once per code: None unless _unit_translations holds, then
-    the view through symbol 0 (_symmetry), and of it only superset 1's sets
-    and pairs when _coordinate_swaps holds too.
+    as code.derived(_first_view): None unless _unit_translations holds,
+    then the view through symbol 0 (_symmetry), and of it only superset 1's
+    sets and pairs when _coordinate_swaps holds too.
 
     Then superset 1 stands for all K. A permutation pi of the coordinates,
     with the sources, carries superset k onto superset pi(k), fixes the
@@ -586,13 +582,11 @@ def _first_view(code: LinearCodeSpec) -> _View | None:
     set's given pi(J), and p2 entropies given W_-k' as the pair's given
     W_-pi(k'). So p1 and p2a's k' and sigma's J still take every value.
     p2 reads each H(X_d | W_J) as H(X_0 | W_J), by orbit_of."""
-    if code not in _first_views:
-        view = _symmetry(code)
-        if view and _coordinate_swaps(code):
-            pairs, sets = ([triple for triple in part if triple[0] == 1] for part in (view.pairs, view.sets))
-            view = view._replace(pairs=pairs, sets=sets)
-        _first_views[code] = view
-    return _first_views[code]
+    view = _symmetry(code)
+    if view and _coordinate_swaps(code):
+        pairs, sets = ([triple for triple in part if triple[0] == 1] for part in (view.pairs, view.sets))
+        view = view._replace(pairs=pairs, sets=sets)
+    return view
 
 
 def _symmetry(code: LinearCodeSpec) -> _View | None:
@@ -790,13 +784,16 @@ def _tree_audit(code: LinearCodeSpec, budget: int) -> tuple:
     A memoized walk decides count and leaves without building a tree:
     walk(sources, y) is (the number of subtrees of node y with the tuple
     *sources* left to consume, the bitset of their leaves, whether each
-    has distinct leaves). They do exactly when, for each set of sources[0]
-    holding y, each member's do and the members' leaves are disjoint: a
-    repeat parts below two members of some set, and a leaf two members
-    reach ends two independent subtrees. The walk starts from every
-    permutation and each root of the code's first view (see _first_view),
-    counted once per symbol it stands for. From every root it visits every
-    (suffix, node), so past WALK_STATES of those it is refused unstarted.
+    has distinct leaves), summed over under(sources, s), the same triple
+    for the subtrees that start with set s of sources[0], for each s
+    holding y. They do exactly when each member's do and the members'
+    leaves are disjoint: a repeat parts below two members of some set, and
+    a leaf two members reach ends two independent subtrees. under is the
+    same from each member, so each set is read once per suffix. The walk
+    starts from every permutation and each root of the code's first view
+    (see _first_view), counted once per symbol it stands for. From every
+    root it visits every (suffix, node), so past WALK_STATES of those it
+    is refused unstarted.
 
     One permutation stands for all K! when the code's translations are
     checked and each superset partitions the symbols. Under the checked
@@ -818,8 +815,9 @@ def _tree_audit(code: LinearCodeSpec, budget: int) -> tuple:
     if missing:
         k, m = missing
         raise TreeConstructionError(f"no decoding set of source symbol {k} contains {code.label(m)}")
-    index = _sets_containing(code)
-    view = _first_view(code)
+    # walk and under form a cycle, so they hold these and never the code
+    index, supersets = _sets_containing(code), [sup.sets for sup in code.supersets]
+    view = code.derived(_first_view)
     if view and len(view.sets) == len({k for k, _, _ in view.sets}):
         perms = [tuple(range(1, p.K + 1))]
     else:
@@ -837,16 +835,18 @@ def _tree_audit(code: LinearCodeSpec, budget: int) -> tuple:
     def walk(sources, y):
         if not sources:
             return 1, 1 << y, True
-        count, leaves, distinct = 0, 0, True
-        for members in index[sources[0] - 1][y].values():
-            below = [walk(sources[1:], m) for m in members]
-            count += math.prod(trees for trees, _, _ in below)
-            reach = 0
-            for _, bits, ok in below:
-                distinct = distinct and ok and not reach & bits
-                reach |= bits
-            leaves |= reach
-        return count, leaves, distinct
+        # a node in one set shares that set's triple
+        below = [under(sources, set_id) for set_id in index[sources[0] - 1][y]]
+        return functools.reduce(lambda a, b: (a[0] + b[0], a[1] | b[1], a[2] and b[2]), below)
+
+    @functools.cache
+    def under(sources, set_id):
+        below = [walk(sources[1:], m) for m in supersets[sources[0] - 1][set_id]]
+        reach, distinct = 0, True
+        for _, bits, ok in below:
+            distinct = distinct and ok and not reach & bits
+            reach |= bits
+        return math.prod(trees for trees, _, _ in below), reach, distinct
 
     roots = collections.Counter(view.orbit_of if view else range(p.M))
     count, distinct = 0, True
@@ -920,7 +920,7 @@ def run_checks(
             # an orbit check of a code with checked translations reads its
             # reduced view first; failing correctness or properties rows are
             # read again on the full view, as a passing row is the same on both
-            view = _first_view(code) if name in _ORBIT_CHECKS else None
+            view = code.derived(_first_view) if name in _ORBIT_CHECKS else None
             rows = _check_rows(code, name, tree_audit, delta, view or every)
             if view and name != "converse" and not all(row.passed for row in rows):
                 rows = _check_rows(code, name, tree_audit, delta, every)

@@ -681,6 +681,35 @@ class TestWideDocuments:
         assert f"properties: FAIL  witness: {refusal}" in result.stdout.splitlines()
         assert result.returncode == 1 and "Traceback" not in result.stderr, result.stderr
 
+    def test_correctness_row_is_linear_in_k(self, tmp_path):
+        """Each entropy query masks out only its conditioned sources, so the
+        correctness row of K = 6000 (12000 queries) ends within 5 s; walking
+        all K sources per query took about 9 s."""
+        doc = tmp_path / "k6000.json"
+        doc.write_bytes(dump_document(to_document(self.all_ones(6000))))
+        result = run_capped("verify", str(doc), "--checks", "correctness", timeout=5)
+        assert result.stdout.splitlines() == [
+            'correctness: FAIL  witness: {"k": 1, "residual_bits": 1, "set": ["X1", "X2"], "set_index": 0}'
+        ]
+        assert result.returncode == 1 and "Traceback" not in result.stderr, result.stderr
+
+    @staticmethod
+    def one_wide_set(n):
+        """N = M = n, K = 1, Lw = Lx = 1: every symbol stores the source bit,
+        and one decoding set holds all n symbols."""
+        supersets = [DecodingSuperset(1, (tuple(range(n)),))]
+        return LinearCodeSpec(CodeParams(N=n, K=1, M=n, Lw=1, Lx=1), [[1]] * n, supersets)
+
+    def test_one_wide_set_ends_in_a_verdict(self, tmp_path):
+        """The default battery on one set of 8000 symbols: the tree walk
+        reads the set once, not once per member, and no set is copied per
+        member (that ended in MemoryError)."""
+        doc = tmp_path / "n8000.json"
+        doc.write_bytes(dump_document(to_document(self.one_wide_set(8000))))
+        result = run_capped("verify", str(doc), timeout=10)
+        assert 'tree-leaf-distinctness: PASS  {"exhaustive": true, "trees": 8000}' in result.stdout.splitlines()
+        assert result.returncode == 1 and "Traceback" not in result.stderr, result.stderr
+
     def test_capacity_witness_prints_at_any_k(self, tmp_path):
         """Rate 1 is above the capacity 2^14999/(2^15000-1), whose
         denominator has more digits than an int may print."""

@@ -64,17 +64,14 @@ class TestConditionalEntropy:
 
 class TestOracleLifetime:
     def test_deleted_codes_free_their_oracles(self):
-        gc.collect()
-        before = len(entropy._oracles)
         codes = [build_sldc(2, k) for k in (1, 2, 3)]
         for code in codes:
             assert conditional_entropy(code, [0, 1]) > 0
-        assert len(entropy._oracles) == before + 3
-        refs = [weakref.ref(code) for code in codes]
+            assert code.derived(entropy.RankOracle) is oracle_for(code)
+        refs = [weakref.ref(code) for code in codes] + [weakref.ref(oracle_for(code)) for code in codes]
         del code, codes
         gc.collect()
         assert all(ref() is None for ref in refs)
-        assert len(entropy._oracles) == before
 
 
 class TestConditioningMasks:

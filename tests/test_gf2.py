@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -285,3 +286,26 @@ class TestSolveColumns:
         assert solutions == [0b11, 0b01, None]  # e0 = row0 + row1, e1 = row1
         bits = [None if r is None else (r & rhs.value).bit_count() & 1 for r in solutions]
         assert bits == [0, 1, None]  # e0 value 1^1, e1 value 1
+
+    @given(st.data())
+    def test_matches_every_row_combination(self, data):
+        """Against all 2^n combinations of m's n rows, enumerated with numpy:
+        the checks annihilate m, are independent and number n - rank(m), and
+        each solution r gives r·m = e_j, None exactly when no combination
+        does."""
+        rows, width = random_matrix(data.draw, data.draw(st.integers(0, 8)), data.draw(st.integers(1, 10)))
+        n = len(rows)
+        m = np.array([[row >> (width - 1 - c) & 1 for c in range(width)] for row in rows], dtype=np.int64)
+        masks = np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1) & 1  # mask r -> its bits, row 0 first
+        products = masks @ m.reshape(n, width) % 2  # row r: r·m
+        kernel = int((~products.any(axis=1)).sum())
+        checks, solutions = solve_columns(rows, width, range(width))
+        assert not products[checks].any()
+        assert 1 << len(checks) == kernel  # n - rank(m) of them
+        combos = np.arange(1, 1 << len(checks))[:, None] >> np.arange(len(checks) - 1, -1, -1) & 1
+        assert (combos @ masks[checks] % 2).any(axis=1).all()  # no nonempty sum of checks is 0
+        for unit, r in zip(np.eye(width, dtype=np.int64), solutions):
+            if r is None:
+                assert not (products == unit).all(axis=1).any()
+            else:
+                assert (products[r] == unit).all()

@@ -1,5 +1,9 @@
+import contextlib
+import gc
 import hashlib
 import itertools
+import random
+import weakref
 import json
 import math
 import tracemalloc
@@ -33,10 +37,12 @@ from smoothldc.codespec import (
     DecodingSuperset,
     LinearCodeSpec,
 )
-from smoothldc.construct import build_sldc, load_fixture
+from smoothldc.construct import DecodeFailure, build_sldc, decode, encode, load_fixture, random_message
 from smoothldc.entropy import RankOracle, oracle_for
 from smoothldc.verify import (
     ALL_CHECKS,
+    DEFAULT_CHECKS,
+    CheckResult,
     PROPERTY_NAMES,
     BudgetError,
     TreeConstructionError,
@@ -713,6 +719,39 @@ class TestBatteryOptions:
         with pytest.raises(ValueError, match=message):
             verify.run_checks(codes["fig1"], names, **options)
         assert calls == []
+
+
+class TestRecords:
+    def test_replace_runs_the_constructor(self):
+        with pytest.raises(ValueError, match="Lw must be >= 1 and Lx >= 0"):
+            CodeParams(2, 1, 2, 1, 1)._replace(Lx=-1)
+        with pytest.raises(ValueError, match="superset for source symbol 1 is empty"):
+            DecodingSuperset(1, ((0, 1),))._replace(sets=())
+        assert CheckResult("x", True)._replace(witnesses=None).witnesses == []
+
+
+class TestCodeLifetime:
+    @pytest.mark.parametrize("name", [(2, 2), (2, 3), (3, 2), (3, 3), "fig1", "intro_nonsmooth"], ids=str)
+    def test_a_used_code_is_freed_by_reference_counting(self, name):
+        """With the garbage collector off, a code that ran its battery
+        (every check when M <= 9, else the default ones), an oracle query
+        and a decode is freed as soon as its last reference goes: nothing
+        it keeps refers back to it."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            code = build_sldc(*name) if isinstance(name, tuple) else load_fixture(name)
+            verify.run_checks(code, ALL_CHECKS if code.params.M <= 9 else DEFAULT_CHECKS)
+            assert oracle_for(code).entropy([0]) > 0
+            coded = encode(code, random_message(code, random.Random(5)))
+            with contextlib.suppress(DecodeFailure):
+                decode(code, 1, 0, [coded[m] for m in code.supersets[0].sets[0]])
+            ref = weakref.ref(code)
+            del code
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 # One digest per built code over every verify row of all its seed-7
