@@ -1,41 +1,35 @@
 """Perfectly smooth locally decodable codes: construction, verification,
-and private retrieval over a simulated multi-database network."""
+and private retrieval over a simulated multi-database network.
 
-from .capacity import (
-    CodeParams,
-    capacity_uldc,
-    min_length,
-    min_upload_bits,
-    pir_capacity,
-    symbol_and_code_rate,
-)
-from .codespec import DecodingSuperset, LinearCodeSpec, from_document, to_document
-from .construct import build_sldc, decode, encode, enumerate_supersets, load_fixture
-from .entropy import conditional_entropy, distinct_information, same_information
-from .gf2 import BitVector, rank_words
+The package namespace is lazy (PEP 562): ``import smoothldc`` loads no
+submodule, and each public name imports its home module on first access,
+so a process compiles only the modules it uses."""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BitVector",
-    "CodeParams",
-    "DecodingSuperset",
-    "LinearCodeSpec",
-    "build_sldc",
-    "capacity_uldc",
-    "conditional_entropy",
-    "decode",
-    "distinct_information",
-    "encode",
-    "enumerate_supersets",
-    "from_document",
-    "load_fixture",
-    "min_length",
-    "min_upload_bits",
-    "pir_capacity",
-    "rank_words",
-    "same_information",
-    "symbol_and_code_rate",
-    "to_document",
-    "__version__",
-]
+# public name -> home module, one line per module
+_HOME = {
+    **dict.fromkeys(("CodeParams", "capacity_uldc", "min_length", "min_upload_bits", "pir_capacity",
+                     "symbol_and_code_rate"), "capacity"),
+    **dict.fromkeys(("DecodingSuperset", "LinearCodeSpec", "from_document", "to_document"), "codespec"),
+    **dict.fromkeys(("build_sldc", "decode", "encode", "enumerate_supersets", "load_fixture"), "construct"),
+    **dict.fromkeys(("conditional_entropy", "distinct_information", "same_information"), "entropy"),
+    **dict.fromkeys(("BitVector", "rank_words"), "gf2"),
+}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    # any other name, a submodule among them, gets the default error, so
+    # `from smoothldc import verify` still imports the submodule
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return __all__

@@ -3,9 +3,11 @@
 Exit codes: 0 all requested checks passed / operation succeeded, 1 a check
 or retrieval failed (verdict in output), 2 usage or I/O error.
 
-Each command imports verify, netsim and pir only if it runs them, so a
-database server compiles no check and verify loads no network code, and
-``main`` builds the argument parser of that command alone.
+Only capacity, codespec and gf2 load with this module. Each command
+imports construct, verify, netsim and pir only if it runs them (and verify
+brings entropy), so a database server compiles no check and no entropy
+oracle, verify loads no network code and no construction, and ``main``
+builds the argument parser of that command alone.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import capacity, construct
+from . import capacity
 from .codespec import dump_document, from_document, load_document, to_document
 from .gf2 import BitVector
 
@@ -78,6 +80,8 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_build(args) -> int:
+    from . import construct
+
     code = construct.build_sldc(args.n, args.k)
     doc = to_document(code)
     _write(args.out, doc)
@@ -88,6 +92,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_fixture(args) -> int:
+    from . import construct
+
     code = construct.load_fixture(args.name)
     doc = to_document(code)
     _write(args.out, doc)
@@ -171,7 +177,7 @@ def cmd_serve(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    from . import netsim, pir
+    from . import construct, netsim, pir
 
     code = _load_code(args.file)
     scheme = pir.scheme_from_sldc(code)
@@ -203,6 +209,8 @@ def _build_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _fixture_arguments(p: argparse.ArgumentParser) -> None:
+    from . import construct
+
     p.add_argument("--name", required=True, choices=sorted(construct.FIXTURES))
     p.add_argument("--out", required=True)
 

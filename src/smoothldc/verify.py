@@ -491,7 +491,8 @@ class DistanceResult(NamedTuple):
 def min_distance(code: LinearCodeSpec) -> DistanceResult:
     """Smallest number of erased symbols that makes some source symbol
     unrecoverable from the remaining ones, by exhaustive search over codes
-    of at most DISTANCE_BUDGET symbols."""
+    of at most DISTANCE_BUDGET symbols: 0, with the empty witness, for a
+    code that loses a source with every symbol present."""
     p = code.params
     if p.M > DISTANCE_BUDGET:
         raise BudgetError(
@@ -499,7 +500,7 @@ def min_distance(code: LinearCodeSpec) -> DistanceResult:
         )
     ora = oracle_for(code)
     all_k = range(1, p.K + 1)
-    for erased_count in range(1, p.M + 1):
+    for erased_count in range(p.M + 1):
         failing = []
         for erased in itertools.combinations(range(p.M), erased_count):
             remaining = [m for m in range(p.M) if m not in erased]

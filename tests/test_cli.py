@@ -111,6 +111,20 @@ class TestBuildVerify:
         assert code == 1
         assert "smoothness: FAIL" in out
 
+    def test_a_lost_source_fails_min_distance_at_distance_zero(self, capsys, tmp_path):
+        """K = 1, two symbols each holding one all-zero row: even with every
+        symbol present W_1 is lost, so min-distance fails at distance 0."""
+        spec = LinearCodeSpec(CodeParams(N=2, K=1, M=2, Lw=1, Lx=0), [[0], [0]],
+                              [DecodingSuperset(1, ((0, 1),))], groups=[0, 1])
+        doc = tmp_path / "lx0.json"
+        doc.write_bytes(dump_document(to_document(spec)))
+        code, out, _ = run_cli(capsys, "verify", str(doc), "--checks", "correctness,min-distance")
+        assert code == 1
+        assert out.splitlines() == [
+            'correctness: FAIL  witness: {"k": 1, "residual_bits": 1, "set": ["X1", "X2"], "set_index": 0}',
+            'min-distance: FAIL  witness: {"bound": "M/N = 2/2", "distance": 0}',
+        ]
+
     def test_check_subset_and_json(self, capsys, tmp_path):
         out_file = tmp_path / "c22.json"
         run_cli(capsys, "build", "--n", "2", "--k", "2", "--out", str(out_file))
@@ -1020,10 +1034,10 @@ class TestOneCommandParser:
 
 
 class TestImportBoundary:
-    """A command imports verify, netsim and pir only if it runs them, and
-    no command loads dataclasses or inspect."""
+    """A command imports construct, entropy, verify, netsim and pir only if
+    it runs them, and no command loads dataclasses or inspect."""
 
-    LAZY = ("smoothldc.netsim", "smoothldc.pir", "smoothldc.verify")
+    LAZY = ("smoothldc.construct", "smoothldc.entropy", "smoothldc.netsim", "smoothldc.pir", "smoothldc.verify")
     NEVER = ("dataclasses", "inspect")
 
     @pytest.mark.parametrize(
@@ -1032,18 +1046,21 @@ class TestImportBoundary:
             (None, None, [], ""),
             # a messages file one byte short: serve exits before it listens
             (["serve", "{doc}", "--db", "1", "--messages", "{short}"], 2,
-             ["smoothldc.netsim", "smoothldc.pir"], "got 2"),
-            (["verify", "{doc}"], 0, ["smoothldc.verify"], ""),
-            (["pir-audit", "{doc}"], 0, ["smoothldc.pir", "smoothldc.verify"], ""),
+             ["smoothldc.construct", "smoothldc.netsim", "smoothldc.pir"], "got 2"),
+            (["verify", "{doc}"], 0, ["smoothldc.entropy", "smoothldc.verify"], ""),
+            (["pir-audit", "{doc}"], 0,
+             ["smoothldc.construct", "smoothldc.entropy", "smoothldc.pir", "smoothldc.verify"], ""),
+            (["build", "--n", "2", "--k", "3", "--out", "{out}"], 0, ["smoothldc.construct"], ""),
+            (["capacity", "--n", "2", "--k", "3"], 0, [], ""),
         ],
-        ids=["import", "serve", "verify", "pir-audit"],
+        ids=["import", "serve", "verify", "pir-audit", "build", "capacity"],
     )
     def test_command_imports_only_what_it_runs(self, capsys, tmp_path, argv, exit_code, loaded, err):
         doc, short = tmp_path / "c23.json", tmp_path / "short.bin"
         run_cli(capsys, "build", "--n", "2", "--k", "3", "--out", str(doc))
         short.write_bytes(b"\x5a" * 2)  # K*Lw = 24 bits need 3 bytes
         if argv is not None:
-            argv = [a.format(doc=doc, short=short) for a in argv]
+            argv = [a.format(doc=doc, short=short, out=tmp_path / "out.json") for a in argv]
         script = textwrap.dedent(
             f"""
             import json, sys

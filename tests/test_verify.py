@@ -649,6 +649,24 @@ class TestMinDistance:
         with pytest.raises(BudgetError, match="exceeds the budget of 24$"):
             min_distance(codes[(3, 3)])
 
+    @pytest.mark.parametrize("nk", [(2, 2), (2, 3), (3, 2)], ids=str)
+    def test_distance_zero_exactly_when_every_symbol_leaves_a_residual(self, codes, nk):
+        """Distance 0, with the empty witness, exactly when correctness read
+        on the set of every symbol leaves a residual, and then the
+        correctness row fails too."""
+        code = codes[nk]
+        lost = set()
+        for mutant in itertools.chain(symmetric_edits(code, seed=7), generator_bit_flips(code, seed=7),
+                                      decoding_set_edits(code, seed=7)):
+            p = mutant.params
+            whole = check_correctness(mutant, [(k, 0, range(p.M)) for k in range(1, p.K + 1)])
+            result = min_distance(mutant)
+            assert (result.distance == 0) == (not whole.passed)
+            if not whole.passed:
+                assert result.witnesses == ((),) and not check_correctness(mutant).passed
+            lost.add(not whole.passed)
+        assert lost == {False, True}
+
 
 class TestCorruption:
     def test_replicated_code_third(self, codes):
@@ -792,11 +810,13 @@ class TestMutantCorpus:
 # p1 to p3 and converse-tightness), then K(K-1) superset swaps (each
 # failing correctness, p2a, p2b and tree-leaf-distinctness). All checks up
 # to M = 9, the default checks at (3,3). Recorded before verify read
-# translation orbits.
+# translation orbits; (2,2), (2,3) and (3,2) re-recorded when min-distance
+# began its search at zero erasures, which moved only the source drops'
+# min-distance rows (distance 1 to 0, with the empty witness).
 SYMMETRIC_EDIT_DIGESTS = {
-    (2, 2): "44b4cc8be436998eee2e3b2f2eee7d105617a38314f401b373ed772ad3ee8e57",
-    (2, 3): "6e3d01b55414d8ecf698918daf3d12a7f1736d53604e94c5a799f94d854fdbc0",
-    (3, 2): "6263ae094afbbce4145b8d21236f93219be6986b14bcccfa689a5bcc5093fd05",
+    (2, 2): "308dff4a4aa62fb167ad3ef47e8c296f0eeb6950448f8fd8cc6db6d9f1e255b9",
+    (2, 3): "7726de388c861b7f1fa34b89f4d39f05ad9b1eef7ce1b1661e6b00b3581cbb60",
+    (3, 2): "da70f5dcddf970614c00d22329e83759be0b3e98d01f0cc0d3f442acb0efb528",
     (3, 3): "db5db9e502c25b60a75818b67f2779851fcb155993ed9dacb5a06ccd7f8b960a",
 }
 
